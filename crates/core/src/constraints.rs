@@ -2,6 +2,8 @@
 
 use disc_distance::{TupleDistance, Value};
 
+use crate::parallel::parallel_map;
+
 /// The distance constraints `(ε, η)` of Definition 1: a tuple belongs to a
 /// cluster (with high probability) iff it has at least `η` ε-neighbors.
 ///
@@ -85,8 +87,8 @@ pub fn detect_outliers_parallel(
     constraints: DistanceConstraints,
     workers: usize,
 ) -> OutlierSplit {
-    let counts: Vec<usize> = disc_index::with_auto_index_sync(rows, dist, constraints.eps, |idx| {
-        disc_index::count_within_batch(idx, rows, constraints.eps, workers)
+    let counts: Vec<usize> = with_index(rows, dist, constraints.eps, |idx| {
+        parallel_map(rows, workers, |q| idx.count_within(q, constraints.eps))
     });
     let mut inliers = Vec::new();
     let mut outliers = Vec::new();

@@ -108,8 +108,7 @@ pub type DiscEngine = ShardedEngine;
 /// internals *and of the shard count* (both affect only query cost,
 /// never query results).
 ///
-/// Reads go through [`EngineState::query`]; the legacy read methods are
-/// deprecated shims over it.
+/// Reads go through [`EngineState::query`].
 #[derive(Debug, Clone, PartialEq)]
 pub struct EngineState {
     /// The engine's [generation](ShardedEngine::generation) at export
@@ -130,67 +129,9 @@ pub struct EngineState {
 }
 
 impl EngineState {
-    /// Number of rows in the image.
-    #[deprecated(since = "0.9.0", note = "use `query(Query::Len)`")]
-    pub fn len(&self) -> usize {
-        match self.query(Query::Len) {
-            Response::Len(n) => n,
-            _ => unreachable!("Query::Len answers Response::Len"),
-        }
-    }
-
     /// True when the image holds no rows.
     pub fn is_empty(&self) -> bool {
         self.original.is_empty()
-    }
-
-    /// True when `row` was classified an inlier at export time (a `δ_η`
-    /// list is cached for it). Out-of-range rows are not inliers.
-    #[deprecated(since = "0.9.0", note = "use `query(Query::IsInlier { row })`")]
-    pub fn is_inlier(&self, row: usize) -> bool {
-        match self.query(Query::IsInlier { row }) {
-            Response::IsInlier(b) => b,
-            _ => unreachable!("Query::IsInlier answers Response::IsInlier"),
-        }
-    }
-
-    /// Cached ε-neighbor count of `row` (self-inclusive), or `None` for
-    /// an out-of-range row.
-    #[deprecated(since = "0.9.0", note = "use `query(Query::NeighborCount { row })`")]
-    pub fn neighbor_count(&self, row: usize) -> Option<usize> {
-        match self.query(Query::NeighborCount { row }) {
-            Response::NeighborCount(c) => c,
-            _ => unreachable!("Query::NeighborCount answers Response::NeighborCount"),
-        }
-    }
-
-    /// Output values of `row` (original + current adjustments), or
-    /// `None` for an out-of-range row.
-    #[deprecated(since = "0.9.0", note = "use `query(Query::CurrentRow { row })`")]
-    pub fn current_row(&self, row: usize) -> Option<&[Value]> {
-        match self.query(Query::CurrentRow { row }) {
-            Response::CurrentRow(r) => r,
-            _ => unreachable!("Query::CurrentRow answers Response::CurrentRow"),
-        }
-    }
-
-    /// Original (as-ingested) values of `row`, or `None` for an
-    /// out-of-range row.
-    #[deprecated(since = "0.9.0", note = "use `query(Query::OriginalRow { row })`")]
-    pub fn original_row(&self, row: usize) -> Option<&[Value]> {
-        match self.query(Query::OriginalRow { row }) {
-            Response::OriginalRow(r) => r,
-            _ => unreachable!("Query::OriginalRow answers Response::OriginalRow"),
-        }
-    }
-
-    /// Rows classified outliers at export time, ascending.
-    #[deprecated(since = "0.9.0", note = "use `query(Query::Outliers)`")]
-    pub fn outliers(&self) -> Vec<usize> {
-        match self.query(Query::Outliers) {
-            Response::Outliers(rows) => rows,
-            _ => unreachable!("Query::Outliers answers Response::Outliers"),
-        }
     }
 }
 
@@ -335,7 +276,7 @@ impl ShardedEngine {
     pub fn range(&self, query: &[Value], eps: f64) -> Vec<(usize, f64)> {
         let workers = self.saver.parallelism().workers();
         let map = &self.map;
-        let parts = shard::fanout_ref(&self.shards, workers, |s, shard| {
+        let parts = shard::fan_out(self.shards.iter().enumerate(), workers, |(s, shard)| {
             shard.range_queries.fetch_add(1, Ordering::Relaxed);
             counters::SHARD_RANGE_QUERIES.incr();
             shard
@@ -354,7 +295,7 @@ impl ShardedEngine {
     pub fn knn(&self, query: &[Value], k: usize) -> Vec<(usize, f64)> {
         let workers = self.saver.parallelism().workers();
         let map = &self.map;
-        let parts = shard::fanout_ref(&self.shards, workers, |s, shard| {
+        let parts = shard::fan_out(self.shards.iter().enumerate(), workers, |(s, shard)| {
             shard
                 .full_index
                 .knn(query, k)
@@ -467,7 +408,7 @@ impl ShardedEngine {
         let per_shard: Vec<Vec<(usize, Vec<usize>)>> = if new_count > 0 {
             let original = &self.original;
             let map = &self.map;
-            shard::fanout_mut(&mut self.shards, workers, |s, shard| {
+            shard::fan_out(self.shards.iter_mut().enumerate(), workers, |(s, shard)| {
                 shard
                     .range_queries
                     .fetch_add(new_count as u64, Ordering::Relaxed);
@@ -546,7 +487,7 @@ impl ShardedEngine {
             let map = &self.map;
             let dist = self.saver.distance();
             let new_list = &new_inliers;
-            shard::fanout_mut(&mut self.shards, workers, |s, shard| {
+            shard::fan_out(self.shards.iter_mut().enumerate(), workers, |(s, shard)| {
                 let globals = map.globals(s);
                 for (l, &j) in globals.iter().enumerate().take(shard.cache.len()) {
                     if j < first_new && shard.cache.is_inlier(l) {
@@ -563,7 +504,7 @@ impl ShardedEngine {
             // closest, hence inside its local top-η — so the merged
             // distance multiset equals a single-shard query's.
             let knn_parts: Vec<Vec<Vec<(f64, usize)>>> =
-                shard::fanout_mut(&mut self.shards, workers, |_, shard| {
+                shard::fan_out(&self.shards, workers, |shard| {
                     new_list
                         .iter()
                         .map(|&i| {
@@ -1054,11 +995,17 @@ mod tests {
     fn clean_second_batch_is_all_cache_hits() {
         let mut eng = engine(0.5, 4);
         eng.ingest(grid_rows()).unwrap();
+        let counts: Vec<usize> = (0..36).map(|row| eng.neighbor_count(row)).collect();
         // A second batch far from the grid: no old count changes.
         let report = eng.ingest(num(&[[100.0, 100.0]])).unwrap();
         assert_eq!(report.outliers, vec![36]);
+        let after: Vec<usize> = (0..36).map(|row| eng.neighbor_count(row)).collect();
+        assert_eq!(after, counts, "untouched rows keep cached counts");
+        // The counter is process-global and other tests ingest
+        // concurrently, so the delta is exact only in isolation; all 36
+        // untouched rows must be in it regardless.
         let hits = report.stats.counters.get("engine.cache_hits");
-        assert_eq!(hits, 36, "untouched rows keep cached counts");
+        assert!(hits >= 36, "cache hits {hits} < 36 untouched rows");
     }
 
     #[test]

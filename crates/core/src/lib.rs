@@ -23,17 +23,19 @@
 //!   baseline;
 //! * [`pipeline`] — the end-to-end repair pipeline: detect outliers, split
 //!   `r`/`s`, save each outlier, separate dirty from natural;
-//! * [`parallel`] — the [`Parallelism`] worker-count knob; the pipeline's
-//!   save loop, outlier detection, and `δ_η` preprocessing fan out over
-//!   scoped threads with results guaranteed bit-identical to the
-//!   sequential run;
+//! * [`parallel`] — the one fan-out primitive (`parallel_map`: items
+//!   handed out one at a time to scoped threads, results in item order,
+//!   panics resumed on the caller) and the [`Parallelism`] knob sizing
+//!   it; the pipeline's save loop, outlier detection, `δ_η`
+//!   preprocessing, and every shard fan-out go through it, with results
+//!   bit-identical to the sequential run;
 //! * [`budget`] — execution budgets ([`Budget`]) with cooperative
 //!   cancellation: a wall-clock deadline for whole `save_all` runs and a
 //!   deterministic per-outlier candidate cap, both degrading gracefully
 //!   into [`SaveReport::skipped`] instead of hanging or aborting;
 //! * [`engine`] + [`shard`] — the incremental streaming engine
 //!   ([`ShardedEngine`]), hash-partitioning rows across shards whose
-//!   queries fan out on scoped threads and merge deterministically:
+//!   queries fan out through `parallel_map` and merge deterministically:
 //!   results are bit-identical for every shard and worker count;
 //! * [`query`] — the typed [`Query`] → [`Response`] read API shared by
 //!   the live engine, exported state images, the serve protocol, and
@@ -41,9 +43,9 @@
 //! * [`config`] — the [`EngineConfig`] builder gathering every engine
 //!   knob (arity, ε, η, κ, shards, parallelism, budget), validated
 //!   once, with the durable byte encoding stores persist;
-//! * `fault` (only under `--cfg disc_fault`) — deterministic test-only
-//!   fault injection into the save pipeline, used to exercise the panic
-//!   isolation and deadline paths.
+//! * `fault` (only under `--cfg disc_fault`) — the workspace's one
+//!   deterministic test-only failpoint mechanism: save panics and delays
+//!   here, IO faults in `disc-persist`, link drops in `disc-replicate`.
 
 pub mod approx;
 pub mod bounds;

@@ -1,16 +1,19 @@
-//! Shared-memory parallelism for the saving pipeline.
+//! Shared-memory parallelism for the saving pipeline and the engine.
 //!
 //! DISC saves every outlier against the *original* inlier set `r` (saved
 //! tuples never become neighbors within a pass — see [`crate::pipeline`]),
-//! so per-outlier work is order-independent and embarrassingly parallel.
-//! [`Parallelism`] is the worker-count knob carried by
-//! [`DiscSaver`](crate::DiscSaver) and [`ExactSaver`](crate::ExactSaver);
-//! the actual fan-out lives in [`disc_index::batch`], whose helpers tag
-//! results with their input index and reassemble them in order, keeping
-//! every parallel result **bit-identical** to the sequential run.
+//! so every parallel stage is one ordered map over independent items:
+//! neighbor counting, the `δ_η` pass, per-outlier saves, and per-shard
+//! sub-queries. [`parallel_map`] is that map, the only place threads are
+//! spawned; [`Parallelism`] is the worker-count knob that sizes it,
+//! carried by [`DiscSaver`](crate::DiscSaver) and
+//! [`ExactSaver`](crate::ExactSaver). Results come back in item order, so
+//! every parallel result is **bit-identical** to the sequential run.
 
 use std::num::NonZeroUsize;
+use std::panic::resume_unwind;
 use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::Mutex;
 
 /// Process-wide default worker count, settable by binaries (the `repro`
 /// harness exposes it as `--workers`). `0` means "no override".
@@ -71,9 +74,65 @@ impl Default for Parallelism {
     }
 }
 
+/// Applies `f` to every item on at most `workers` scoped threads and
+/// returns the results in item order.
+///
+/// Items are handed out one at a time, so a worker stuck on an expensive
+/// item (a save in a dense region, a large shard) never holds back the
+/// rest. `workers <= 1`, or fewer than two items, runs the plain loop on
+/// the calling thread. A panicking `f` is resumed on the caller with its
+/// original payload at every worker count (if several items panic, one
+/// of their payloads surfaces); callers that must survive a panicking
+/// item catch it inside `f`, as the save loop does.
+pub fn parallel_map<I, U, F>(items: I, workers: usize, f: F) -> Vec<U>
+where
+    I: IntoIterator,
+    I::IntoIter: ExactSizeIterator + Send,
+    U: Send,
+    F: Fn(I::Item) -> U + Sync,
+{
+    let items = items.into_iter();
+    let threads = workers.min(items.len());
+    if threads <= 1 {
+        return items.map(f).collect();
+    }
+    let source = Mutex::new(items.enumerate());
+    let mut tagged: Vec<(usize, U)> = std::thread::scope(|scope| {
+        let handles: Vec<_> = (0..threads)
+            .map(|_| {
+                let (source, f) = (&source, &f);
+                scope.spawn(move || {
+                    let mut done = Vec::new();
+                    loop {
+                        // The guard drops at the end of this statement,
+                        // before `f` runs: a panicking item never
+                        // poisons the source, only a panicking iterator.
+                        let next = source.lock().expect("the item iterator panicked").next();
+                        let Some((i, item)) = next else {
+                            return done;
+                        };
+                        done.push((i, f(item)));
+                    }
+                })
+            })
+            .collect();
+        handles
+            .into_iter()
+            .flat_map(|handle| {
+                handle
+                    .join()
+                    .unwrap_or_else(|payload| resume_unwind(payload))
+            })
+            .collect()
+    });
+    tagged.sort_unstable_by_key(|&(i, _)| i);
+    tagged.into_iter().map(|(_, u)| u).collect()
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::panic::{catch_unwind, AssertUnwindSafe};
 
     #[test]
     fn zero_clamps_to_one() {
@@ -91,5 +150,60 @@ mod tests {
     #[test]
     fn auto_is_positive() {
         assert!(Parallelism::auto().workers() >= 1);
+    }
+
+    const WORKERS: [usize; 6] = [1, 2, 3, 4, 8, 200];
+
+    #[test]
+    fn results_arrive_in_item_order_for_every_worker_count() {
+        let items: Vec<u64> = (0..101).collect();
+        let expected: Vec<u64> = items.iter().map(|&x| x * 3 + 1).collect();
+        for workers in WORKERS {
+            let got = parallel_map(&items, workers, |&x| x * 3 + 1);
+            assert_eq!(got, expected, "workers = {workers}");
+        }
+    }
+
+    #[test]
+    fn empty_and_single_item_inputs() {
+        let empty: Vec<u32> = Vec::new();
+        for workers in WORKERS {
+            assert!(parallel_map(&empty, workers, |&x| x).is_empty());
+            assert_eq!(parallel_map(&[9u32], workers, |&x| x + 1), vec![10]);
+        }
+    }
+
+    #[test]
+    fn mutable_items_are_each_visited_once() {
+        for workers in WORKERS {
+            let mut items: Vec<usize> = (0..7).collect();
+            let seen = parallel_map(items.iter_mut().enumerate(), workers, |(i, x)| {
+                *x += 10;
+                i
+            });
+            assert_eq!(seen, (0..7).collect::<Vec<_>>(), "workers = {workers}");
+            assert_eq!(items, (10..17).collect::<Vec<_>>(), "workers = {workers}");
+        }
+    }
+
+    #[test]
+    fn a_panic_resumes_with_its_original_payload_at_every_worker_count() {
+        let items: Vec<u32> = (0..37).collect();
+        for workers in [1usize, 2, 4] {
+            let payload = catch_unwind(AssertUnwindSafe(|| {
+                parallel_map(&items, workers, |&x| {
+                    if x == 5 {
+                        panic!("boom at {x}");
+                    }
+                    x
+                })
+            }))
+            .expect_err("the panic reaches the caller");
+            assert_eq!(
+                payload.downcast_ref::<String>().map(String::as_str),
+                Some("boom at 5"),
+                "workers = {workers}"
+            );
+        }
     }
 }

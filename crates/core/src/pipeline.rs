@@ -16,18 +16,18 @@
 //!
 //! That order independence is what makes the save loop embarrassingly
 //! parallel: with [`Parallelism`](crate::Parallelism) above 1 the
-//! per-outlier searches fan out over scoped worker threads against the
-//! shared read-only [`RSet`],
-//! results are collected **in outlier order**, and the adjustments are
-//! applied in one serial pass — so the [`SaveReport`] and the final
-//! dataset are bit-identical to the sequential run for every worker
-//! count.
+//! per-outlier searches fan out through [`parallel_map`] against the
+//! shared read-only [`RSet`], results are collected **in outlier order**,
+//! and the adjustments are applied in one serial pass — so the
+//! [`SaveReport`] and the final dataset are bit-identical to the
+//! sequential run for every worker count.
 //!
 //! The pipeline is additionally *fault tolerant*:
 //!
-//! * every per-outlier save runs under `catch_unwind` (sequential arm
-//!   included), so one panicking save becomes a [`FailedSave`] entry in
-//!   [`SaveReport::failed`] instead of aborting the whole run;
+//! * every per-outlier save runs under `catch_unwind` inside the mapped
+//!   closure (sequential arm included), so one panicking save becomes a
+//!   [`FailedSave`] entry in [`SaveReport::failed`] instead of aborting
+//!   the whole run;
 //! * the saver's [`Budget`](crate::Budget) is materialized into a shared
 //!   [`CancelToken`]: when the deadline expires,
 //!   in-flight searches bail out cooperatively and the affected rows are
@@ -38,7 +38,9 @@
 //! * any failure or skip sets [`SaveReport::degraded`], making partial
 //!   results explicit rather than silent.
 
+use std::any::Any;
 use std::collections::HashMap;
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::OnceLock;
 use std::time::Instant;
 
@@ -50,6 +52,7 @@ use crate::approx::{Adjustment, DiscSaver};
 use crate::budget::{CancelToken, Cancelled};
 use crate::constraints::detect_outliers_parallel;
 use crate::exact::ExactSaver;
+use crate::parallel::parallel_map;
 use crate::rset::RSet;
 use crate::saver::Saver;
 
@@ -167,6 +170,19 @@ impl SaveReport {
     }
 }
 
+/// Renders a panic payload (the `Box<dyn Any>` from `catch_unwind`) as a
+/// human-readable message. `panic!` with a literal yields `&str`, with a
+/// format string yields `String`; anything else gets a generic label.
+fn panic_message(payload: Box<dyn Any + Send>) -> String {
+    if let Some(s) = payload.downcast_ref::<&str>() {
+        (*s).to_string()
+    } else if let Some(s) = payload.downcast_ref::<String>() {
+        s.clone()
+    } else {
+        "non-string panic payload".to_string()
+    }
+}
+
 /// The save phase shared by [`run_saver_pipeline`] and the streaming
 /// engine: phase 1 fans the per-outlier searches out over `workers`
 /// threads (panic-isolated, cooperatively cancellable), phase 2 absorbs
@@ -186,12 +202,15 @@ pub(crate) fn save_outlier_rows<S: Saver + ?Sized>(
     stats: &mut PipelineStats,
     report: &mut SaveReport,
 ) -> Vec<(usize, Vec<Value>)> {
-    let results = disc_index::parallel_map_catch(outliers, workers, |_, &row| {
-        #[cfg(disc_fault)]
-        crate::fault::hit(row);
-        let started = Instant::now();
-        let (outcome, effort) = saver.save_one_with_effort(r, &rows[row], token);
-        (outcome, effort, started.elapsed().as_micros() as u64)
+    let results = parallel_map(outliers, workers, |&row| {
+        catch_unwind(AssertUnwindSafe(|| {
+            #[cfg(disc_fault)]
+            crate::fault::hit(row);
+            let started = Instant::now();
+            let (outcome, effort) = saver.save_one_with_effort(r, &rows[row], token);
+            (outcome, effort, started.elapsed().as_micros() as u64)
+        }))
+        .map_err(panic_message)
     });
     let mut apply = Vec::new();
     for (&row, outcome) in outliers.iter().zip(results) {
@@ -495,5 +514,15 @@ mod tests {
         assert_eq!(report.saved.len(), 1);
         let split = detect_outliers(ds.rows(), exact.distance(), c);
         assert!(split.outliers.is_empty());
+    }
+
+    #[test]
+    fn panic_messages_render_every_payload_kind() {
+        assert_eq!(panic_message(Box::new("literal")), "literal");
+        assert_eq!(
+            panic_message(Box::new(String::from("formatted"))),
+            "formatted"
+        );
+        assert_eq!(panic_message(Box::new(42i32)), "non-string panic payload");
     }
 }

@@ -1,13 +1,9 @@
 //! The typed read API over engine state.
 //!
-//! Reads used to be six ad-hoc methods on [`EngineState`]
-//! (`len`/`is_inlier`/`neighbor_count`/`current_row`/`original_row`/
-//! `outliers`), each growing its own out-of-range convention. They are
-//! now one [`Query`] → [`Response`] enum pair, answered uniformly by
-//! [`EngineState::query`] (an exported image) and
+//! Every read is one [`Query`] → [`Response`] enum pair, answered
+//! uniformly by [`EngineState::query`] (an exported image) and
 //! [`ShardedEngine::query`](crate::ShardedEngine::query) (the live
-//! engine), and consumed by the serve protocol, the CLI, and tests. The
-//! old methods remain as thin `#[deprecated]` shims delegating here.
+//! engine), and consumed by the serve protocol, the CLI, and tests.
 //!
 //! Out-of-range conventions are part of the enum contract:
 //! [`Response::IsInlier`] is `false` for unknown rows (an unknown row is
@@ -168,35 +164,6 @@ mod tests {
         assert_eq!(
             state.query(Query::OriginalRow { row: 99 }),
             Response::OriginalRow(None)
-        );
-    }
-
-    #[test]
-    #[allow(deprecated)]
-    fn deprecated_shims_agree_with_query() {
-        let state = image();
-        assert_eq!(state.query(Query::Len), Response::Len(state.len()));
-        for row in 0..4 {
-            assert_eq!(
-                state.query(Query::IsInlier { row }),
-                Response::IsInlier(state.is_inlier(row))
-            );
-            assert_eq!(
-                state.query(Query::NeighborCount { row }),
-                Response::NeighborCount(state.neighbor_count(row))
-            );
-            assert_eq!(
-                state.query(Query::CurrentRow { row }),
-                Response::CurrentRow(state.current_row(row))
-            );
-            assert_eq!(
-                state.query(Query::OriginalRow { row }),
-                Response::OriginalRow(state.original_row(row))
-            );
-        }
-        assert_eq!(
-            state.query(Query::Outliers),
-            Response::Outliers(state.outliers())
         );
     }
 }

@@ -3,8 +3,8 @@
 use disc_distance::{PackedMatrix, PackedScan, TupleDistance, Value};
 use disc_index::SortedColumn;
 
-use crate::constraints::DistanceConstraints;
-use crate::parallel::Parallelism;
+use crate::constraints::{with_index, DistanceConstraints};
+use crate::parallel::{parallel_map, Parallelism};
 
 /// The set `r` of non-outlying tuples, preprocessed for repeated outlier
 /// saving:
@@ -47,14 +47,12 @@ impl RSet {
         constraints: DistanceConstraints,
         parallelism: Parallelism,
     ) -> Self {
-        let workers = parallelism.workers();
-        let delta_eta: Vec<f64> =
-            disc_index::with_auto_index_sync(&rows, &dist, constraints.eps, |idx| {
-                disc_index::kth_distance_batch(idx, &rows, constraints.eta, workers)
+        let delta_eta = with_index(&rows, &dist, constraints.eps, |idx| {
+            parallel_map(&rows, parallelism.workers(), |q| {
+                idx.kth_distance(q, constraints.eta)
+                    .unwrap_or(f64::INFINITY)
             })
-            .into_iter()
-            .map(|d| d.unwrap_or(f64::INFINITY))
-            .collect();
+        });
         let columns = (0..dist.arity())
             .map(|j| SortedColumn::new(&rows, j))
             .collect();

@@ -5,10 +5,10 @@
 //! the id — never on ingest batching, worker count, or index internals.
 //! A crate-private `ShardMap` records the resulting global ↔ (shard,
 //! local) bijection; each `EngineShard` owns the per-partition index
-//! pair and neighbor cache. The `fanout_mut`/`fanout_ref` helpers
-//! scatter a closure across shards on scoped threads and gather the
-//! results *in shard order*, which is what makes merged query results
-//! deterministic for any worker count.
+//! pair and neighbor cache. Every engine fan-out goes through `fan_out`,
+//! which scatters a closure across shards with [`parallel_map`] and
+//! gathers the results *in shard order* — what makes merged query
+//! results deterministic for any worker count — and times each call.
 
 use std::sync::atomic::AtomicU64;
 use std::time::Instant;
@@ -18,6 +18,7 @@ use disc_index::{DynamicIndex, IndexActivity};
 use disc_obs::hist::SHARD_FANOUT_MICROS;
 
 use crate::cache::NeighborCache;
+use crate::parallel::parallel_map;
 
 /// SplitMix64: a fixed, high-quality 64-bit mixer. The shard of a row
 /// must never change across processes or versions (snapshots record only
@@ -174,105 +175,20 @@ pub struct ShardStats {
     pub rebuilds: u64,
 }
 
-/// Runs `f(shard_id, &mut shard)` for every shard — on scoped threads
-/// when both `workers` and the shard count exceed 1 — and returns the
-/// results in shard order. Shards are dealt round-robin to threads;
-/// since every closure runs exactly once per shard and the gather is by
-/// shard id, the result is identical for any `workers`.
-pub(crate) fn fanout_mut<R, F>(shards: &mut [EngineShard], workers: usize, f: F) -> Vec<R>
+/// The engine's one shard fan-out: maps `f` over `shards` (shared or
+/// mutable, usually enumerated for the shard id) through
+/// [`parallel_map`], so results arrive in shard order for any `workers`,
+/// and records the call's wall time in `SHARD_FANOUT_MICROS` — one
+/// sample per call, serial calls included.
+pub(crate) fn fan_out<I, U, F>(shards: I, workers: usize, f: F) -> Vec<U>
 where
-    R: Send,
-    F: Fn(usize, &mut EngineShard) -> R + Sync,
+    I: IntoIterator,
+    I::IntoIter: ExactSizeIterator + Send,
+    U: Send,
+    F: Fn(I::Item) -> U + Sync,
 {
     let started = Instant::now();
-    let n = shards.len();
-    let out = if workers <= 1 || n <= 1 {
-        shards
-            .iter_mut()
-            .enumerate()
-            .map(|(s, sh)| f(s, sh))
-            .collect()
-    } else {
-        let threads = workers.min(n);
-        let mut work: Vec<Vec<(usize, &mut EngineShard)>> =
-            (0..threads).map(|_| Vec::new()).collect();
-        for (s, shard) in shards.iter_mut().enumerate() {
-            work[s % threads].push((s, shard));
-        }
-        let mut slots: Vec<Option<R>> = (0..n).map(|_| None).collect();
-        std::thread::scope(|scope| {
-            let handles: Vec<_> = work
-                .into_iter()
-                .map(|chunk| {
-                    let f = &f;
-                    scope.spawn(move || {
-                        chunk
-                            .into_iter()
-                            .map(|(s, shard)| (s, f(s, shard)))
-                            .collect::<Vec<_>>()
-                    })
-                })
-                .collect();
-            for handle in handles {
-                match handle.join() {
-                    Ok(results) => {
-                        for (s, r) in results {
-                            slots[s] = Some(r);
-                        }
-                    }
-                    Err(payload) => std::panic::resume_unwind(payload),
-                }
-            }
-        });
-        slots
-            .into_iter()
-            .map(|r| r.expect("every shard produces exactly one result"))
-            .collect()
-    };
-    SHARD_FANOUT_MICROS.record(started.elapsed().as_micros().min(u128::from(u64::MAX)) as u64);
-    out
-}
-
-/// Read-only twin of [`fanout_mut`] for `&self` queries.
-pub(crate) fn fanout_ref<R, F>(shards: &[EngineShard], workers: usize, f: F) -> Vec<R>
-where
-    R: Send,
-    F: Fn(usize, &EngineShard) -> R + Sync,
-{
-    let started = Instant::now();
-    let out = if workers <= 1 || shards.len() <= 1 {
-        shards.iter().enumerate().map(|(s, sh)| f(s, sh)).collect()
-    } else {
-        let threads = workers.min(shards.len());
-        let mut slots: Vec<Option<R>> = (0..shards.len()).map(|_| None).collect();
-        std::thread::scope(|scope| {
-            let handles: Vec<_> = (0..threads)
-                .map(|t| {
-                    let f = &f;
-                    scope.spawn(move || {
-                        (t..shards.len())
-                            .step_by(threads)
-                            .map(|s| (s, f(s, &shards[s])))
-                            .collect::<Vec<_>>()
-                    })
-                })
-                .collect();
-            for handle in handles {
-                match handle.join() {
-                    Ok(results) => {
-                        for (s, r) in results {
-                            slots[s] = Some(r);
-                        }
-                    }
-                    Err(payload) => std::panic::resume_unwind(payload),
-                }
-            }
-        });
-        slots
-            .into_iter()
-            .map(|r| r.expect("every shard produces exactly one result"))
-            .collect()
-    };
+    let out = parallel_map(shards, workers, f);
     SHARD_FANOUT_MICROS.record(started.elapsed().as_micros().min(u128::from(u64::MAX)) as u64);
     out
 }
@@ -336,16 +252,16 @@ mod tests {
     }
 
     #[test]
-    fn fanout_results_arrive_in_shard_order() {
+    fn fan_out_records_serial_and_threaded_calls() {
         let dist = TupleDistance::numeric(1);
         let mut shards: Vec<EngineShard> = (0..5)
             .map(|_| EngineShard::new(dist.clone(), 1.0, 2))
             .collect();
-        for workers in [1, 2, 4, 8] {
-            let ids = fanout_mut(&mut shards, workers, |s, _| s);
+        for workers in [1, 3] {
+            let before = SHARD_FANOUT_MICROS.snapshot().count();
+            let ids = fan_out(shards.iter_mut().enumerate(), workers, |(s, _)| s);
             assert_eq!(ids, vec![0, 1, 2, 3, 4], "workers={workers}");
-            let ids = fanout_ref(&shards, workers, |s, _| s * 10);
-            assert_eq!(ids, vec![0, 10, 20, 30, 40], "workers={workers}");
+            assert!(SHARD_FANOUT_MICROS.snapshot().count() > before);
         }
     }
 }

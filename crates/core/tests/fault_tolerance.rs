@@ -42,9 +42,11 @@ fn saver(workers: usize) -> DiscSaver {
 
 #[test]
 fn injected_panic_isolates_one_row_for_every_worker_count() {
-    // Fault-free baseline (all three outliers saved).
+    // Fault-free baseline (all three outliers saved), inside an empty
+    // scope so no concurrently running test's plan can reach it.
     let mut clean = dataset_with_outliers();
-    let baseline = saver(1).save_all(&mut clean);
+    let (baseline, fired) = scoped(FaultPlan::new(), || saver(1).save_all(&mut clean));
+    assert!(!fired);
     assert_eq!(baseline.saved.len(), 3);
     assert!(!baseline.degraded);
 
@@ -52,9 +54,10 @@ fn injected_panic_isolates_one_row_for_every_worker_count() {
     for workers in [1usize, 2, 4] {
         let mut ds = dataset_with_outliers();
         let before_faulted_row = ds.row(37).to_vec();
-        let report = scoped(FaultPlan::new().panic_at(37), || {
+        let (report, fired) = scoped(FaultPlan::new().panic_at(37), || {
             saver(workers).save_all(&mut ds)
         });
+        assert!(fired, "workers {workers}");
         // The run completed and names exactly the faulted row.
         assert_eq!(report.outliers, baseline.outliers);
         assert_eq!(report.failed.len(), 1, "workers {workers}");
@@ -84,7 +87,8 @@ fn injected_panic_isolates_one_row_for_every_worker_count() {
 fn two_injected_panics_are_both_reported() {
     let plan = FaultPlan::new().panic_at(36).panic_at(38);
     let mut ds = dataset_with_outliers();
-    let report = scoped(plan, || saver(2).save_all(&mut ds));
+    let (report, fired) = scoped(plan, || saver(2).save_all(&mut ds));
+    assert!(fired);
     let failed_rows: Vec<usize> = report.failed.iter().map(|f| f.row).collect();
     assert_eq!(failed_rows, vec![36, 38]);
     assert_eq!(report.saved.len(), 1);
@@ -103,7 +107,8 @@ fn injected_delay_past_the_deadline_skips_remaining_outliers() {
         .budget(Budget::unlimited().with_deadline(Duration::from_millis(25)))
         .build_approx()
         .unwrap();
-    let report = scoped(plan, || budgeted.save_all(&mut ds));
+    let (report, fired) = scoped(plan, || budgeted.save_all(&mut ds));
+    assert!(fired);
     assert!(report.degraded);
     assert_eq!(report.skipped, report.outliers, "all outliers skipped");
     assert!(report.saved.is_empty());
@@ -115,7 +120,8 @@ fn injected_delay_past_the_deadline_skips_remaining_outliers() {
 fn no_plan_means_no_faults() {
     // An empty plan (and no plan at all) leaves the pipeline untouched.
     let mut ds = dataset_with_outliers();
-    let report = scoped(FaultPlan::new(), || saver(2).save_all(&mut ds));
+    let (report, fired) = scoped(FaultPlan::new(), || saver(2).save_all(&mut ds));
+    assert!(!fired);
     assert!(!report.degraded);
     assert_eq!(report.saved.len(), 3);
 }

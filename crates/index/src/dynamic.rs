@@ -15,7 +15,7 @@
 //!   in a tail buffer that queries scan linearly, and the tree is rebuilt
 //!   over everything once the buffer exceeds `max(64, len/4)` rows.
 //!
-//! Backend choice mirrors [`crate::with_auto_index_sync`]: a brute scan
+//! Backend choice mirrors [`crate::with_auto_index`]: a brute scan
 //! up to 512 rows, then a grid for low-dimensional finite-numeric data,
 //! otherwise a VP-tree. Upgrades and migrations (e.g. a non-numeric row
 //! arriving at a grid) count on `index.dynamic.rebuilds`.
@@ -56,11 +56,11 @@ pub trait DynamicNeighborIndex: NeighborIndex {
 }
 
 /// Rows stay on the brute-force scan until the auto-index threshold
-/// (mirrors `with_auto_index_sync`).
+/// (mirrors `with_auto_index`).
 const BRUTE_MAX: usize = 512;
 
 /// The grid backend applies up to this arity (mirrors
-/// `with_auto_index_sync`).
+/// `with_auto_index`).
 const GRID_MAX_ARITY: usize = 4;
 
 enum Backend {

@@ -99,8 +99,7 @@ impl<'a> GridIndex<'a> {
     /// not a finite number (`Value::Null`, text, `NaN`, `±∞`) — such rows
     /// have no grid cell, and non-finite coordinates would poison the
     /// exhaustion bound. Callers should fall back to a metric-only
-    /// backend (`VpTree`, `BruteForceIndex`), as `with_auto_index_sync`
-    /// does.
+    /// backend (`VpTree`, `BruteForceIndex`), as `with_auto_index` does.
     ///
     /// # Panics
     /// Panics if `cell_width ≤ 0`.

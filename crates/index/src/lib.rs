@@ -23,16 +23,12 @@
 //! [`DynamicNeighborIndex`] extension trait, dispatching to the same
 //! backends internally.
 
-pub mod batch;
 pub mod brute;
 pub mod dynamic;
 pub mod grid;
 pub mod sorted;
 pub mod vptree;
 
-pub use batch::{
-    count_within_batch, kth_distance_batch, parallel_map, parallel_map_catch, range_batch,
-};
 pub use brute::BruteForceIndex;
 pub use dynamic::{DynamicIndex, DynamicNeighborIndex, IndexActivity};
 pub use grid::{GridIndex, NonNumericCell};
@@ -95,20 +91,10 @@ pub trait NeighborIndex {
 /// Low-dimensional numeric data over ~512 rows gets the [`GridIndex`]
 /// (cell width = the expected query radius); larger metric workloads get
 /// the [`VpTree`]; small inputs use the [`BruteForceIndex`] linear scan.
+///
+/// Every backend is plain data over borrowed rows, so the index is
+/// `Sync`: `f` may share it across threads to fan queries out.
 pub fn with_auto_index<T>(
-    rows: &[Vec<Value>],
-    dist: &disc_distance::TupleDistance,
-    eps_hint: f64,
-    f: impl FnOnce(&dyn NeighborIndex) -> T,
-) -> T {
-    with_auto_index_sync(rows, dist, eps_hint, |idx| f(idx))
-}
-
-/// [`with_auto_index`] with a `Sync` bound on the passed index, for
-/// callers that fan queries out across threads (see [`batch`]). Every
-/// backend is plain data over borrowed rows, so this is the same set of
-/// backends — the bound only surfaces the guarantee in the type.
-pub fn with_auto_index_sync<T>(
     rows: &[Vec<Value>],
     dist: &disc_distance::TupleDistance,
     eps_hint: f64,

@@ -16,8 +16,8 @@
 //! `g+1, g+2, …` through the ordinary ingest path. The result is
 //! bit-identical — down to f64 bit patterns — to the state of an
 //! uninterrupted run, for any crash point and any worker count; the
-//! crash-equivalence suite pins this by injecting IO faults (the
-//! `fault` module, compiled under `--cfg disc_fault`) at every write,
+//! crash-equivalence suite pins this by injecting IO faults (through
+//! `disc_core::fault`, compiled under `--cfg disc_fault`) at every write,
 //! fsync, truncate, and rename boundary.
 //!
 //! Durability invariants, in one place:
@@ -45,8 +45,6 @@
 
 pub mod crc;
 pub mod error;
-#[cfg(disc_fault)]
-pub mod fault;
 mod io;
 pub mod lock;
 pub mod snapshot;

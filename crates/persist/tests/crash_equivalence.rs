@@ -160,7 +160,7 @@ proptest! {
 #[cfg(disc_fault)]
 mod io_faults {
     use super::*;
-    use disc_persist::fault::{scoped, IoFaultPlan};
+    use disc_core::fault::{scoped, FaultPlan};
     use disc_persist::Error;
 
     /// The faultable workload: create the store, ingest every chunk
@@ -234,7 +234,7 @@ mod io_faults {
     /// Sweeps a fault across every IO op index until one run completes
     /// untouched; every interrupted run must recover to the exact
     /// uninterrupted state.
-    fn sweep(kind: fn(u64) -> IoFaultPlan, workers: usize) {
+    fn sweep(kind: fn(u64) -> FaultPlan, workers: usize) {
         let rows = dirty_rows(50, 9, 4, 1);
         let chunks = split_rows(&rows, 5, 77);
         let opts = StoreOptions {
@@ -264,7 +264,7 @@ mod io_faults {
     #[test]
     fn failed_io_at_every_op_recovers_bit_identically() {
         for workers in [1usize, 4] {
-            sweep(IoFaultPlan::fail_op, workers);
+            sweep(|k| FaultPlan::new().fail_io(k), workers);
         }
     }
 
@@ -274,7 +274,7 @@ mod io_faults {
             // Vary the surviving prefix with the op index so tears land
             // at assorted byte offsets inside headers and payloads.
             sweep(
-                |k| IoFaultPlan::torn_write(k, (k as usize % 7) * 3),
+                |k| FaultPlan::new().torn_write(k, (k as usize % 7) * 3),
                 workers,
             );
         }
@@ -287,7 +287,7 @@ mod io_faults {
         let rows = dirty_rows(40, 3, 3, 1);
         let dir = temp_store("poison");
         let opts = StoreOptions::default();
-        let ((), fired) = scoped(IoFaultPlan::fail_op(8), || {
+        let ((), fired) = scoped(FaultPlan::new().fail_io(8), || {
             let mut store =
                 DurableEngine::create(&dir, Schema::numeric(3), saver(1), vec![1], opts)
                     .expect("creation takes fewer than 8 ops");

@@ -99,7 +99,7 @@ proptest! {
     ) {
         let base = dirty_dataset(n, seed, dirty, natural);
         let chunks = split_rows(base.rows(), batches, split_seed);
-        for workers in [1usize, 4] {
+        for workers in [1usize, 3, 4] {
             // The anchor: one batch save_all over everything.
             let mut batch_ds = base.clone();
             let batch_report = saver(workers).save_all(&mut batch_ds);

@@ -20,6 +20,9 @@ use std::time::Duration;
 
 use disc_serve::protocol::{parse_replicate_response, ReplicateBatch};
 
+#[cfg(disc_fault)]
+use disc_core::fault::{tick, Point};
+
 /// Why a poll produced no batch.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum PollError {
@@ -89,7 +92,7 @@ impl ReplClient {
         need_snapshot: bool,
     ) -> Result<ReplicateBatch, PollError> {
         #[cfg(disc_fault)]
-        if crate::fault::next_op() {
+        if tick(Point::Link).is_some() {
             return Err(PollError::Link("injected link fault (send)".into()));
         }
         let request = format!(
@@ -99,7 +102,7 @@ impl ReplClient {
             .write_all(request.as_bytes())
             .map_err(|e| PollError::Link(format!("sending poll: {e}")))?;
         #[cfg(disc_fault)]
-        if crate::fault::next_op() {
+        if tick(Point::Link).is_some() {
             return Err(PollError::Link("injected link fault (receive)".into()));
         }
         let mut line = String::new();

@@ -27,14 +27,12 @@
 //! Exactly-once across reconnects needs no handshake: the follower's
 //! poll carries its own durable generation, redelivered frames are
 //! skipped by generation, and a frame from the future triggers a
-//! snapshot resync. The `fault` module (compiled under
-//! `--cfg disc_fault`, like `disc_persist::fault`) drops the link at
+//! snapshot resync. Under `--cfg disc_fault`, [`ReplClient::poll`] ticks
+//! the link failpoint of `disc_core::fault`, which drops the link at
 //! chosen points so tests can prove no frame is ever applied twice or
 //! skipped, wherever the connection dies.
 
 pub mod client;
-#[cfg(disc_fault)]
-pub mod fault;
 pub mod follower;
 
 pub use client::{PollError, ReplClient};

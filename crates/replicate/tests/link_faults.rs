@@ -13,11 +13,11 @@ use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Duration;
 
+use disc_core::fault::{self, FaultPlan};
 use disc_core::{DistanceConstraints, Saver, SaverConfig};
 use disc_data::Schema;
 use disc_distance::{TupleDistance, Value};
 use disc_persist::{DurableEngine, StoreOptions};
-use disc_replicate::fault::{self, LinkFaultPlan};
 use disc_replicate::{Follower, FollowerError, FollowerOptions, SaverFactory};
 use disc_serve::{EngineBackend, Server, ServerConfig};
 
@@ -91,7 +91,7 @@ fn link_drops_at_every_boundary_never_double_apply_or_skip() {
     let mut drop_points = 0u64;
     for k in 0.. {
         let follower_dir = temp_store(&format!("sweep-follower-{k}"));
-        let ((), fired) = fault::scoped(LinkFaultPlan::drop_op(k), || {
+        let ((), fired) = fault::scoped(FaultPlan::new().drop_link(k), || {
             // Bootstrap, tolerating the injected drop: the plan fires
             // once, so one retry always gets through. A store the first
             // attempt managed to create is resumed, not re-created.

@@ -58,17 +58,19 @@ cargo clippy --offline --workspace --all-targets -- -D warnings
 echo "==> cargo doc (warnings denied)"
 RUSTDOCFLAGS="-D warnings" cargo doc --offline --workspace --no-deps --quiet
 
-# Second configuration: the deterministic fault-injection hooks compiled
-# in (disc_core::fault + the gated fault_tolerance tests, and
-# disc_persist::fault + the gated IO-fault crash-recovery sweeps).
+# Second configuration: the deterministic failpoints of disc_core::fault
+# compiled in (save panics/delays, persist IO faults, replication-link
+# drops) together with the gated suites that sweep them.
 echo "==> cargo test -q (--cfg disc_fault)"
 RUSTFLAGS="--cfg disc_fault" cargo test -q --offline --workspace
 
-# The crash-recovery suite by name, so a test-filter or package rename
-# that silently drops it from the workspace run fails loudly here.
-echo "==> crash-recovery suite (--cfg disc_fault)"
+# Every failpoint suite by name, so a test-filter or package rename that
+# silently drops one from the workspace run fails loudly here.
+echo "==> failpoint suites (--cfg disc_fault)"
+RUSTFLAGS="--cfg disc_fault" cargo test -q --offline -p disc-core --test fault_tolerance
 RUSTFLAGS="--cfg disc_fault" cargo test -q --offline -p disc-persist \
     --test crash_equivalence --test wal_corruption
+RUSTFLAGS="--cfg disc_fault" cargo test -q --offline -p disc-replicate --test link_faults
 
 echo "==> cargo clippy -- -D warnings (--cfg disc_fault)"
 RUSTFLAGS="--cfg disc_fault" cargo clippy --offline --workspace --all-targets -- -D warnings
