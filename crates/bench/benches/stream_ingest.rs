@@ -2,39 +2,26 @@
 //! `DiscEngine::ingest` vs rebuilding the batch pipeline from scratch on
 //! every prefix.
 //!
-//! Before timing anything, the harness asserts the efficiency claim in
-//! *work* terms via the disc-obs rows-visited counters (wall clock is
-//! noisy; index work is deterministic): the streamed replay must visit
-//! strictly fewer candidate rows than the per-batch rebuild, and both
-//! must end on identical datasets.
+//! Before timing anything, the harness asserts the efficiency claims in
+//! *work* terms via the disc-obs counters (wall clock is noisy; work
+//! counts are deterministic): streamed in 8-row ingests, the engine
+//! evaluates at most 8× one batch run's `search.candidates` (the
+//! `stream_search_work` test's gate), and the streamed replay visits
+//! strictly fewer candidate rows than the per-batch rebuild, with both
+//! ending on identical datasets.
 
 use criterion::{criterion_group, criterion_main, BatchSize, BenchmarkId, Criterion};
-use disc_bench::stream::{compare, rows_visited};
-use disc_core::{DiscEngine, DistanceConstraints, SaverConfig};
-use disc_data::{ClusterSpec, Dataset, ErrorInjector};
-use disc_distance::TupleDistance;
+use disc_bench::stream::{check_search_work, compare, ingest_saver, ingest_workload, rows_visited};
+use disc_core::DiscEngine;
+use disc_data::Dataset;
 use disc_obs::Snapshot;
 
-const N: usize = 1500;
 const BATCHES: usize = 6;
 
-fn workload() -> Dataset {
-    let mut ds = ClusterSpec::new(N, 3, 4, 11).generate();
-    ErrorInjector::new(N / 20, N / 100, 13).inject(&mut ds);
-    ds
-}
-
-fn constraints() -> DistanceConstraints {
-    DistanceConstraints::new(2.5, 5)
-}
-
 fn replay_streamed(ds: &Dataset) -> DiscEngine {
-    let saver = SaverConfig::new(constraints(), TupleDistance::numeric(ds.arity()))
-        .kappa(2)
-        .build_approx()
-        .unwrap();
+    let saver = ingest_saver(ds.arity()).build_approx().unwrap();
     let mut engine = DiscEngine::new(ds.schema().clone(), Box::new(saver));
-    for chunk in ds.rows().chunks(N.div_ceil(BATCHES)) {
+    for chunk in ds.rows().chunks(ds.len().div_ceil(BATCHES)) {
         engine
             .ingest(chunk.to_vec())
             .expect("finite synthetic data");
@@ -43,23 +30,21 @@ fn replay_streamed(ds: &Dataset) -> DiscEngine {
 }
 
 fn replay_rebuild(ds: &Dataset) -> Dataset {
-    let batch = N.div_ceil(BATCHES);
+    let batch = ds.len().div_ceil(BATCHES);
     let mut prefix = Dataset::new(ds.schema().clone(), Vec::new());
     let mut upto = 0;
     while upto < ds.len() {
         upto = (upto + batch).min(ds.len());
         prefix = ds.select(&(0..upto).collect::<Vec<_>>());
-        let saver = SaverConfig::new(constraints(), TupleDistance::numeric(ds.arity()))
-            .kappa(2)
-            .build_approx()
-            .unwrap();
+        let saver = ingest_saver(ds.arity()).build_approx().unwrap();
         saver.save_all(&mut prefix);
     }
     prefix
 }
 
-/// The work assertion: counters, not clocks.
+/// The work assertions: counters, not clocks.
 fn assert_streamed_cheaper(ds: &Dataset) {
+    check_search_work(ds, 8, 8);
     let before = Snapshot::take();
     let engine = replay_streamed(ds);
     let streamed = rows_visited(&Snapshot::take().delta_since(&before));
@@ -80,7 +65,7 @@ fn assert_streamed_cheaper(ds: &Dataset) {
 }
 
 fn bench_stream_ingest(c: &mut Criterion) {
-    let ds = workload();
+    let ds = ingest_workload();
     assert_streamed_cheaper(&ds);
     let mut group = c.benchmark_group("stream_ingest");
     group.sample_size(10);

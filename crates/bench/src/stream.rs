@@ -10,8 +10,8 @@
 
 use std::time::Instant;
 
-use disc_core::{DiscEngine, SaverConfig};
-use disc_data::{ClusterSpec, Dataset, ErrorInjector};
+use disc_core::{DiscEngine, DistanceConstraints, SaverConfig};
+use disc_data::{bit_equal, ClusterSpec, Dataset, ErrorInjector};
 use disc_distance::TupleDistance;
 use disc_obs::Snapshot;
 
@@ -24,6 +24,71 @@ pub fn rows_visited(delta: &Snapshot) -> u64 {
     delta.get("index.brute.rows_visited")
         + delta.get("index.grid.rows_visited")
         + delta.get("index.vptree.rows_visited")
+}
+
+/// The `stream_ingest` workload: 1,500 clustered rows (m = 3, four
+/// classes) with 5% dirty and 1% natural errors.
+pub fn ingest_workload() -> Dataset {
+    let n = 1500;
+    let mut ds = ClusterSpec::new(n, 3, 4, 11).generate();
+    ErrorInjector::new(n / 20, n / 100, 13).inject(&mut ds);
+    ds
+}
+
+/// The `stream_ingest` saver: ε = 2.5, η = 5, κ = 2 over `m` numeric
+/// attributes.
+pub fn ingest_saver(m: usize) -> SaverConfig {
+    SaverConfig::new(DistanceConstraints::new(2.5, 5), TupleDistance::numeric(m)).kappa(2)
+}
+
+/// Streams `ds` through a fresh engine in `batch`-row ingests and checks
+/// the engine's search work against one batch `save_all` over the same
+/// rows. Panics unless the two results are bit-equal, the stream
+/// evaluated at most `max_ratio` times the batch run's
+/// `search.candidates`, and `engine.resaves ≤ engine.dirty_rows`.
+/// Returns the `search.candidates` of the stream and of the batch run.
+///
+/// The counters are process-global, so the caller must not run other
+/// saves concurrently (the `stream_search_work` test binary holds a
+/// single test for that reason).
+pub fn check_search_work(ds: &Dataset, batch: usize, max_ratio: u64) -> (u64, u64) {
+    let config = ingest_saver(ds.arity());
+    let before = Snapshot::take();
+    let mut engine = DiscEngine::new(
+        ds.schema().clone(),
+        Box::new(config.clone().build_approx().unwrap()),
+    );
+    for chunk in ds.rows().chunks(batch) {
+        engine
+            .ingest(chunk.to_vec())
+            .expect("finite synthetic data");
+    }
+    let streamed = Snapshot::take().delta_since(&before);
+    let mut batch_ds = ds.clone();
+    let before = Snapshot::take();
+    config.build_approx().unwrap().save_all(&mut batch_ds);
+    let batch_run = Snapshot::take().delta_since(&before);
+    assert!(
+        bit_equal(engine.dataset().rows(), batch_ds.rows()),
+        "streamed ingest must equal one batch save_all bit for bit"
+    );
+    let (resaves, dirty) = (
+        streamed.get("engine.resaves"),
+        streamed.get("engine.dirty_rows"),
+    );
+    assert!(
+        resaves <= dirty,
+        "engine.resaves {resaves} > engine.dirty_rows {dirty}"
+    );
+    let (streamed, batched) = (
+        streamed.get("search.candidates"),
+        batch_run.get("search.candidates"),
+    );
+    assert!(
+        streamed <= max_ratio * batched,
+        "{batch}-row ingests evaluated {streamed} candidates, more than {max_ratio}x the batch run's {batched}"
+    );
+    (streamed, batched)
 }
 
 /// Runs the comparison on `n` rows split into `batches` micro-batches;

@@ -18,7 +18,7 @@
 
 use std::collections::HashSet;
 
-use disc_distance::{pack_values, AttrSet, Norm, PackedMatrix, Value};
+use disc_distance::{pack_values, AttrSet, Metric, Norm, PackedMatrix, Value};
 use disc_obs::SaveEffort;
 
 use crate::budget::{Budget, CancelToken, Cancelled};
@@ -187,6 +187,192 @@ impl DiscSaver {
             return (Err(Cancelled), effort);
         }
         (Ok(search.into_result()), effort)
+    }
+
+    /// The streaming engine's stability check: whether a new search for
+    /// the old outlier `t_o` could answer differently now that `r` has
+    /// grown by `added` (new inliers) and `tightened` (old inliers whose
+    /// `δ_η` fell), each given as `(original values, δ_η now)`. `cost` is
+    /// `C`, the cost of `t_o`'s current adjustment, or `None` when it
+    /// holds none (any new solution then counts).
+    ///
+    /// The answer is `false` only when no changed row `u` is a Prop. 5
+    /// host that could tie or beat `C`: at no lattice node `X`
+    /// (`|X| ≥ m − κ`) do all of `Δ_X(t_o,u) ≤ ε`,
+    /// `δ_η(u) ≤ ε − Δ_X(t_o,u)` and `Δ_{R∖X}(t_o,u) ≤ C + slack` hold. A
+    /// pair is rejected in `O(m)` first when `δ_η(u) > ε`, or when
+    /// `Δ(t_o,u) > C + ε`: by Prop. 3 anything `u` hosts costs at least
+    /// `Δ(t_o,u) − ε`. A tie at exactly `C` counts as a change.
+    ///
+    /// Why `false` is sound (exact arithmetic):
+    /// * growing `r` only adds rows and only lowers `δ_η`, so every old
+    ///   Prop. 5 solution survives at the same cost, and the new
+    ///   solutions are exactly the pairs tested here — if they all cost
+    ///   more than `C`, the minimum stays `C`;
+    /// * on the way to a cost-`C` solution (every `P ⊆ X` for a host `u`
+    ///   at `X`) neither prune fires while the incumbent is above `C`:
+    ///   `u`'s η neighbours all lie within `ε` of `t_o` on `P`, so they
+    ///   are candidates (no η-prune), and within `C + ε` of `t_o`, so
+    ///   `kth − ε ≤ C` (no lb-prune). Those nodes are closed under
+    ///   subsets, so the search reaches them in the same order whatever
+    ///   it prunes elsewhere, and it reaches the same first cost-`C`
+    ///   node along the same path;
+    /// * old rows keep their relative candidate order — the `RSet` lists
+    ///   rows in ascending id and sorted-column ties break by id — so the
+    ///   search picks the same host there.
+    ///
+    /// The argument is made over numbers under `AbsoluteDiff`. It needs
+    /// the triangle inequality, which `AbsoluteDiff` loses once a `Null`
+    /// or text cell is involved (it puts one at 1 from everything), and
+    /// ε-balls that a sorted column answers by value, which matches no
+    /// other metric. The caller must therefore ask only while every row
+    /// of `r`, old and added, holds only numbers: a non-number in a host
+    /// lets the prunes cut the way to it, and one in a column turns that
+    /// column's value-ordered ball into an id-ordered scan, which
+    /// reorders cost ties. The streaming engine keeps that fact.
+    ///
+    /// It answers `true` wherever that argument does not reach: an
+    /// attribute metric other than `AbsoluteDiff`, or a non-number in
+    /// `t_o`; a per-outlier candidate cap is set (new candidates advance
+    /// the work counter that stops the search); the lattice
+    /// `Σ_{k ≥ m−κ} C(m,k)` is larger than the node budget, so the budget
+    /// could bind; or `m − κ ≥ 2` and an added row lies within `ε` of
+    /// `t_o` on some attribute, since it can change which attribute seeds
+    /// a root, and the seed's order breaks cost ties.
+    ///
+    /// Floating point: the search computes a cost as
+    /// `finish(full − X part)`, which for `L^p` can differ from the direct
+    /// `Δ_{R∖X}` by about `(2·(m+1)·u)^{1/p}·(C + ε)` (`u` the unit
+    /// roundoff) — most of all as `C → 0`. `slack` is four times that;
+    /// `L^∞` remainders are exact maxima and get a rounding-sized margin.
+    /// The feasibility tests get a relative `4·(m+1)·ε_mach` margin on
+    /// `ε`, and ball membership one on `ε + |t_o[A]|`. The argument then
+    /// assumes rounding never reorders two distinct solutions whose exact
+    /// costs differ by more than that; exact ties (integer data) are
+    /// order-independent, which the engine's per-prefix oracle pins.
+    pub fn outcome_may_change(
+        &self,
+        t_o: &[Value],
+        cost: Option<f64>,
+        added: &[(&[Value], f64)],
+        tightened: &[(&[Value], f64)],
+    ) -> bool {
+        let m = self.dist.arity();
+        let kappa = self.kappa.unwrap_or(m).min(m);
+        if (0..m).any(|a| !matches!(self.dist.metric(a), Metric::Absolute))
+            || t_o.iter().any(|v| v.as_num().is_none())
+            || self.budget.max_candidates_per_outlier.is_some()
+            || lattice_size(m, kappa) > self.node_budget as u128
+        {
+            return true;
+        }
+        let check = HostCheck::new(self, t_o, kappa, cost);
+        if m - kappa >= 2 && added.iter().any(|&(u, _)| check.near_on_some_attribute(u)) {
+            return true;
+        }
+        added
+            .iter()
+            .chain(tightened)
+            .any(|&(u, delta_eta)| check.may_host(u, delta_eta))
+    }
+}
+
+/// `Σ_{k ≥ m−κ} C(m,k) = Σ_{j ≤ κ} C(m,j)`: the nodes a κ-restricted
+/// search can visit.
+fn lattice_size(m: usize, kappa: usize) -> u128 {
+    let (mut total, mut binom) = (0u128, 1u128);
+    for j in 0..=kappa {
+        total += binom;
+        binom = binom * (m - j) as u128 / (j as u128 + 1);
+    }
+    total
+}
+
+/// One outlier's side of [`DiscSaver::outcome_may_change`].
+struct HostCheck<'a> {
+    dist: &'a disc_distance::TupleDistance,
+    norm: Norm,
+    t_o: &'a [Value],
+    m: usize,
+    kappa: usize,
+    eps: f64,
+    /// Rounding margin of the feasibility tests.
+    tol: f64,
+    /// `C + slack`; `None` when any host counts.
+    bound: Option<f64>,
+}
+
+impl<'a> HostCheck<'a> {
+    fn new(saver: &'a DiscSaver, t_o: &'a [Value], kappa: usize, cost: Option<f64>) -> Self {
+        let m = saver.dist.arity();
+        let norm = saver.dist.norm();
+        let eps = saver.constraints.eps;
+        let rel = (m as f64 + 1.0) * f64::EPSILON; // 2·(m+1)·u
+        let scale = norm.exponent().map_or(rel, |p| rel.powf(1.0 / p));
+        HostCheck {
+            dist: &saver.dist,
+            norm,
+            t_o,
+            m,
+            kappa,
+            eps,
+            tol: 4.0 * rel * eps,
+            bound: cost.map(|c| c + 4.0 * scale * (c + eps)),
+        }
+    }
+
+    /// True when `u` could sit in some attribute's ε-ball around `t_o`
+    /// (`RSet::attribute_ball` rounds `t_o[A] ± ε`).
+    fn near_on_some_attribute(&self, u: &[Value]) -> bool {
+        (0..self.m).any(|a| {
+            let scale = self.eps + self.t_o[a].as_num().map_or(0.0, f64::abs);
+            self.dist.attr_dist(a, &self.t_o[a], &u[a]) <= self.eps + 4.0 * f64::EPSILON * scale
+        })
+    }
+
+    /// True when `u`, at `δ_η(u) = delta_eta`, is a Prop. 5 host at some
+    /// lattice node at a cost within the bound.
+    fn may_host(&self, u: &[Value], delta_eta: f64) -> bool {
+        if delta_eta > self.eps + self.tol {
+            return false;
+        }
+        // Prop. 3, leaving as soon as the partial sum passes C + ε.
+        let limit = self.bound.map_or(f64::INFINITY, |bound| {
+            self.norm.to_acc(bound + self.eps + self.tol)
+        });
+        let mut d = [0.0; AttrSet::MAX_ATTRS];
+        let mut full = self.norm.init();
+        for (a, slot) in d.iter_mut().enumerate().take(self.m) {
+            *slot = self.dist.attr_dist(a, &self.t_o[a], &u[a]);
+            full = self.norm.accumulate(full, *slot);
+            if full > limit {
+                return false;
+            }
+        }
+        // X keeps only attributes within reach of `ε − δ_η(u)`; the rest
+        // must be adjusted.
+        let reach = self.eps - delta_eta + self.tol;
+        let forced: AttrSet = (0..self.m).filter(|&a| d[a] > reach).collect();
+        forced.len() <= self.kappa && self.walk(&d[..self.m], reach, forced, 0)
+    }
+
+    /// Depth-first over the adjusted sets `Y = R∖X ⊇ forced` with
+    /// `|Y| ≤ κ`, growing `Y` by attributes from `from` on (each set once).
+    fn walk(&self, d: &[f64], reach: f64, y: AttrSet, from: usize) -> bool {
+        let over = |set: AttrSet| {
+            let acc = set
+                .iter()
+                .fold(self.norm.init(), |acc, a| self.norm.accumulate(acc, d[a]));
+            self.norm.finish(acc)
+        };
+        if self.bound.is_some_and(|bound| over(y) > bound) {
+            return false; // adjusting more only costs more
+        }
+        if over(y.complement(self.m)) <= reach {
+            return true;
+        }
+        y.len() < self.kappa
+            && (from..self.m).any(|a| !y.contains(a) && self.walk(d, reach, y.with(a), a + 1))
     }
 }
 
@@ -679,6 +865,312 @@ mod tests {
         let live = CancelToken::unlimited();
         let ok = saver.save_one_budgeted(&r, &t_o, &live).unwrap().unwrap();
         assert_eq!(Some(ok), saver.save_one(&r, &t_o));
+    }
+
+    /// `(row, δ_η)` pairs as the engine passes them, read from `r`.
+    fn hosts<'r>(r: &'r RSet, ids: &[usize]) -> Vec<(&'r [Value], f64)> {
+        ids.iter()
+            .map(|&i| (r.rows()[i].as_slice(), r.delta_eta(i)))
+            .collect()
+    }
+
+    /// Rows of `after` whose `δ_η` differs from `before` (a prefix).
+    fn tightened(before: &RSet, after: &RSet) -> Vec<usize> {
+        (0..before.len())
+            .filter(|&i| before.delta_eta(i) != after.delta_eta(i))
+            .collect()
+    }
+
+    fn grown(r: &[Vec<Value>], extra: &[Vec<Value>]) -> Vec<Vec<Value>> {
+        r.iter().chain(extra).cloned().collect()
+    }
+
+    #[test]
+    fn stability_fallbacks_answer_dirty() {
+        let c = DistanceConstraints::new(0.5, 4);
+        let config = SaverConfig::new(c, TupleDistance::numeric(2));
+        let saver = config.clone().build_approx().unwrap();
+        let r = saver.build_rset(cluster_2d());
+        let t_o = vec![Value::Num(0.3), Value::Num(9.0)];
+        let cost = saver.save_one(&r, &t_o).map(|adj| adj.cost);
+        // A far row with a tight δ_η hosts nothing near t_o: clean.
+        let far = [Value::Num(50.0), Value::Num(50.0)];
+        let added = [(&far[..], 0.0)];
+        assert!(!saver.outcome_may_change(&t_o, cost, &added, &[]));
+
+        // A candidate cap: new candidates advance the work counter.
+        let capped = config
+            .clone()
+            .budget(Budget::unlimited().with_max_candidates(1 << 30))
+            .build_approx()
+            .unwrap();
+        assert!(capped.outcome_may_change(&t_o, cost, &added, &[]));
+        // A node budget below the lattice (4 nodes for m = 2, κ = m).
+        let budgeted = config.clone().node_budget(3).build_approx().unwrap();
+        assert!(budgeted.outcome_may_change(&t_o, cost, &added, &[]));
+        let lattice = config.clone().node_budget(4).build_approx().unwrap();
+        assert!(!lattice.outcome_may_change(&t_o, cost, &added, &[]));
+        // A non-number in t_o, and a metric other than AbsoluteDiff.
+        let null_t_o = [Value::Null, Value::Num(9.0)];
+        assert!(saver.outcome_may_change(&null_t_o, cost, &added, &[]));
+        let discrete = TupleDistance::new(vec![Metric::Absolute, Metric::Discrete], Norm::L2);
+        let discrete = SaverConfig::new(c, discrete).build_approx().unwrap();
+        assert!(discrete.outcome_may_change(&t_o, cost, &added, &[]));
+        // Any other saver, through the trait default.
+        let exact = config.build_exact().unwrap();
+        assert!(crate::Saver::outcome_may_change(
+            &exact,
+            &t_o,
+            cost,
+            &added,
+            &[]
+        ));
+    }
+
+    #[test]
+    fn an_added_row_can_flip_the_seed_attribute_and_a_cost_tie() {
+        // m − κ = 2 under L∞: the added row is no host (δ_η(u) = 2 > ε),
+        // but it joins attribute 0's ε-ball, so the root {0,1} seeds from
+        // attribute 1 instead, and that reorders two hosts tied at C = 5.
+        let dist = TupleDistance::new(vec![disc_distance::Metric::Absolute; 4], Norm::LInf);
+        let saver = SaverConfig::new(DistanceConstraints::new(1.0, 2), dist)
+            .kappa(2)
+            .parallelism(Parallelism(1))
+            .build_approx()
+            .unwrap();
+        let num = |xs: [f64; 4]| xs.iter().map(|&x| Value::Num(x)).collect::<Vec<_>>();
+        let old = vec![
+            num([1., 0., 2., 0.]),
+            num([0., 0., 2., 1.]),
+            num([0., 0., 2., 1.]),
+        ];
+        let u = num([0., 2., 1., 1.]);
+        let t_o = num([1., 0., 7., 0.]);
+        let (r_old, r_new) = (
+            saver.build_rset(old.clone()),
+            saver.build_rset(grown(&old, &[u])),
+        );
+        let before = saver.save_one(&r_old, &t_o).unwrap();
+        let after = saver.save_one(&r_new, &t_o).unwrap();
+        assert_eq!(before.cost, after.cost);
+        assert_ne!(before.values, after.values, "the tie resolves differently");
+        assert!(tightened(&r_old, &r_new).is_empty());
+        let added = hosts(&r_new, &[3]);
+        assert!(added[0].1 > 1.0, "the added row is no Prop. 5 host");
+        assert!(saver.outcome_may_change(&t_o, Some(before.cost), &added, &[]));
+    }
+
+    /// A row of three cells; `NULL` (a NaN marker) becomes `Value::Null`.
+    fn row3(xs: [f64; 3]) -> Vec<Value> {
+        xs.iter()
+            .map(|&x| {
+                if x.is_nan() {
+                    Value::Null
+                } else {
+                    Value::Num(x)
+                }
+            })
+            .collect()
+    }
+
+    const NULL: f64 = f64::NAN;
+
+    #[test]
+    fn a_non_number_in_r_changes_saves_the_check_calls_stable() {
+        // m = 3, κ = 2, ε = 1, η = 3. In both cases r gains rows that
+        // host nothing at cost ≤ C, so the check answers clean, yet the
+        // save changes: the argument needs numbers, and the engine stops
+        // asking once an inlier holds a non-number.
+        let config = |norm| {
+            SaverConfig::new(
+                DistanceConstraints::new(1.0, 3),
+                TupleDistance::new(vec![Metric::Absolute; 3], norm),
+            )
+            .kappa(2)
+            .parallelism(Parallelism(1))
+        };
+        let check = |norm, old: &[[f64; 3]], new_rows: &[[f64; 3]], t_o: [f64; 3]| {
+            let saver = config(norm).build_approx().unwrap();
+            let all: Vec<[f64; 3]> = old.iter().chain(new_rows).copied().collect();
+            let (r_old, r_new) = (
+                saver.build_rset(old.iter().map(|&x| row3(x)).collect()),
+                saver.build_rset(all.iter().map(|&x| row3(x)).collect()),
+            );
+            let t_o = row3(t_o);
+            let before = saver.save_one(&r_old, &t_o).unwrap();
+            let after = saver.save_one(&r_new, &t_o).unwrap();
+            let added = hosts(&r_new, &(old.len()..all.len()).collect::<Vec<_>>());
+            let tight = hosts(&r_new, &tightened(&r_old, &r_new));
+            assert!(!saver.outcome_may_change(&t_o, Some(before.cost), &added, &tight));
+            (before, after)
+        };
+        // (b) u = (2, ∅, 1) turns column 1's value-ordered ε-ball into an
+        // id-ordered scan, so the root {1} meets two hosts tied at C = 2
+        // in the other order.
+        let old = [
+            [2., 1., 2.],
+            [1., 0., 2.],
+            [2., 1., 1.],
+            [2., 1., 2.],
+            [2., 1., 1.],
+            [2., 1., 2.],
+        ];
+        let (before, after) = check(Norm::LInf, &old, &[[2., NULL, 1.]], [0., 0., 0.]);
+        assert_eq!(before.cost, after.cost);
+        assert_ne!(before.values, after.values, "the tie resolves differently");
+        // (a) h = (∅, 1, 2) saves t_o = (7, 2, 2) at cost 2: its Null sits
+        // 1 from t_o, while its numeric neighbours sit 6 or more away.
+        // Once r gains (2, 2, 2), root {1} finds an incumbent of 5 first,
+        // and the Prop. 3 prune (6 − ε ≥ 5) then cuts root {2}, the way
+        // to h: a larger r, a costlier save.
+        let old = [
+            [1., 1., 2.],
+            [1., 1., 0.],
+            [2., 1., 2.],
+            [1., 1., 1.],
+            [2., 1., 0.],
+            [2., 0., 0.],
+            [NULL, 1., 2.],
+        ];
+        let (before, after) = check(Norm::L1, &old, &[[2., 2., 2.], [2., 1., 2.]], [7., 2., 2.]);
+        assert_eq!(before.values, row3([NULL, 1., 2.]));
+        assert_eq!((before.cost, after.cost), (2.0, 5.0));
+    }
+
+    #[test]
+    fn a_tie_at_the_current_cost_answers_dirty() {
+        let saver = SaverConfig::new(DistanceConstraints::new(0.5, 4), TupleDistance::numeric(2))
+            .build_approx()
+            .unwrap();
+        let t_o = vec![Value::Num(0.3), Value::Num(9.0)];
+        let r = saver.build_rset(cluster_2d());
+        let adj = saver.save_one(&r, &t_o).unwrap();
+        // The adjusted tuple itself joins r: it hosts at X = {0} at
+        // exactly the current cost.
+        let r_new = saver.build_rset(grown(r.rows(), std::slice::from_ref(&adj.values)));
+        let added = hosts(&r_new, &[r.len()]);
+        let tight = hosts(&r_new, &tightened(&r, &r_new));
+        assert_eq!(
+            r_new
+                .distance()
+                .dist_on(AttrSet::from_indices([1]), &t_o, added[0].0),
+            adj.cost
+        );
+        assert!(saver.outcome_may_change(&t_o, Some(adj.cost), &added, &tight));
+    }
+
+    #[test]
+    fn a_row_beyond_cost_plus_eps_answers_clean() {
+        let saver = SaverConfig::new(DistanceConstraints::new(0.5, 4), TupleDistance::numeric(2))
+            .build_approx()
+            .unwrap();
+        let t_o = vec![Value::Num(0.3), Value::Num(1.1)];
+        let r = saver.build_rset(cluster_2d());
+        let adj = saver.save_one(&r, &t_o).unwrap();
+        // A duplicate of a grid row, a Prop. 5 host wherever it fits, but
+        // farther from t_o than C + ε (Prop. 3).
+        let u = vec![Value::Num(0.0), Value::Num(0.0)];
+        assert!(r.distance().dist(&t_o, &u) > adj.cost + 0.5);
+        let r_new = saver.build_rset(grown(r.rows(), &[u]));
+        let added = hosts(&r_new, &[r.len()]);
+        assert!(added[0].1 <= 0.5);
+        let tight = hosts(&r_new, &tightened(&r, &r_new));
+        assert!(!saver.outcome_may_change(&t_o, Some(adj.cost), &added, &tight));
+        assert_eq!(saver.save_one(&r_new, &t_o), Some(adj));
+    }
+
+    #[test]
+    fn near_zero_costs_stream_like_batch_for_every_norm() {
+        // ε = 1, η = 6. Each block is a host plus five copies of it moved
+        // by `step`, which gives the host δ_η = |step|. t_o is saved by
+        // the first host at cost t ≪ ε, the regime where the search's
+        // `finish(full − X part)` and the direct distance differ most;
+        // later blocks add hosts costing 2.1t, 2.05t and 0.9t.
+        let t = 5e-7;
+        let num = |p: [f64; 2]| p.iter().map(|&x| Value::Num(x)).collect::<Vec<_>>();
+        let block = |host: [f64; 2], step: [f64; 2]| {
+            let mut rows = vec![num(host)];
+            rows.extend((0..5).map(|_| num([host[0] + step[0], host[1] + step[1]])));
+            rows
+        };
+        // Layout A (every norm): t_o = (0, t), steps along y away from
+        // t_o. Layout B (L¹, L²): t_o = (−0.5, t), steps of (0.5, 0), so
+        // the host sits ε − δ_η from t_o on the kept attribute.
+        let ys = [0.0, 2.1 * t, -1.05 * t, 0.9 * t];
+        let streams = [
+            (Norm::L1, false),
+            (Norm::L2, false),
+            (Norm::LInf, false),
+            (Norm::Lp(3.0), false),
+            (Norm::L1, true),
+            (Norm::L2, true),
+        ];
+        for (norm, b) in streams {
+            let t_o = if b { [-0.5, t] } else { [0.0, t] };
+            let step = |y: f64| match (b, y > t) {
+                (true, _) => [0.5, 0.0],
+                (false, up) => [0.0, if up { 1.0 } else { -1.0 }],
+            };
+            let mut batches: Vec<Vec<Vec<Value>>> =
+                ys.iter().map(|&y| block([0.0, y], step(y))).collect();
+            batches[0].push(num(t_o));
+            let dist = TupleDistance::new(vec![disc_distance::Metric::Absolute; 2], norm);
+            let config = SaverConfig::new(DistanceConstraints::new(1.0, 6), dist)
+                .parallelism(Parallelism(1));
+            let mut engine = crate::ShardedEngine::new(
+                disc_data::Schema::numeric(2),
+                Box::new(config.clone().build_approx().unwrap()),
+            );
+            let first = engine.ingest(batches[0].clone()).unwrap();
+            let cost = first.adjustment_of(6).expect("t_o is saved").cost;
+            assert!(cost < 1e-6, "{norm:?} {t_o:?}: cost {cost}");
+            let mut all = batches[0].clone();
+            for batch in &batches[1..] {
+                engine.ingest(batch.clone()).unwrap();
+                all.extend(batch.iter().cloned());
+                let mut ds = disc_data::Dataset::new(disc_data::Schema::numeric(2), all.clone());
+                config.clone().build_approx().unwrap().save_all(&mut ds);
+                assert!(
+                    !engine.is_inlier(6),
+                    "{norm:?} {t_o:?}: t_o stays an outlier"
+                );
+                assert_eq!(engine.dataset().rows(), ds.rows(), "{norm:?} {t_o:?}");
+            }
+            // The last host undercuts the first: t_o was re-saved to it.
+            assert_eq!(engine.dataset().rows()[6][1], Value::Num(0.9 * t));
+        }
+    }
+
+    #[test]
+    fn the_slack_covers_the_searchs_rounded_cost_near_zero() {
+        // L², ε = 1, η = 6: h = (0, 0) saves t_o = (−0.5, t) at X = {0},
+        // where the search computes √((0.25 + t²) − 0.25), a little above
+        // the direct cost t. Then u = (−0.5, t + c) joins with c between
+        // the two: by the direct costs u loses to h, but the search meets
+        // u first (at X = ∅, exactly) and keeps it.
+        let t = 2e-7;
+        let searched = ((0.25 + t * t) - 0.25f64).sqrt();
+        assert!(searched > t, "the premise: rounding inflates the cost");
+        let c = t + (searched - t) / 2.0;
+        let num = |p: [f64; 2]| p.iter().map(|&x| Value::Num(x)).collect::<Vec<_>>();
+        let mut first = vec![num([0.0, 0.0])];
+        first.extend((0..5).map(|_| num([0.5, 0.0])));
+        first.push(num([-0.5, t]));
+        let mut second = vec![num([-0.5, t + c])];
+        second.extend((0..5).map(|_| num([-1.5, t + c])));
+        let config = SaverConfig::new(DistanceConstraints::new(1.0, 6), TupleDistance::numeric(2))
+            .parallelism(Parallelism(1));
+        let mut engine = crate::ShardedEngine::new(
+            disc_data::Schema::numeric(2),
+            Box::new(config.clone().build_approx().unwrap()),
+        );
+        engine.ingest(first.clone()).unwrap();
+        assert_eq!(engine.dataset().rows()[6], num([-0.5, 0.0]));
+        engine.ingest(second.clone()).unwrap();
+        let mut ds = disc_data::Dataset::new(disc_data::Schema::numeric(2), grown(&first, &second));
+        config.build_approx().unwrap().save_all(&mut ds);
+        assert_eq!(ds.rows()[6], num([-0.5, t + c]), "batch switches to u");
+        assert_eq!(engine.dataset().rows(), ds.rows());
     }
 
     #[test]

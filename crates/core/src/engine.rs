@@ -19,14 +19,21 @@
 //!    values, if any, are reverted to the original ingested values);
 //! 3. maintains the `δ_η` lists: each shard's existing inliers observe
 //!    their distance to each newly established inlier in parallel
-//!    (per-shard caches are disjoint), and new inliers get a fresh η-NN
-//!    query fanned out over the per-shard inlier indexes, merged by
-//!    `(total_cmp distance, global id)` and truncated to η;
+//!    (per-shard caches are disjoint), noting whose `δ_η` fell, and new
+//!    inliers get a fresh η-NN query fanned out over the per-shard
+//!    inlier indexes, merged by `(total_cmp distance, global id)` and
+//!    truncated to η;
 //! 4. computes the *dirty set* — the outliers whose save outcome could
-//!    have changed: the new outliers plus any previously skipped/failed
-//!    rows, widened to *all* current outliers iff the inlier set grew
-//!    this ingest (every save runs against `r`, so a bigger `r`
-//!    invalidates every previous outcome);
+//!    have changed: the new outliers, any previously skipped/failed
+//!    rows, and, when the inlier set grew, every old outlier the saver
+//!    cannot prove stable ([`Saver::outcome_may_change`], asked with the
+//!    new inliers, the inliers whose `δ_η` fell, and the cost of the
+//!    outlier's current adjustment; fanned out over outliers). The
+//!    default answer re-saves every outlier; `DiscSaver` keeps an
+//!    outlier clean unless a changed inlier could host it at no more
+//!    than its current cost (Prop. 3/5). The saver is asked only while
+//!    every inlier cell is a number; once an inlier holds a `Null` or
+//!    text cell, every old outlier is re-saved whenever r grows;
 //! 5. runs the ordinary budgeted / parallel / panic-isolated save
 //!    machinery ([`pipeline`](crate::pipeline)) on just the dirty rows
 //!    and applies the adjustments.
@@ -35,10 +42,13 @@
 //! *original* ingested values (adjustments live only in the output
 //! dataset), the RSet lists inliers in ascending row order, and dirty
 //! outliers are saved in ascending row order — exactly the batch
-//! pipeline's conventions. Sharding adds nothing observable: a range
-//! count is the sum of per-shard hit counts (the shards partition the
-//! rows, so hit sets union disjointly), and a merged η-NN list carries
-//! the same distance *multiset* as a single-shard query (each shard's
+//! pipeline's conventions. The dirty set depends only on state an
+//! [`EngineState`] carries (an outlier's cost is read off its original
+//! and current rows), so a restored engine or a replica re-saves the
+//! same rows. Sharding adds nothing observable: a range count is the
+//! sum of per-shard hit counts (the shards partition the rows, so hit
+//! sets union disjointly), and a merged η-NN list carries the same
+//! distance *multiset* as a single-shard query (each shard's
 //! contribution to the global top-η is contained in its local top-η).
 //! After any sequence of ingests the engine's classification and saved
 //! dataset are identical to one batch `save_all` over the concatenated
@@ -56,6 +66,7 @@ use disc_obs::{counters, PipelineStats, Snapshot};
 
 use crate::cache::NeighborCache;
 use crate::error::Error;
+use crate::parallel::parallel_map;
 use crate::pipeline::{save_outlier_rows, SaveReport};
 use crate::query::{Query, Response};
 use crate::rset::RSet;
@@ -76,11 +87,15 @@ pub struct ShardedEngine {
     /// The partitions: per-shard index pair + neighbor-cache slice.
     shards: Vec<EngineShard>,
     inlier_count: usize,
+    /// True while every cell of every inlier is a number. Inliers never
+    /// leave r, so once false it stays false; phase 4 asks the saver to
+    /// prove outliers stable only while it holds.
+    numeric_inliers: bool,
     /// Outliers whose last save attempt was skipped (budget) or failed
     /// (panic); retried on the next ingest.
     pending: BTreeSet<usize>,
-    /// The inlier context, cached between ingests and invalidated
-    /// whenever the inlier set grows.
+    /// The inlier context, cached between ingests and rebuilt after the
+    /// inlier set grows.
     rset: Option<RSet>,
     /// Number of successful ingests applied since the engine was empty.
     /// The persistence layer keys snapshots and write-ahead-log records
@@ -107,6 +122,11 @@ pub type DiscEngine = ShardedEngine;
 /// which keeps the on-disk format independent of index-backend
 /// internals *and of the shard count* (both affect only query cost,
 /// never query results).
+///
+/// Like the counts and `δ_η` lists, an outlier's `current` row is
+/// trusted as-is: it is taken to be the outcome of saving the row
+/// against the image's inliers, and later ingests re-save it only when
+/// the saver cannot prove that outcome stable.
 ///
 /// Reads go through [`EngineState::query`].
 #[derive(Debug, Clone, PartialEq)]
@@ -171,6 +191,7 @@ impl ShardedEngine {
                 .map(|_| EngineShard::new(dist.clone(), eps, eta))
                 .collect(),
             inlier_count: 0,
+            numeric_inliers: true,
             pending: BTreeSet::new(),
             rset: None,
             generation: 0,
@@ -470,12 +491,15 @@ impl ShardedEngine {
             }
         }
 
-        // Phase 3: maintain the δ_η lists.
+        // Phase 3: maintain the δ_η lists, noting which old inliers' δ_η
+        // fell (phase 4 checks them as possible new hosts).
+        let mut tightened: Vec<usize> = Vec::new();
         if !new_inliers.is_empty() {
             for &i in &new_inliers {
                 let (s, _) = self.map.locate(i);
                 self.shards[s].inlier_index.insert(self.original[i].clone());
                 self.shards[s].inlier_globals.push(i);
+                self.numeric_inliers &= all_numeric(&self.original[i]);
             }
             // Each shard's pre-existing inliers observe their distance
             // to every new inlier. New inliers (promoted and fresh
@@ -487,17 +511,25 @@ impl ShardedEngine {
             let map = &self.map;
             let dist = self.saver.distance();
             let new_list = &new_inliers;
-            shard::fan_out(self.shards.iter_mut().enumerate(), workers, |(s, shard)| {
-                let globals = map.globals(s);
-                for (l, &j) in globals.iter().enumerate().take(shard.cache.len()) {
-                    if j < first_new && shard.cache.is_inlier(l) {
-                        for &i in new_list {
-                            let d = dist.dist(&original[j], &original[i]);
-                            shard.cache.observe_inlier_distance(l, d);
+            let parts =
+                shard::fan_out(self.shards.iter_mut().enumerate(), workers, |(s, shard)| {
+                    let globals = map.globals(s);
+                    let mut changed = Vec::new();
+                    for (l, &j) in globals.iter().enumerate().take(shard.cache.len()) {
+                        if j < first_new && shard.cache.is_inlier(l) {
+                            let before = shard.cache.delta_eta(l);
+                            for &i in new_list {
+                                let d = dist.dist(&original[j], &original[i]);
+                                shard.cache.observe_inlier_distance(l, d);
+                            }
+                            if shard.cache.delta_eta(l) != before {
+                                changed.push(j);
+                            }
                         }
                     }
-                }
-            });
+                    changed
+                });
+            tightened = parts.into_iter().flatten().collect();
             // η-NN per new inlier: per-shard top-η against the inlier
             // indexes, merged by (total_cmp distance, global id). Each
             // shard's members of the global top-η are that shard's
@@ -529,18 +561,20 @@ impl ShardedEngine {
                 self.shards[s].cache.set_inlier_list(l, list);
             }
             self.inlier_count += new_inliers.len();
-            self.rset = None; // r grew: every cached save outcome is stale
+            self.rset = None; // r grew: the cached context is stale
         }
         // All index mutations for this ingest are done; attribute their
         // rebuilds to the shard counters.
         self.flush_shard_rebuilds();
 
-        // Phase 4: the dirty set.
+        // Phase 4: the dirty set — pending retries, new outliers, and the
+        // old outliers whose outcome the saver cannot prove stable under
+        // this ingest's growth of r.
         let mut dirty: BTreeSet<usize> = std::mem::take(&mut self.pending);
-        if new_inliers.is_empty() {
-            dirty.extend((first_new..n).filter(|&g| !self.satisfies(g)));
-        } else {
-            dirty = (0..n).filter(|&i| !self.is_inlier(i)).collect();
+        dirty.extend((first_new..n).filter(|&g| !self.satisfies(g)));
+        if !new_inliers.is_empty() {
+            let unstable = self.unstable_outliers(first_new, &dirty, &new_inliers, &tightened);
+            dirty.extend(unstable);
         }
         let dirty: Vec<usize> = dirty.into_iter().collect();
         counters::ENGINE_DIRTY_ROWS.add(dirty.len() as u64);
@@ -639,6 +673,48 @@ impl ShardedEngine {
         Ok(report)
     }
 
+    /// The old outliers outside `dirty` whose save outcome may change now
+    /// that r gained `added` and the `δ_η` of `tightened` fell, ascending:
+    /// all of them once an inlier holds a non-number, else the ones the
+    /// saver cannot prove stable. Each one's current cost comes from its
+    /// original and current rows alone, and the numeric fact from the
+    /// inliers' original rows, so a restored engine, a replica, and a
+    /// store reopened at another shard count decide the same.
+    fn unstable_outliers(
+        &self,
+        first_new: usize,
+        dirty: &BTreeSet<usize>,
+        added: &[usize],
+        tightened: &[usize],
+    ) -> Vec<usize> {
+        let old: Vec<usize> = (0..first_new)
+            .filter(|o| !self.is_inlier(*o) && !dirty.contains(o))
+            .collect();
+        if !self.numeric_inliers {
+            return old;
+        }
+        let host = |&g: &usize| {
+            let (s, l) = self.map.locate(g);
+            (
+                self.original[g].as_slice(),
+                self.shards[s].cache.delta_eta(l),
+            )
+        };
+        let added: Vec<(&[Value], f64)> = added.iter().map(host).collect();
+        let tightened: Vec<(&[Value], f64)> = tightened.iter().map(host).collect();
+        let (saver, rows) = (&*self.saver, self.current.rows());
+        let workers = saver.parallelism().workers();
+        let verdicts = parallel_map(&old, workers, |&o| {
+            let (original, current) = (&self.original[o], &rows[o]);
+            let cost = (original != current).then(|| saver.distance().dist(original, current));
+            saver.outcome_may_change(original, cost, &added, &tightened)
+        });
+        old.into_iter()
+            .zip(verdicts)
+            .filter_map(|(o, stale)| stale.then_some(o))
+            .collect()
+    }
+
     /// Captures the engine's complete logical state; see [`EngineState`].
     /// Exported at ingest boundaries only (the engine is never observable
     /// mid-ingest), so every image satisfies the classification
@@ -699,7 +775,9 @@ impl ShardedEngine {
     /// produces bit-identical reports and rows (the crash-equivalence
     /// suite in `disc-persist` pins this across fault-injected
     /// interruptions, and `sharded_equivalence` pins it across shard
-    /// counts).
+    /// counts). That includes which outliers later ingests re-save: an
+    /// outlier's `current` row is trusted as its save outcome, as the
+    /// counts and `δ_η` lists are trusted, not re-derived.
     ///
     /// # Errors
     /// Same contract as [`ShardedEngine::restore`].
@@ -775,6 +853,7 @@ impl ShardedEngine {
                 engine.shards[s].inlier_index.insert(row.clone());
                 engine.shards[s].inlier_globals.push(i);
                 engine.inlier_count += 1;
+                engine.numeric_inliers &= all_numeric(row);
             }
         }
         // Slice the global cache tables into per-shard local-id order.
@@ -802,6 +881,11 @@ impl ShardedEngine {
         engine.flush_shard_rebuilds();
         Ok(engine)
     }
+}
+
+/// True when every cell of `row` is a number.
+fn all_numeric(row: &[Value]) -> bool {
+    row.iter().all(|v| v.as_num().is_some())
 }
 
 #[cfg(test)]
@@ -1084,6 +1168,58 @@ mod tests {
             let report = restored.ingest(rows[20..].to_vec()).unwrap();
             assert_eq!(report, ref_report, "S={shards}");
             assert_eq!(restored.dataset().rows(), reference.dataset().rows());
+        }
+    }
+
+    #[test]
+    fn a_non_number_in_an_inlier_resaves_every_old_outlier() {
+        // L∞, m = 3, κ = 2, ε = 1, η = 3, one row per ingest. When row 9
+        // (2, ∅, 1) joins r, its Null reorders a cost tie for row 1 (see
+        // `approx.rs`), which no Prop. 5 host explains; from then on every
+        // old outlier is re-saved whenever r grows, even by a far cluster
+        // that hosts none of them, by restored engines too, and each
+        // prefix matches batch.
+        let config = SaverConfig::new(
+            DistanceConstraints::new(1.0, 3),
+            TupleDistance::new(
+                vec![disc_distance::Metric::Absolute; 3],
+                disc_distance::Norm::LInf,
+            ),
+        )
+        .kappa(2)
+        .parallelism(crate::Parallelism(1));
+        let build = || Box::new(config.clone().build_approx().unwrap());
+        let num = |xs: [f64; 3]| xs.iter().map(|&x| Value::Num(x)).collect::<Vec<_>>();
+        let null_in_1 = |a: f64, c: f64| vec![Value::Num(a), Value::Null, Value::Num(c)];
+        let rows = vec![
+            num([2., 1., 2.]),
+            num([0., 0., 0.]),
+            num([1., 0., 2.]),
+            num([2., 1., 1.]),
+            num([2., 1., 2.]),
+            num([0., 2., 0.]),
+            null_in_1(0., 2.),
+            num([2., 1., 1.]),
+            num([2., 1., 2.]),
+            null_in_1(2., 1.),
+            num([2., 1., 1.]),
+            num([9., 9., 9.]),
+            num([9., 9., 9.]),
+            num([9., 9., 9.]),
+        ];
+        let mut eng = ShardedEngine::with_shards(Schema::numeric(3), build(), 1);
+        for (k, row) in rows.iter().enumerate() {
+            let state = eng.export_state();
+            let report = eng.ingest(vec![row.clone()]).unwrap();
+            let mut ds = Dataset::new(Schema::numeric(3), rows[..=k].to_vec());
+            build().save_all(&mut ds);
+            assert_eq!(eng.dataset().rows(), ds.rows(), "after ingest {k}");
+            if [9, 10, 13].contains(&k) {
+                assert_eq!(report.outliers, vec![1, 5, 6], "r grew at ingest {k}");
+            }
+            let mut restored =
+                ShardedEngine::restore_with_shards(Schema::numeric(3), build(), state, 2).unwrap();
+            assert_eq!(restored.ingest(vec![row.clone()]).unwrap(), report);
         }
     }
 

@@ -63,6 +63,28 @@ pub trait Saver: Send + Sync {
         token: &CancelToken,
     ) -> (Result<Option<Adjustment>, Cancelled>, SaveEffort);
 
+    /// Whether saving outlier `t_o` again could give a different answer
+    /// now that `r` has grown. `cost` is the cost of the adjustment `t_o`
+    /// currently holds, or `None` when it holds none. `added` lists every
+    /// new inlier and `tightened` every old inlier whose `δ_η` changed,
+    /// each as `(original values, δ_η after the ingest)`.
+    ///
+    /// The streaming engine asks only while every cell of `r` (old rows
+    /// and `added` alike) is a number, and re-saves an old outlier only
+    /// when this answers `true`. The default always does, which is sound
+    /// for any saver; [`DiscSaver`] proves most outcomes stable instead
+    /// (see [`DiscSaver::outcome_may_change`]).
+    fn outcome_may_change(
+        &self,
+        t_o: &[Value],
+        cost: Option<f64>,
+        added: &[(&[Value], f64)],
+        tightened: &[(&[Value], f64)],
+    ) -> bool {
+        let _ = (t_o, cost, added, tightened);
+        true
+    }
+
     /// Detects all constraint violations in `ds`, saves each one against
     /// the inliers, applies the adjustments in place, and reports what
     /// happened; see [`SaveReport`].
@@ -103,6 +125,16 @@ impl Saver for DiscSaver {
         token: &CancelToken,
     ) -> (Result<Option<Adjustment>, Cancelled>, SaveEffort) {
         DiscSaver::save_one_with_effort(self, r, t_o, token)
+    }
+
+    fn outcome_may_change(
+        &self,
+        t_o: &[Value],
+        cost: Option<f64>,
+        added: &[(&[Value], f64)],
+        tightened: &[(&[Value], f64)],
+    ) -> bool {
+        DiscSaver::outcome_may_change(self, t_o, cost, added, tightened)
     }
 }
 

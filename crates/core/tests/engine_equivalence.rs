@@ -3,16 +3,21 @@
 //! identical to one batch `save_all` over the concatenated data.
 //!
 //! Why this holds: ε-neighbor counts only grow as rows append, so the
-//! inlier set grows monotonically; the engine re-saves every outlier
-//! whenever the inlier set grows, reverts promoted rows to their
-//! original values, and always detects/saves against original values —
-//! exactly what a from-scratch batch run sees. The property is checked
-//! bit-exactly (same outlier set, same saved adjustments, same final
-//! rows), for sequential and parallel workers.
+//! inlier set grows monotonically; when it grows, the engine re-saves
+//! every outlier whose outcome the saver cannot prove stable (the
+//! Prop. 3/5 check of `DiscSaver::outcome_may_change`; other savers, and
+//! every saver once an inlier holds a non-number, re-save every
+//! outlier), reverts promoted rows to their original values, and always
+//! detects/saves against original values — exactly what a from-scratch
+//! batch run sees. The property is checked bit-exactly (same outlier
+//! set, same saved adjustments, same final rows), for sequential and
+//! parallel workers; the per-prefix oracle at the end checks it after
+//! every single ingest, across norms, κ, batch sizes and tie-heavy
+//! integer data, with and without `Null` cells.
 
 use disc_core::{DiscEngine, DistanceConstraints, Parallelism, SavedOutlier, SaverConfig};
-use disc_data::{ClusterSpec, Dataset, ErrorInjector, Schema};
-use disc_distance::{TupleDistance, Value};
+use disc_data::{bit_equal, ClusterSpec, Dataset, ErrorInjector, Schema};
+use disc_distance::{Metric, Norm, TupleDistance, Value};
 use proptest::prelude::*;
 
 /// Clustered data with injected dirty and natural errors.
@@ -173,4 +178,134 @@ fn engine_with_exact_saver_matches_batch() {
         engine.ingest(chunk.to_vec()).unwrap();
     }
     assert_eq!(engine.dataset().rows(), batch_ds.rows());
+}
+
+/// The `(m, κ)` shapes of the per-prefix oracle; `None` is unrestricted.
+const SHAPES: [(usize, Option<usize>); 7] = [
+    (3, Some(1)),
+    (3, Some(2)),
+    (3, None),
+    (4, Some(1)),
+    (4, Some(2)),
+    (4, Some(3)),
+    (4, None),
+];
+
+/// Ingest sizes of the per-prefix oracle.
+const BATCH_SIZES: [usize; 3] = [1, 3, 8];
+
+/// SplitMix64, for the integer-grid generator.
+struct Mix(u64);
+
+impl Mix {
+    fn below(&mut self, k: u64) -> u64 {
+        self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
+        let mut z = self.0;
+        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+        (z ^ (z >> 31)) % k
+    }
+}
+
+/// `n` rows on the integer grid `{0,1,2}^m` — exact distance ties and
+/// duplicate rows everywhere — with about one row in six pushed off the
+/// grid on one or two attributes and, with `nulls`, one in eight holding
+/// a `Null` (which `AbsoluteDiff` puts at 1 from every number).
+fn integer_grid(n: usize, m: usize, seed: u64, nulls: bool) -> Vec<Vec<Value>> {
+    let mut mix = Mix(seed);
+    (0..n)
+        .map(|_| {
+            let mut row: Vec<Value> = (0..m).map(|_| Value::Num(mix.below(3) as f64)).collect();
+            if mix.below(6) == 0 {
+                for _ in 0..=mix.below(2) {
+                    let a = mix.below(m as u64) as usize;
+                    row[a] = Value::Num(5.0 + mix.below(4) as f64);
+                }
+            }
+            if nulls && mix.below(8) == 0 {
+                row[mix.below(m as u64) as usize] = Value::Null;
+            }
+            row
+        })
+        .collect()
+}
+
+/// Streams `rows` in ingests of `batch` rows and, after every ingest,
+/// compares the engine bit for bit with one batch `save_all` over the
+/// prefix ingested so far.
+fn prefix_oracle(
+    rows: &[Vec<Value>],
+    shape: (usize, Option<usize>),
+    norm: Norm,
+    c: DistanceConstraints,
+    batch: usize,
+    workers: usize,
+) {
+    let (m, kappa) = shape;
+    let mut config = SaverConfig::new(c, TupleDistance::new(vec![Metric::Absolute; m], norm))
+        .parallelism(Parallelism(workers));
+    if let Some(kappa) = kappa {
+        config = config.kappa(kappa);
+    }
+    let batch_saver = config.clone().build_approx().unwrap();
+    let mut engine = DiscEngine::new(Schema::numeric(m), Box::new(config.build_approx().unwrap()));
+    for (k, chunk) in rows.chunks(batch).enumerate() {
+        let report = engine.ingest(chunk.to_vec()).expect("finite data");
+        assert!(!report.degraded, "no budget/panic in this test");
+        let mut prefix = Dataset::new(Schema::numeric(m), rows[..engine.len()].to_vec());
+        let expected = batch_saver.save_all(&mut prefix);
+        let context = format!(
+            "{norm:?}, m = {m}, κ = {kappa:?}, batch {batch}, after ingest {k} ({} rows)",
+            engine.len()
+        );
+        prop_assert_eq!(
+            engine.outliers(),
+            expected.outliers,
+            "outliers: {}",
+            context
+        );
+        prop_assert!(
+            bit_equal(engine.dataset().rows(), prefix.rows()),
+            "rows diverge: {}",
+            context
+        );
+    }
+}
+
+/// Every shape and ingest size over clustered data (ε = 2.5, η = 4) and
+/// over the integer grid (ε = 1, η = 3), without and with `Null` cells,
+/// for one norm.
+fn prefix_oracle_matrix(norm: Norm, n: usize, seed: u64, workers: usize) {
+    for shape in SHAPES {
+        let (m, _) = shape;
+        let mut clustered = ClusterSpec::new(n, m, 2, seed).generate();
+        ErrorInjector::new(n / 8, 1, seed ^ 0x9E37_79B9).inject(&mut clustered);
+        let grids = [false, true].map(|nulls| integer_grid(n, m, seed, nulls));
+        for batch in BATCH_SIZES {
+            let c = DistanceConstraints::new(2.5, 4);
+            prefix_oracle(clustered.rows(), shape, norm, c, batch, workers);
+            let c = DistanceConstraints::new(1.0, 3);
+            for grid in &grids {
+                prefix_oracle(grid, shape, norm, c, batch, workers);
+            }
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(12))]
+    #[test]
+    fn every_prefix_matches_batch_l1(n in 24usize..72, seed in 0u64..1_000_000, workers in 1usize..3) {
+        prefix_oracle_matrix(Norm::L1, n, seed, workers);
+    }
+
+    #[test]
+    fn every_prefix_matches_batch_l2(n in 24usize..72, seed in 0u64..1_000_000, workers in 1usize..3) {
+        prefix_oracle_matrix(Norm::L2, n, seed, workers);
+    }
+
+    #[test]
+    fn every_prefix_matches_batch_linf(n in 24usize..72, seed in 0u64..1_000_000, workers in 1usize..3) {
+        prefix_oracle_matrix(Norm::LInf, n, seed, workers);
+    }
 }

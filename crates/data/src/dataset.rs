@@ -199,6 +199,20 @@ impl Dataset {
     }
 }
 
+/// True when both row sets hold the same values bit for bit: numbers
+/// compare by their bit patterns (so `0.0` and `-0.0` differ), other
+/// cells by `==`.
+pub fn bit_equal(a: &[Vec<Value>], b: &[Vec<Value>]) -> bool {
+    a.len() == b.len()
+        && a.iter().zip(b).all(|(x, y)| {
+            x.len() == y.len()
+                && x.iter().zip(y).all(|(u, v)| match (u, v) {
+                    (Value::Num(p), Value::Num(q)) => p.to_bits() == q.to_bits(),
+                    _ => u == v,
+                })
+        })
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -277,5 +291,16 @@ mod tests {
         assert_ne!(a, c);
         // Oversampling clamps to n.
         assert_eq!(ds.sample_indices(1000, 1).len(), 100);
+    }
+
+    #[test]
+    fn bit_equal_compares_numbers_by_bit_pattern() {
+        let a = num_rows(&[[0.0, 1.0]]);
+        assert!(bit_equal(&a, &a.clone()));
+        assert!(!bit_equal(&a, &num_rows(&[[-0.0, 1.0]])));
+        assert!(!bit_equal(&a, &[]));
+        let null = vec![vec![Value::Null, Value::Num(1.0)]];
+        assert!(bit_equal(&null, &null.clone()));
+        assert!(!bit_equal(&a, &null));
     }
 }

@@ -177,8 +177,9 @@ declare_counters! {
     /// Rows placed in the dirty set (re-detected and, if outlying,
     /// re-saved) across all ingests.
     ENGINE_DIRTY_ROWS => "engine.dirty_rows",
-    /// Save attempts the engine re-ran on previously seen outliers
-    /// because the inlier set grew.
+    /// Save attempts the engine re-ran on previously seen outliers:
+    /// pending retries plus, when the inlier set grew, the outliers not
+    /// proven unchanged (every one where no stability check applies).
     ENGINE_RESAVES => "engine.resaves",
     /// Outliers promoted to inliers by later arrivals (their saved
     /// adjustment, if any, is reverted to the original values).

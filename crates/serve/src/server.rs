@@ -41,7 +41,7 @@
 //! lost.
 
 use std::collections::VecDeque;
-use std::io::{Read, Write};
+use std::io::{BufRead, BufReader, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -648,30 +648,31 @@ fn connection_loop(stream: TcpStream, shared: &Arc<Shared>, poll: Duration) {
     counters::SERVE_OPEN_CONNECTIONS.dec();
 }
 
-fn serve_connection(mut stream: TcpStream, shared: &Arc<Shared>, poll: Duration) {
-    // Timeouts keep reads from pinning a thread past shutdown; partial
-    // lines survive across timeouts in `buf`.
+fn serve_connection(stream: TcpStream, shared: &Arc<Shared>, poll: Duration) {
+    // Timeouts keep reads from pinning a thread past shutdown; a partial
+    // line survives across timeouts in `line`, since `read_until` keeps
+    // the bytes it read before an error.
     let _ = stream.set_read_timeout(Some(poll));
     let _ = stream.set_nodelay(true);
-    let mut buf: Vec<u8> = Vec::new();
-    let mut chunk = [0u8; 8192];
+    let mut reader = BufReader::new(stream);
+    let mut line: Vec<u8> = Vec::new();
     loop {
-        // Serve every complete line already buffered.
-        while let Some(pos) = buf.iter().position(|&b| b == b'\n') {
-            let line: Vec<u8> = buf.drain(..=pos).collect();
-            let line = String::from_utf8_lossy(&line[..line.len() - 1]);
-            let line = line.trim();
-            if line.is_empty() {
-                continue;
+        match reader.read_until(b'\n', &mut line) {
+            // EOF, between lines or inside one.
+            Ok(_) if line.last() != Some(&b'\n') => return,
+            Ok(_) => {
+                let text = String::from_utf8_lossy(&line[..line.len() - 1]);
+                let request = text.trim();
+                if !request.is_empty() {
+                    let response = handle_request(request, shared);
+                    let out = reader.get_mut();
+                    if out.write_all(response.as_bytes()).is_err() || out.write_all(b"\n").is_err()
+                    {
+                        return;
+                    }
+                }
+                line.clear();
             }
-            let response = handle_request(line, shared);
-            if stream.write_all(response.as_bytes()).is_err() || stream.write_all(b"\n").is_err() {
-                return;
-            }
-        }
-        match stream.read(&mut chunk) {
-            Ok(0) => return, // EOF
-            Ok(n) => buf.extend_from_slice(&chunk[..n]),
             Err(e)
                 if e.kind() == std::io::ErrorKind::WouldBlock
                     || e.kind() == std::io::ErrorKind::TimedOut =>
@@ -680,7 +681,6 @@ fn serve_connection(mut stream: TcpStream, shared: &Arc<Shared>, poll: Duration)
                     return;
                 }
             }
-            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
             Err(_) => return,
         }
     }

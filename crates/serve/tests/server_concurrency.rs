@@ -214,6 +214,59 @@ fn tcp_protocol_round_trip() {
     ));
 }
 
+/// Newline framing: a 1 MiB request written in 8 KiB pieces, with pauses
+/// longer than the poll interval inside it, is served whole, and
+/// pipelined lines plus a partial tail are answered in order.
+#[test]
+fn long_split_and_pipelined_lines_are_framed_in_order() {
+    let config = ServerConfig {
+        poll_interval: Duration::from_millis(2),
+        ..ServerConfig::default()
+    };
+    let handle = Server::start(memory_backend(), config).unwrap();
+    let mut stream = TcpStream::connect(handle.addr()).unwrap();
+    let mut reader = BufReader::new(stream.try_clone().unwrap());
+    let mut next = || {
+        let mut response = String::new();
+        reader.read_line(&mut response).unwrap();
+        json::parse(response.trim()).expect("response is valid JSON")
+    };
+    let pause = || std::thread::sleep(Duration::from_millis(10));
+
+    stream.write_all(br#"{"op":"rep"#).unwrap();
+    pause();
+    stream.write_all(br#"ort""#).unwrap();
+    let blanks = [b' '; 8192];
+    for i in 0..128 {
+        stream.write_all(&blanks).unwrap();
+        if i % 32 == 0 {
+            pause();
+        }
+    }
+    stream.write_all(b"}\n").unwrap();
+    let report = next();
+    assert_eq!(report.get("ok"), Some(&json::Json::Bool(true)));
+    assert_eq!(report.get("rows").unwrap().as_usize(), Some(0));
+
+    stream
+        .write_all(b"{\"op\":\"query\",\"row\":0}\n\n{\"op\":\"stats\"}\n{\"op\":\"rep")
+        .unwrap();
+    pause();
+    stream.write_all(b"ort\"}\n").unwrap();
+    let query = next();
+    assert_eq!(
+        query.get("error").unwrap().get("kind").unwrap().as_str(),
+        Some("invalid"),
+        "row 0 of an empty engine"
+    );
+    assert!(next().get("latency_micros").is_some(), "then stats");
+    assert!(next().get("rows").is_some(), "then the report");
+
+    stream.write_all(b"{\"op\":\"shutdown\"}\n").unwrap();
+    assert_eq!(next().get("ok"), Some(&json::Json::Bool(true)));
+    handle.wait();
+}
+
 #[test]
 fn overload_returns_typed_response_and_counts_rejections() {
     // Capacity 1 plus a writer throttle holds the first job queued long
