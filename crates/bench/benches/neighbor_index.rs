@@ -4,7 +4,7 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use disc_data::ClusterSpec;
 use disc_distance::TupleDistance;
-use disc_index::{BruteForceIndex, GridIndex, NeighborIndex, VpTree};
+use disc_index::{BruteForceIndex, Index, NeighborIndex};
 
 fn bench_index(c: &mut Criterion) {
     let ds = ClusterSpec::new(5000, 3, 4, 9).generate();
@@ -24,7 +24,7 @@ fn bench_index(c: &mut Criterion) {
         })
     });
     group.bench_function(BenchmarkId::new("grid", rows.len()), |b| {
-        let idx = GridIndex::new(rows, dist.clone(), eps);
+        let idx = Index::grid(rows, dist.clone(), eps).expect("generated data is finite");
         b.iter(|| {
             queries
                 .iter()
@@ -33,7 +33,7 @@ fn bench_index(c: &mut Criterion) {
         })
     });
     group.bench_function(BenchmarkId::new("vptree", rows.len()), |b| {
-        let idx = VpTree::new(rows, dist.clone());
+        let idx = Index::vp_tree(rows, dist.clone());
         b.iter(|| {
             queries
                 .iter()
@@ -55,7 +55,7 @@ fn bench_index(c: &mut Criterion) {
         })
     });
     group.bench_function("grid", |b| {
-        let idx = GridIndex::new(rows, dist.clone(), eps);
+        let idx = Index::grid(rows, dist.clone(), eps).expect("generated data is finite");
         b.iter(|| {
             queries
                 .iter()
@@ -64,7 +64,7 @@ fn bench_index(c: &mut Criterion) {
         })
     });
     group.bench_function("vptree", |b| {
-        let idx = VpTree::new(rows, dist.clone());
+        let idx = Index::vp_tree(rows, dist.clone());
         b.iter(|| {
             queries
                 .iter()

@@ -14,7 +14,7 @@ use disc_clustering::{ClusteringAlgorithm, Dbscan};
 use disc_core::SaverConfig;
 use disc_data::{ClusterSpec, ErrorInjector, SyntheticDataset};
 use disc_distance::TupleDistance;
-use disc_index::{BruteForceIndex, GridIndex, NeighborIndex, VpTree};
+use disc_index::{BruteForceIndex, Index, NeighborIndex};
 use disc_metrics::pairwise_f1;
 
 use crate::suite::auto_constraints;
@@ -129,7 +129,7 @@ fn index_sweep(seed: u64) -> String {
     run(
         "grid",
         &|| {
-            let idx = GridIndex::new(rows, dist.clone(), c.eps);
+            let idx = Index::grid(rows, dist.clone(), c.eps).expect("generated data is finite");
             rows.iter()
                 .filter(|r| !idx.satisfies(r, c.eps, c.eta))
                 .count()
@@ -139,7 +139,7 @@ fn index_sweep(seed: u64) -> String {
     run(
         "vp-tree",
         &|| {
-            let idx = VpTree::new(rows, dist.clone());
+            let idx = Index::vp_tree(rows, dist.clone());
             rows.iter()
                 .filter(|r| !idx.satisfies(r, c.eps, c.eta))
                 .count()

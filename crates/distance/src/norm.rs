@@ -74,7 +74,7 @@ impl Norm {
     /// Useful for norm-aware geometric bounds: a box whose per-coordinate
     /// extent is at most `s` has `L^p` diameter at most `m^{1/p}·s` over
     /// `m` coordinates, and `L^∞` diameter at most `s` (the `p → ∞`
-    /// limit). `GridIndex` uses this to size its k-NN exhaustion radius.
+    /// limit). The grid index uses this to size its k-NN exhaustion radius.
     #[inline]
     pub fn exponent(&self) -> Option<f64> {
         match *self {

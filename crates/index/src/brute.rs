@@ -1,9 +1,11 @@
-//! Linear-scan reference index.
+//! Linear-scan reference index, and the row scans every backend shares.
+
+use std::ops::Range;
 
 use disc_distance::{PackedMatrix, PackedScan, TupleDistance, Value};
 use disc_obs::counters;
 
-use crate::{sort_hits, NeighborIndex};
+use crate::{kth_bound, push_best, sort_hits, NeighborIndex};
 
 /// Exhaustive linear scan over the rows, with per-attribute early exit in
 /// the distance accumulation (`TupleDistance::dist_within`). Numeric-only
@@ -11,7 +13,7 @@ use crate::{sort_hits, NeighborIndex};
 /// the `Value` rows, with identical results.
 ///
 /// Correct for every metric; the reference backend the others are tested
-/// against, and the fastest choice for small `n`.
+/// against (with packing off, the pure `Value` path).
 pub struct BruteForceIndex<'a> {
     rows: &'a [Vec<Value>],
     dist: TupleDistance,
@@ -42,15 +44,11 @@ impl NeighborIndex for BruteForceIndex<'_> {
     }
 
     fn range(&self, query: &[Value], eps: f64) -> Vec<(u32, f64)> {
+        let n = self.rows.len() as u32;
         counters::BRUTE_RANGE_QUERIES.incr();
-        counters::BRUTE_ROWS_VISITED.add(self.rows.len() as u64);
-        let mut scan = self.scan(query);
+        counters::BRUTE_ROWS_VISITED.add(u64::from(n));
         let mut hits = Vec::new();
-        for i in 0..self.rows.len() {
-            if let Some(d) = scan.dist_within(i as u32, eps) {
-                hits.push((i as u32, d));
-            }
-        }
+        scan_range(&mut self.scan(query), 0..n, eps, &mut hits);
         hits
     }
 
@@ -87,33 +85,42 @@ impl NeighborIndex for BruteForceIndex<'_> {
         if k == 0 {
             return Vec::new();
         }
-        counters::BRUTE_ROWS_VISITED.add(self.rows.len() as u64);
-        let mut scan = self.scan(query);
-        // Bounded insertion into a sorted buffer; k is small (η ≤ a few
-        // dozen) in every caller, so this beats a heap in practice.
-        let mut best: Vec<(u32, f64)> = Vec::with_capacity(k + 1);
-        for i in 0..self.rows.len() {
-            let worst = if best.len() == k {
-                best[k - 1].1
-            } else {
-                f64::INFINITY
-            };
-            if let Some(d) = scan.dist_within(i as u32, worst) {
-                let pos = best
-                    .binary_search_by(|p| {
-                        p.1.partial_cmp(&d)
-                            .unwrap_or(std::cmp::Ordering::Equal)
-                            .then(p.0.cmp(&(i as u32)))
-                    })
-                    .unwrap_or_else(|e| e);
-                best.insert(pos, (i as u32, d));
-                if best.len() > k {
-                    best.pop();
-                }
-            }
-        }
+        let n = self.rows.len() as u32;
+        counters::BRUTE_ROWS_VISITED.add(u64::from(n));
+        let mut best = Vec::with_capacity(k + 1);
+        scan_knn(&mut self.scan(query), 0..n, k, &mut best);
         sort_hits(&mut best);
         best
+    }
+}
+
+/// Appends every row of `ids` within `eps` of the scan's query to `hits`.
+pub(crate) fn scan_range(
+    scan: &mut PackedScan<'_>,
+    ids: Range<u32>,
+    eps: f64,
+    hits: &mut Vec<(u32, f64)>,
+) {
+    for id in ids {
+        if let Some(d) = scan.dist_within(id, eps) {
+            hits.push((id, d));
+        }
+    }
+}
+
+/// Merges the rows of `ids` into the k-best list `best` (see
+/// [`push_best`]), using the incumbent k-th distance as the early-exit
+/// threshold.
+pub(crate) fn scan_knn(
+    scan: &mut PackedScan<'_>,
+    ids: Range<u32>,
+    k: usize,
+    best: &mut Vec<(u32, f64)>,
+) {
+    for id in ids {
+        if let Some(d) = scan.dist_within(id, kth_bound(best, k)) {
+            push_best(best, k, id, d);
+        }
     }
 }
 

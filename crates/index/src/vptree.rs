@@ -1,13 +1,13 @@
-//! Vantage-point tree: metric-space index for arbitrary tuple metrics.
+//! Vantage-point tree: the metric-space backend of [`Index`](crate::Index)
+//! for arbitrary tuple metrics.
 //!
 //! Works for text attributes under (weighted) edit distance, where the grid
-//! index does not apply, using only the triangle inequality for pruning —
-//! the same property the DISC bounds rely on.
+//! does not apply, using only the triangle inequality for pruning — the
+//! same property the DISC bounds rely on.
 
-use disc_distance::{PackedMatrix, PackedScan, TupleDistance, Value};
-use disc_obs::counters;
+use disc_distance::{PackedScan, TupleDistance, Value};
 
-use crate::{sort_hits, NeighborIndex};
+use crate::{kth_bound, push_best};
 
 struct Node {
     /// Row id of the vantage point.
@@ -21,10 +21,11 @@ struct Node {
 }
 
 /// The owned node structure of a vantage-point tree, decoupled from the row
-/// storage so owners of the rows (e.g. the dynamic index) can keep a tree
-/// alongside the data it indexes. Queries take the row slice the stored ids
-/// refer to; callers must pass the same rows the tree was built over (a
-/// longer slice is fine — extra rows are simply not part of the tree).
+/// storage so the owner of the rows (an [`Index`](crate::Index)) keeps the
+/// tree alongside the data it indexes. Queries take the row slice the
+/// stored ids refer to; callers must pass the same rows the tree was built
+/// over (a longer slice is fine — extra rows are simply not part of the
+/// tree).
 pub struct VpNodes {
     root: Option<Box<Node>>,
     len: usize,
@@ -165,23 +166,8 @@ fn knn_rec(
 ) {
     *visited += 1;
     let d = scan.dist(node.vantage);
-    let tau = if best.len() == k {
-        best[k - 1].1
-    } else {
-        f64::INFINITY
-    };
-    if d <= tau {
-        let pos = best
-            .binary_search_by(|p| {
-                p.1.partial_cmp(&d)
-                    .unwrap_or(std::cmp::Ordering::Equal)
-                    .then(p.0.cmp(&node.vantage))
-            })
-            .unwrap_or_else(|e| e);
-        best.insert(pos, (node.vantage, d));
-        if best.len() > k {
-            best.pop();
-        }
+    if d <= kth_bound(best, k) {
+        push_best(best, k, node.vantage, d);
     }
     // Visit the nearer side first for better pruning.
     let first_inside = d <= node.radius;
@@ -192,11 +178,7 @@ fn knn_rec(
             &node.outside
         };
         if let Some(child) = child {
-            let tau = if best.len() == k {
-                best[k - 1].1
-            } else {
-                f64::INFINITY
-            };
+            let tau = kth_bound(best, k);
             let reachable = if go_inside {
                 d - node.radius <= tau
             } else {
@@ -209,65 +191,10 @@ fn knn_rec(
     }
 }
 
-/// A vantage-point tree over a fixed row set.
-pub struct VpTree<'a> {
-    rows: &'a [Vec<Value>],
-    dist: TupleDistance,
-    nodes: VpNodes,
-    packed: Option<PackedMatrix>,
-}
-
-impl<'a> VpTree<'a> {
-    /// Builds the tree; see [`VpNodes::build`] for cost and determinism.
-    /// Construction stays on the `Value` path; queries use the packed
-    /// layout for pivot distances when the metric admits it.
-    pub fn new(rows: &'a [Vec<Value>], dist: TupleDistance) -> Self {
-        let nodes = VpNodes::build(rows, &dist);
-        let packed = PackedMatrix::build(rows, &dist);
-        VpTree {
-            rows,
-            dist,
-            nodes,
-            packed,
-        }
-    }
-
-    fn scan<'q>(&'q self, query: &'q [Value]) -> PackedScan<'q> {
-        PackedScan::new(self.packed.as_ref(), self.rows, &self.dist, query)
-    }
-}
-
-impl NeighborIndex for VpTree<'_> {
-    fn len(&self) -> usize {
-        self.rows.len()
-    }
-
-    fn range(&self, query: &[Value], eps: f64) -> Vec<(u32, f64)> {
-        counters::VPTREE_RANGE_QUERIES.incr();
-        let mut out = Vec::new();
-        let mut visited = 0u64;
-        self.nodes
-            .range_into(&mut self.scan(query), eps, &mut out, &mut visited);
-        counters::VPTREE_ROWS_VISITED.add(visited);
-        out
-    }
-
-    fn knn(&self, query: &[Value], k: usize) -> Vec<(u32, f64)> {
-        counters::VPTREE_KNN_QUERIES.incr();
-        let mut best = Vec::with_capacity(k + 1);
-        let mut visited = 0u64;
-        self.nodes
-            .knn_into(&mut self.scan(query), k, &mut best, &mut visited);
-        counters::VPTREE_ROWS_VISITED.add(visited);
-        sort_hits(&mut best);
-        best
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::brute::BruteForceIndex;
+    use crate::{sort_hits, BruteForceIndex, Index, NeighborIndex};
 
     fn rows_2d(n: usize) -> Vec<Vec<Value>> {
         // Deterministic scatter via a small LCG.
@@ -291,7 +218,7 @@ mod tests {
     fn range_matches_brute_force() {
         let data = rows_2d(300);
         let dist = TupleDistance::numeric(2);
-        let tree = VpTree::new(&data, dist.clone());
+        let tree = Index::vp_tree(&data, dist.clone());
         let brute = BruteForceIndex::new(&data, dist);
         for eps in [0.5, 2.0, 8.0] {
             let query = vec![Value::Num(5.0), Value::Num(5.0)];
@@ -307,7 +234,7 @@ mod tests {
     fn knn_matches_brute_force() {
         let data = rows_2d(200);
         let dist = TupleDistance::numeric(2);
-        let tree = VpTree::new(&data, dist.clone());
+        let tree = Index::vp_tree(&data, dist.clone());
         let brute = BruteForceIndex::new(&data, dist);
         for k in [1, 7, 25] {
             let query = vec![Value::Num(3.3), Value::Num(7.7)];
@@ -327,7 +254,7 @@ mod tests {
             .map(|s| vec![Value::Text(s.to_string())])
             .collect();
         let dist = TupleDistance::textual(1);
-        let tree = VpTree::new(&data, dist.clone());
+        let tree = Index::vp_tree(&data, dist.clone());
         let brute = BruteForceIndex::new(&data, dist);
         let query = vec![Value::Text("cot".into())];
         let mut a = tree.range(&query, 1.0);
@@ -342,13 +269,13 @@ mod tests {
     #[test]
     fn empty_and_singleton() {
         let empty: Vec<Vec<Value>> = Vec::new();
-        let t = VpTree::new(&empty, TupleDistance::numeric(1));
+        let t = Index::vp_tree(&empty, TupleDistance::numeric(1));
         assert!(t.is_empty());
         assert!(t.range(&[Value::Num(0.0)], 10.0).is_empty());
         assert!(t.knn(&[Value::Num(0.0)], 3).is_empty());
 
         let one = vec![vec![Value::Num(1.0)]];
-        let t = VpTree::new(&one, TupleDistance::numeric(1));
+        let t = Index::vp_tree(&one, TupleDistance::numeric(1));
         assert_eq!(t.knn(&[Value::Num(0.0)], 3), vec![(0, 1.0)]);
     }
 
@@ -360,7 +287,7 @@ mod tests {
             vec![Value::Num(1.0)],
             vec![Value::Num(5.0)],
         ];
-        let t = VpTree::new(&data, TupleDistance::numeric(1));
+        let t = Index::vp_tree(&data, TupleDistance::numeric(1));
         let hits = t.range(&[Value::Num(1.0)], 0.0);
         assert_eq!(hits.len(), 3);
         let nn = t.knn(&[Value::Num(1.0)], 4);

@@ -11,9 +11,7 @@
 //! public contract).
 
 use disc_distance::{Metric, Norm, TupleDistance, Value};
-use disc_index::{
-    BruteForceIndex, DynamicIndex, DynamicNeighborIndex, GridIndex, NeighborIndex, VpTree,
-};
+use disc_index::{BruteForceIndex, DynamicIndex, DynamicNeighborIndex, Index, NeighborIndex};
 use proptest::prelude::*;
 
 const NORMS: [Norm; 4] = [Norm::L1, Norm::L2, Norm::LInf, Norm::Lp(3.0)];
@@ -106,9 +104,9 @@ fn for_each_backend(
     for (mode, dist) in [("packed", &on), ("value", &off)] {
         let brute = BruteForceIndex::new(rows, dist.clone());
         check(&format!("brute/{mode}"), &brute);
-        let grid = GridIndex::new(rows, dist.clone(), cell);
+        let grid = Index::grid(rows, dist.clone(), cell).unwrap();
         check(&format!("grid/{mode}"), &grid);
-        let tree = VpTree::new(rows, dist.clone());
+        let tree = Index::vp_tree(rows, dist.clone());
         check(&format!("vptree/{mode}"), &tree);
         let dynamic = dynamic_via_ingest_splits(rows, dist, cell, seed);
         check(&format!("dynamic/{mode}"), &dynamic);
@@ -202,8 +200,8 @@ proptest! {
             let want = sort_by_id(oracle.range(&query, eps));
             let brute = BruteForceIndex::new(&rows, on.clone());
             assert_hits_match(norm, &sort_by_id(brute.range(&query, eps)), &want, "brute/packed");
-            let tree_on = VpTree::new(&rows, on.clone());
-            let tree_off = VpTree::new(&rows, off.clone());
+            let tree_on = Index::vp_tree(&rows, on.clone());
+            let tree_off = Index::vp_tree(&rows, off.clone());
             assert_hits_match(norm, &sort_by_id(tree_on.range(&query, eps)), &sort_by_id(tree_off.range(&query, eps)), "vptree/packed-vs-value");
             let dyn_on = dynamic_via_ingest_splits(&rows, &on, 1.0, seed);
             let dyn_off = dynamic_via_ingest_splits(&rows, &off, 1.0, seed);
@@ -278,6 +276,69 @@ fn dynamic_vp_backend_differential() {
                 &oracle.knn(&query, k),
                 "dynamic-vp-knn",
             );
+        }
+    }
+}
+
+/// Finite coordinates so far out that their grid cell index would push
+/// the key arithmetic (key spans, query offsets, the radius in cells)
+/// past `i64` get no grid cell: `Index::grid` refuses them, `Index::auto`
+/// picks the VP tree, and a grown index migrates to it — all agreeing
+/// with the oracle, as does a grid over the other rows asked about a
+/// query farther out still.
+#[test]
+fn far_out_coordinates_have_no_grid_cell() {
+    let mut rows: Vec<Vec<Value>> = (0..600)
+        .map(|i| {
+            vec![
+                Value::Num(0.1 * (i % 30) as f64),
+                Value::Num(0.1 * (i / 30) as f64),
+            ]
+        })
+        .collect();
+    rows.push(vec![Value::Num(3e18), Value::Num(0.0)]);
+    rows.push(vec![Value::Num(-3e18), Value::Num(0.0)]);
+    let query = vec![Value::Num(-9e18), Value::Num(0.0)];
+    for norm in NORMS {
+        let dist = with_norm(2, norm);
+        let err = Index::grid(&rows, dist.clone(), 0.5).err();
+        assert_eq!(err.map(|e| (e.row, e.attr)), Some((600, 0)), "{norm:?}");
+
+        let auto = Index::auto(&rows, dist.clone(), 0.5);
+        assert_eq!(auto.backend_name(), "vp", "{norm:?}");
+        let mut grown = DynamicIndex::new(dist.clone(), 0.5);
+        for (i, row) in rows.iter().enumerate() {
+            if i == 600 {
+                assert_eq!(grown.backend_name(), "grid", "{norm:?}");
+            }
+            grown.insert(row.clone());
+        }
+        assert_eq!(grown.backend_name(), "vp", "{norm:?}");
+
+        let near = Index::grid(&rows[..600], dist.clone(), 0.5).unwrap();
+
+        let oracle = BruteForceIndex::new(&rows, dist.clone().with_packed(false));
+        let near_oracle = BruteForceIndex::new(&rows[..600], dist.with_packed(false));
+        if norm == Norm::L2 {
+            assert_eq!(
+                oracle.knn(&query, 3),
+                vec![(601, 6e18), (0, 9e18), (1, 9e18)]
+            );
+        }
+        for (label, idx, oracle) in [
+            ("auto", &auto as &dyn NeighborIndex, &oracle),
+            ("grown", &grown, &oracle),
+            ("grid", &near, &near_oracle),
+        ] {
+            for q in [&query, &vec![Value::Num(1.237), Value::Num(0.871)]] {
+                for eps in [0.5, 6e18, 1e19] {
+                    let want = sort_by_id(oracle.range(q, eps));
+                    assert_hits_match(norm, &sort_by_id(idx.range(q, eps)), &want, label);
+                }
+                for k in [1, 3, 40] {
+                    assert_hits_match(norm, &idx.knn(q, k), &oracle.knn(q, k), label);
+                }
+            }
         }
     }
 }

@@ -2,7 +2,7 @@
 //! reference on range, count, satisfies, knn and kth-distance queries.
 
 use disc_distance::{Metric, Norm, TupleDistance, Value};
-use disc_index::{BruteForceIndex, GridIndex, NeighborIndex, SortedColumn, VpTree};
+use disc_index::{BruteForceIndex, Index, NeighborIndex, SortedColumn};
 use proptest::prelude::*;
 
 fn to_rows(points: Vec<Vec<f64>>) -> Vec<Vec<Value>> {
@@ -32,8 +32,8 @@ proptest! {
         let query: Vec<Value> = q.into_iter().map(Value::Num).collect();
         let dist = TupleDistance::numeric(3);
         let brute = BruteForceIndex::new(&rows, dist.clone());
-        let grid = GridIndex::new(&rows, dist.clone(), cell);
-        let tree = VpTree::new(&rows, dist);
+        let grid = Index::grid(&rows, dist.clone(), cell).unwrap();
+        let tree = Index::vp_tree(&rows, dist);
         let canon = |mut v: Vec<(u32, f64)>| {
             v.sort_by_key(|a| a.0);
             v.into_iter().map(|(i, d)| (i, (d * 1e9).round())).collect::<Vec<_>>()
@@ -54,8 +54,8 @@ proptest! {
         let query: Vec<Value> = q.into_iter().map(Value::Num).collect();
         let dist = TupleDistance::numeric(2);
         let brute = BruteForceIndex::new(&rows, dist.clone());
-        let grid = GridIndex::new(&rows, dist.clone(), 1.0);
-        let tree = VpTree::new(&rows, dist);
+        let grid = Index::grid(&rows, dist.clone(), 1.0).unwrap();
+        let tree = Index::vp_tree(&rows, dist);
         let want: Vec<f64> = brute.knn(&query, k).into_iter().map(|(_, d)| d).collect();
         let got_grid: Vec<f64> = grid.knn(&query, k).into_iter().map(|(_, d)| d).collect();
         let got_tree: Vec<f64> = tree.knn(&query, k).into_iter().map(|(_, d)| d).collect();
@@ -89,7 +89,7 @@ proptest! {
         let query: Vec<Value> = q.into_iter().map(Value::Num).collect();
         let dist = TupleDistance::numeric(2);
         let brute = BruteForceIndex::new(&rows, dist.clone());
-        let tree = VpTree::new(&rows, dist);
+        let tree = Index::vp_tree(&rows, dist);
         let want = brute.count_within(&query, eps) >= eta;
         prop_assert_eq!(brute.satisfies(&query, eps, eta), want);
         prop_assert_eq!(tree.satisfies(&query, eps, eta), want);
@@ -111,7 +111,7 @@ proptest! {
         let query: Vec<Value> = q.into_iter().map(Value::Num).collect();
         let dist = TupleDistance::new(vec![Metric::Absolute; 3], NORMS[norm_idx]);
         let brute = BruteForceIndex::new(&rows, dist.clone());
-        let grid = GridIndex::new(&rows, dist, cell);
+        let grid = Index::grid(&rows, dist, cell).unwrap();
         let canon = |mut v: Vec<(u32, f64)>| {
             v.sort_by_key(|a| a.0);
             v.into_iter().map(|(i, d)| (i, (d * 1e9).round())).collect::<Vec<_>>()
@@ -139,7 +139,7 @@ proptest! {
         let query: Vec<Value> = q.into_iter().map(Value::Num).collect();
         let dist = TupleDistance::new(vec![Metric::Absolute; 3], NORMS[norm_idx]);
         let brute = BruteForceIndex::new(&rows, dist.clone());
-        let grid = GridIndex::new(&rows, dist, cell);
+        let grid = Index::grid(&rows, dist, cell).unwrap();
         let want: Vec<f64> = brute.knn(&query, k).into_iter().map(|(_, d)| d).collect();
         let got: Vec<f64> = grid.knn(&query, k).into_iter().map(|(_, d)| d).collect();
         prop_assert_eq!(want.len(), got.len(), "grid dropped neighbors");

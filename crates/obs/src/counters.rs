@@ -115,27 +115,30 @@ macro_rules! declare_counters {
 }
 
 declare_counters! {
-    /// `GridIndex::range` / `count_within` / `satisfies` calls.
+    /// Range-shaped calls (`range` / `count_within` / `satisfies`) on a
+    /// grid-backed `Index`.
     GRID_RANGE_QUERIES => "index.grid.range_queries",
-    /// `GridIndex::knn` / `kth_distance` calls (internal expanding-radius
-    /// probes additionally count as range queries).
+    /// `knn` / `kth_distance` calls on a grid-backed `Index` (internal
+    /// expanding-radius probes additionally count as range queries).
     GRID_KNN_QUERIES => "index.grid.knn_queries",
     /// Candidate rows visited by grid cell enumeration (before the
     /// distance filter).
     GRID_ROWS_VISITED => "index.grid.rows_visited",
-    /// `BruteForceIndex` range-shaped calls (`range`, `count_within`,
-    /// `satisfies`).
+    /// Range-shaped calls (`range`, `count_within`, `satisfies`) on a
+    /// `BruteForceIndex` or a brute-backed `Index`.
     BRUTE_RANGE_QUERIES => "index.brute.range_queries",
-    /// `BruteForceIndex::knn` / `kth_distance` calls.
+    /// `knn` / `kth_distance` calls on a `BruteForceIndex` or a
+    /// brute-backed `Index`.
     BRUTE_KNN_QUERIES => "index.brute.knn_queries",
-    /// Rows scanned by `BruteForceIndex` (early-exit scans count only the
-    /// rows actually touched).
+    /// Rows scanned by brute scans (early-exit scans count only the rows
+    /// actually touched).
     BRUTE_ROWS_VISITED => "index.brute.rows_visited",
-    /// `VpTree` range-shaped calls.
+    /// Range-shaped calls on a VP-tree-backed `Index`.
     VPTREE_RANGE_QUERIES => "index.vptree.range_queries",
-    /// `VpTree::knn` / `kth_distance` calls.
+    /// `knn` / `kth_distance` calls on a VP-tree-backed `Index`.
     VPTREE_KNN_QUERIES => "index.vptree.knn_queries",
-    /// Tree nodes visited by `VpTree` searches (each node holds one row).
+    /// Tree nodes visited by VP-tree searches (each node holds one row),
+    /// plus the rows scanned in the tail appended since the last rebuild.
     VPTREE_ROWS_VISITED => "index.vptree.rows_visited",
     /// `SortedColumn::ball` / `ball_size` calls (κ-restricted candidate
     /// seeding).

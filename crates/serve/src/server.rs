@@ -71,37 +71,32 @@ pub enum EngineBackend {
 }
 
 impl EngineBackend {
-    fn ingest(&mut self, rows: Vec<Vec<Value>>) -> Result<SaveReport, IngestError> {
+    fn engine(&self) -> &DiscEngine {
         match self {
-            EngineBackend::Memory(engine) => engine.ingest(rows).map_err(|e| IngestError {
+            EngineBackend::Memory(engine) => engine,
+            EngineBackend::Durable(store) => store.engine(),
+        }
+    }
+
+    /// Applies `rows`: an engine refusal is `rejected` with the engine's
+    /// own message, any other (storage) failure is `io`.
+    fn ingest(&mut self, rows: Vec<Vec<Value>>) -> Result<SaveReport, IngestError> {
+        let result = match self {
+            EngineBackend::Memory(engine) => {
+                engine.ingest(rows).map_err(disc_persist::Error::Engine)
+            }
+            EngineBackend::Durable(store) => store.ingest(rows),
+        };
+        result.map_err(|e| match e {
+            disc_persist::Error::Engine(e) => IngestError {
                 kind: KIND_REJECTED,
                 message: e.to_string(),
-            }),
-            EngineBackend::Durable(store) => store.ingest(rows).map_err(|e| match e {
-                disc_persist::Error::Engine(e) => IngestError {
-                    kind: KIND_REJECTED,
-                    message: e.to_string(),
-                },
-                other => IngestError {
-                    kind: KIND_IO,
-                    message: other.to_string(),
-                },
-            }),
-        }
-    }
-
-    fn export_state(&self) -> EngineState {
-        match self {
-            EngineBackend::Memory(engine) => engine.export_state(),
-            EngineBackend::Durable(store) => store.engine().export_state(),
-        }
-    }
-
-    fn generation(&self) -> u64 {
-        match self {
-            EngineBackend::Memory(engine) => engine.generation(),
-            EngineBackend::Durable(store) => store.generation(),
-        }
+            },
+            other => IngestError {
+                kind: KIND_IO,
+                message: other.to_string(),
+            },
+        })
     }
 
     /// Final flush: checkpoint + lock release for a durable backend.
@@ -347,7 +342,7 @@ impl Server {
         let shared = Arc::new(Shared {
             queue: Mutex::new(Queue::default()),
             not_empty: Condvar::new(),
-            snapshot: Mutex::new(Arc::new(backend.export_state())),
+            snapshot: Mutex::new(Arc::new(backend.engine().export_state())),
             latency: Mutex::new(Latency::default()),
             shutdown: AtomicBool::new(false),
             max_queue: config.max_queue.max(1),
@@ -587,17 +582,17 @@ fn writer_loop(
         // record) so reports stay bit-equal to serial execution.
         for job in jobs {
             let outcome = backend.ingest(job.rows).map(|report| Acked {
-                generation: backend.generation(),
+                generation: backend.engine().generation(),
                 report,
             });
             // A dropped receiver (client hung up mid-wait) is fine: the
             // batch is applied and durable regardless.
             let _ = job.reply.send(outcome);
         }
-        shared.publish(backend.export_state());
+        shared.publish(backend.engine().export_state());
     }
-    let state = backend.export_state();
-    let generation = backend.generation();
+    let state = backend.engine().export_state();
+    let generation = backend.engine().generation();
     shared.publish(state.clone());
     let close_error = backend.close();
     ShutdownReport {
@@ -628,11 +623,13 @@ fn accept_loop(
                 let handle = thread::Builder::new()
                     .name("disc-serve-conn".to_string())
                     .spawn(move || connection_loop(stream, &shared, poll));
+                let mut conns = connections.lock().unwrap_or_else(|e| e.into_inner());
+                // A finished thread keeps its stack mapped until joined.
+                for done in conns.extract_if(.., |h| h.is_finished()) {
+                    let _ = done.join();
+                }
                 if let Ok(handle) = handle {
-                    connections
-                        .lock()
-                        .unwrap_or_else(|e| e.into_inner())
-                        .push(handle);
+                    conns.push(handle);
                 }
             }
             Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => thread::sleep(poll),
@@ -904,4 +901,39 @@ fn stats_response(shared: &Shared) -> String {
         .raw("latency_micros", &lat.finish())
         .raw("process", &global_json(&[("source", "disc-serve")]));
     o.finish()
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use disc_core::{DistanceConstraints, SaverConfig};
+    use disc_data::Schema;
+    use disc_distance::TupleDistance;
+
+    #[test]
+    fn finished_connection_threads_are_joined() {
+        let saver = SaverConfig::new(DistanceConstraints::new(0.5, 4), TupleDistance::numeric(2))
+            .build_approx()
+            .unwrap();
+        let engine = DiscEngine::new(Schema::numeric(2), Box::new(saver));
+        let config = ServerConfig {
+            poll_interval: Duration::from_millis(1),
+            ..ServerConfig::default()
+        };
+        let handle = Server::start(EngineBackend::Memory(engine), config).unwrap();
+        for _ in 0..300 {
+            let mut stream = TcpStream::connect(handle.addr()).unwrap();
+            stream.write_all(b"{\"op\":\"report\"}\n").unwrap();
+            let mut reply = String::new();
+            BufReader::new(&stream).read_line(&mut reply).unwrap();
+            assert!(reply.contains("\"ok\":true"), "{reply}");
+        }
+        let held = handle.connections.lock().unwrap().len();
+        assert!(
+            held <= 8,
+            "{held} connection handles held after 300 closed connections"
+        );
+        handle.request_shutdown();
+        handle.wait();
+    }
 }

@@ -174,6 +174,24 @@ fn tcp_protocol_round_trip() {
     assert_eq!(report.get("ok"), Some(&json::Json::Bool(true)));
     assert_eq!(report.get("rows").unwrap().as_usize(), Some(37));
 
+    // A wrong-arity batch is refused with the engine's bare message (the
+    // durable backend answers the same), and applies nothing.
+    let refused = send(
+        &mut stream,
+        &mut reader,
+        r#"{"op":"ingest","rows":[[1,2,3]]}"#,
+    );
+    assert_eq!(refused.get("ok"), Some(&json::Json::Bool(false)));
+    let error = refused.get("error").unwrap();
+    assert_eq!(error.get("kind").unwrap().as_str(), Some("rejected"));
+    assert_eq!(
+        error.get("message").unwrap().as_str(),
+        Some("arity mismatch: batch row 0 has 3 attributes, schema expects 2")
+    );
+    let report = send(&mut stream, &mut reader, r#"{"op":"report"}"#);
+    assert_eq!(report.get("generation").unwrap().as_usize(), Some(1));
+    assert_eq!(report.get("rows").unwrap().as_usize(), Some(37));
+
     // The far row (index 36) was saved or flagged; query both ends.
     let q0 = send(&mut stream, &mut reader, r#"{"op":"query","row":0}"#);
     assert_eq!(q0.get("inlier"), Some(&json::Json::Bool(true)));

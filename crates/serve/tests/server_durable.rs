@@ -81,6 +81,21 @@ fn durable_serving_recovers_bit_equal_and_locks_out_rivals() {
         }
     });
 
+    // A wrong-arity batch is refused with the engine's bare message (the
+    // in-memory backend answers the same), and applies nothing.
+    let refused = handle
+        .ingest(vec![vec![
+            Value::Num(1.0),
+            Value::Num(2.0),
+            Value::Num(3.0),
+        ]])
+        .unwrap_err();
+    assert_eq!(refused.kind, "rejected");
+    assert_eq!(
+        refused.message,
+        "arity mismatch: batch row 0 has 3 attributes, schema expects 2"
+    );
+
     handle.request_shutdown();
     let shutdown = handle.wait();
     assert!(shutdown.close_error.is_none(), "{:?}", shutdown.close_error);

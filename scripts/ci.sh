@@ -107,6 +107,22 @@ done
 LOAD=$(target/release/serve_load --addr "$ADDR" --clients 6 --batches 10 --rows 4 --seed 11)
 echo "    $LOAD"
 ACKED_ROWS=$(printf '%s\n' "$LOAD" | sed -n 's/.*acked_rows=\([0-9]*\).*/\1/p')
+# Connection churn: 500 short connections must not leave the server
+# holding a thread (and its stack mapping) each. The loop uses only
+# shell builtins, so it spawns no process per connection.
+MAPS_BEFORE=$(wc -l <"/proc/$SERVE_PID/maps")
+for _ in $(seq 1 500); do
+    exec 3<>"/dev/tcp/${ADDR%:*}/${ADDR##*:}"
+    printf '{"op":"stats"}\n' >&3
+    read -r STATS_LINE <&3
+    exec 3<&-
+done
+MAPS_AFTER=$(wc -l <"/proc/$SERVE_PID/maps")
+if [ $((MAPS_AFTER - MAPS_BEFORE)) -ge 100 ]; then
+    echo "error: 500 closed connections grew the server's memory maps from $MAPS_BEFORE to $MAPS_AFTER" >&2
+    exit 1
+fi
+echo "    500 short connections: memory maps $MAPS_BEFORE -> $MAPS_AFTER"
 kill -TERM "$SERVE_PID"
 wait "$SERVE_PID" || { echo "error: disc serve exited non-zero after SIGTERM" >&2; exit 1; }
 RECOVERED=$(target/release/disc recover --wal "$SMOKE_DIR/store" \

@@ -83,7 +83,7 @@ pub mod prelude {
     };
     pub use disc_data::{Dataset, NonFinitePolicy, Schema};
     pub use disc_distance::{AttrSet, Metric, Norm, TupleDistance, Value};
-    pub use disc_index::{BruteForceIndex, GridIndex, NeighborIndex, VpTree};
+    pub use disc_index::{BruteForceIndex, Index, NeighborIndex};
     pub use disc_metrics::{adjusted_rand_index, normalized_mutual_information, pairwise_f1};
     pub use disc_ml::{DecisionTree, RecordMatcher};
 }

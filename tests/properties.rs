@@ -146,8 +146,8 @@ proptest! {
         let query: Vec<Value> = q.into_iter().map(Value::Num).collect();
         let dist = TupleDistance::numeric(2);
         let brute = BruteForceIndex::new(&rows, dist.clone());
-        let grid = GridIndex::new(&rows, dist.clone(), 1.0);
-        let tree = VpTree::new(&rows, dist);
+        let grid = Index::grid(&rows, dist.clone(), 1.0).unwrap();
+        let tree = Index::vp_tree(&rows, dist);
         let want = brute.count_within(&query, eps);
         prop_assert_eq!(grid.count_within(&query, eps), want);
         prop_assert_eq!(tree.count_within(&query, eps), want);
