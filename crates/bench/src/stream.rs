@@ -41,27 +41,46 @@ pub fn ingest_saver(m: usize) -> SaverConfig {
     SaverConfig::new(DistanceConstraints::new(2.5, 5), TupleDistance::numeric(m)).kappa(2)
 }
 
+/// The work [`check_search_work`] measured.
+#[derive(Debug, Clone, Copy)]
+pub struct SearchWork {
+    /// `search.candidates` of the stream.
+    pub streamed: u64,
+    /// `search.candidates` of the batch run.
+    pub batch: u64,
+    /// `engine.delta_eta_evals` of the stream.
+    pub delta_eta_evals: u64,
+    /// Σ over ingests of old inliers × new inliers: the distances an
+    /// all-pairs `δ_η` upkeep would evaluate.
+    pub delta_eta_pairs: u64,
+}
+
 /// Streams `ds` through a fresh engine in `batch`-row ingests and checks
 /// the engine's search work against one batch `save_all` over the same
 /// rows. Panics unless the two results are bit-equal, the stream
 /// evaluated at most `max_ratio` times the batch run's
-/// `search.candidates`, and `engine.resaves ≤ engine.dirty_rows`.
-/// Returns the `search.candidates` of the stream and of the batch run.
+/// `search.candidates`, `engine.resaves ≤ engine.dirty_rows`, and the
+/// `δ_η` upkeep evaluated at most a tenth of the old-inlier × new-inlier
+/// pairs (each ingest's inlier count is read before and after it).
 ///
 /// The counters are process-global, so the caller must not run other
 /// saves concurrently (the `stream_search_work` test binary holds a
 /// single test for that reason).
-pub fn check_search_work(ds: &Dataset, batch: usize, max_ratio: u64) -> (u64, u64) {
+pub fn check_search_work(ds: &Dataset, batch: usize, max_ratio: u64) -> SearchWork {
     let config = ingest_saver(ds.arity());
     let before = Snapshot::take();
     let mut engine = DiscEngine::new(
         ds.schema().clone(),
         Box::new(config.clone().build_approx().unwrap()),
     );
+    let inliers = |engine: &DiscEngine| (engine.len() - engine.outliers().len()) as u64;
+    let mut pairs = 0;
     for chunk in ds.rows().chunks(batch) {
+        let old = inliers(&engine);
         engine
             .ingest(chunk.to_vec())
             .expect("finite synthetic data");
+        pairs += old * (inliers(&engine) - old);
     }
     let streamed = Snapshot::take().delta_since(&before);
     let mut batch_ds = ds.clone();
@@ -80,6 +99,11 @@ pub fn check_search_work(ds: &Dataset, batch: usize, max_ratio: u64) -> (u64, u6
         resaves <= dirty,
         "engine.resaves {resaves} > engine.dirty_rows {dirty}"
     );
+    let evals = streamed.get("engine.delta_eta_evals");
+    assert!(
+        10 * evals <= pairs,
+        "δ_η upkeep evaluated {evals} distances, more than a tenth of the {pairs} old × new inlier pairs"
+    );
     let (streamed, batched) = (
         streamed.get("search.candidates"),
         batch_run.get("search.candidates"),
@@ -88,7 +112,12 @@ pub fn check_search_work(ds: &Dataset, batch: usize, max_ratio: u64) -> (u64, u6
         streamed <= max_ratio * batched,
         "{batch}-row ingests evaluated {streamed} candidates, more than {max_ratio}x the batch run's {batched}"
     );
-    (streamed, batched)
+    SearchWork {
+        streamed,
+        batch: batched,
+        delta_eta_evals: evals,
+        delta_eta_pairs: pairs,
+    }
 }
 
 /// Runs the comparison on `n` rows split into `batches` micro-batches;

@@ -25,10 +25,11 @@ pub struct NeighborCache {
     /// the quantity detection compares against η.
     counts: Vec<usize>,
     /// For inlier rows, the ascending distances to the row's η nearest
-    /// *inliers* (self-inclusive, so the first entry is 0); `None` for
+    /// *inliers* (self-inclusive, so the first entry is 0); none for
     /// rows currently classified outliers. A list shorter than η means
-    /// fewer than η inliers exist and `δ_η` is unbounded.
-    nearest: Vec<Option<Vec<f64>>>,
+    /// fewer than η inliers exist and `δ_η` is unbounded. The table's
+    /// stride is η, so a list never outgrows its slots.
+    nearest: NearestTable,
 }
 
 impl NeighborCache {
@@ -37,7 +38,7 @@ impl NeighborCache {
         NeighborCache {
             eta,
             counts: Vec::new(),
-            nearest: Vec::new(),
+            nearest: NearestTable::with_capacity(eta, 0),
         }
     }
 
@@ -82,7 +83,7 @@ impl NeighborCache {
     /// True when `row` has been established as an inlier (its distance
     /// list is being maintained).
     pub fn is_inlier(&self, row: usize) -> bool {
-        self.nearest[row].is_some()
+        self.nearest.get(row).is_some()
     }
 
     /// Marks `row` inlier with its ascending η-nearest-inlier distances
@@ -90,13 +91,13 @@ impl NeighborCache {
     ///
     /// # Panics
     /// Panics if the list is over-long or not ascending.
-    pub fn set_inlier_list(&mut self, row: usize, list: Vec<f64>) {
+    pub fn set_inlier_list(&mut self, row: usize, list: &[f64]) {
         assert!(list.len() <= self.eta, "at most η distances per inlier");
         assert!(
             list.windows(2).all(|w| w[0] <= w[1]),
             "distances must be ascending"
         );
-        self.nearest[row] = Some(list);
+        self.nearest.set(row, Some(list));
     }
 
     /// Records that a new inlier lies at distance `d` from the existing
@@ -109,46 +110,28 @@ impl NeighborCache {
     /// abort the process on a misuse that detection will re-derive
     /// anyway.
     pub fn observe_inlier_distance(&mut self, row: usize, d: f64) {
-        let Some(list) = self.nearest[row].as_mut() else {
+        let t = &mut self.nearest;
+        let len = t.lens[row];
+        if len == OUTLIER {
             debug_assert!(false, "observe_inlier_distance on non-inlier row {row}");
             return;
-        };
-        if list.len() == self.eta {
-            match list.last() {
-                Some(&worst) if d >= worst => return,
-                _ => {}
-            }
         }
-        let pos = list.partition_point(|&x| x <= d);
-        list.insert(pos, d);
-        list.truncate(self.eta);
+        let len = len as usize;
+        let slots = &mut t.slots[row * t.stride..][..self.eta];
+        if len == self.eta && slots.last().is_none_or(|&worst| d >= worst) {
+            return;
+        }
+        let pos = slots[..len].partition_point(|&x| x <= d);
+        let end = (len + 1).min(self.eta);
+        slots.copy_within(pos..end - 1, pos + 1);
+        slots[pos] = d;
+        t.lens[row] = end as u32;
     }
 
-    /// The cached ε-neighbor counts of every row, in row order (read by
-    /// the engine's state export).
-    pub fn counts(&self) -> &[usize] {
-        &self.counts
-    }
-
-    /// The per-row η-nearest-inlier lists (`None` for outliers), in row
+    /// The per-row η-nearest-inlier lists (none for outliers), in row
     /// order (read by the engine's state export).
-    pub fn inlier_lists(&self) -> &[Option<Vec<f64>>] {
+    pub fn inlier_lists(&self) -> &NearestTable {
         &self.nearest
-    }
-
-    /// Rebuilds a cache from exported parts. The caller (the engine's
-    /// state restore) has already validated list lengths and ordering.
-    pub(crate) fn from_parts(
-        eta: usize,
-        counts: Vec<usize>,
-        nearest: Vec<Option<Vec<f64>>>,
-    ) -> Self {
-        debug_assert_eq!(counts.len(), nearest.len());
-        NeighborCache {
-            eta,
-            counts,
-            nearest,
-        }
     }
 
     /// `δ_η(row)` for an inlier: the η-th nearest inlier distance, or
@@ -160,7 +143,7 @@ impl NeighborCache {
     /// builds return `+∞` — the value an inlier with no cached
     /// neighbors would report — instead of aborting a served process.
     pub fn delta_eta(&self, row: usize) -> f64 {
-        let Some(list) = self.nearest[row].as_ref() else {
+        let Some(list) = self.nearest.get(row) else {
             debug_assert!(false, "delta_eta on non-inlier row {row}");
             return f64::INFINITY;
         };
@@ -169,6 +152,119 @@ impl NeighborCache {
         } else {
             f64::INFINITY
         }
+    }
+}
+
+/// `lens` entry of a row without a list (an outlier).
+const OUTLIER: u32 = u32::MAX;
+
+/// Per-row ascending nearest-inlier distance lists in one contiguous
+/// table (the layout of [`NeighborCache`] and of
+/// [`EngineState::nearest`](crate::EngineState::nearest)): every row
+/// owns `stride` slots, and its list is a prefix of them, so a table
+/// of `n` rows is two allocations instead of one per inlier. A row with
+/// no list is an outlier. Pushing or setting a list longer than the
+/// stride widens every row's slots. Equality and `Debug` see the lists
+/// only, never the stride or unused slots.
+#[derive(Clone, Default)]
+pub struct NearestTable {
+    /// Slots per row.
+    stride: usize,
+    /// Per row, the list length, or [`OUTLIER`].
+    lens: Vec<u32>,
+    /// `stride` slots per row, row-major.
+    slots: Vec<f64>,
+}
+
+impl NearestTable {
+    /// An empty table whose rows hold lists of up to `stride` distances
+    /// without widening, with room for `rows` rows.
+    pub fn with_capacity(stride: usize, rows: usize) -> Self {
+        NearestTable {
+            stride,
+            lens: Vec::with_capacity(rows),
+            slots: Vec::with_capacity(rows * stride),
+        }
+    }
+
+    /// Number of rows.
+    pub fn len(&self) -> usize {
+        self.lens.len()
+    }
+
+    /// True when the table holds no rows.
+    pub fn is_empty(&self) -> bool {
+        self.lens.is_empty()
+    }
+
+    /// The list of `row`; `None` for an outlier or a row past the end.
+    pub fn get(&self, row: usize) -> Option<&[f64]> {
+        let len = *self.lens.get(row)?;
+        (len != OUTLIER).then(|| &self.slots[row * self.stride..][..len as usize])
+    }
+
+    /// Every row's list (`None` for outliers), in row order.
+    pub fn iter(&self) -> impl Iterator<Item = Option<&[f64]>> + '_ {
+        (0..self.len()).map(|row| self.get(row))
+    }
+
+    /// Appends a row with `list` (`None` for an outlier).
+    pub fn push(&mut self, list: Option<&[f64]>) {
+        self.lens.push(OUTLIER);
+        self.slots.resize(self.slots.len() + self.stride, 0.0);
+        self.set(self.lens.len() - 1, list);
+    }
+
+    /// Replaces the list of `row` (`None` marks it outlier).
+    ///
+    /// # Panics
+    /// Panics if `row` is past the end.
+    pub fn set(&mut self, row: usize, list: Option<&[f64]>) {
+        let Some(list) = list else {
+            self.lens[row] = OUTLIER;
+            return;
+        };
+        if list.len() > self.stride {
+            self.widen(list.len());
+        }
+        self.slots[row * self.stride..][..list.len()].copy_from_slice(list);
+        self.lens[row] = u32::try_from(list.len()).expect("list length fits u32");
+    }
+
+    /// Re-lays the table out with `stride` slots per row, keeping room
+    /// for as many rows as `lens` has.
+    fn widen(&mut self, stride: usize) {
+        let mut slots = Vec::with_capacity(self.lens.capacity() * stride);
+        slots.resize(self.len() * stride, 0.0);
+        for (row, list) in self.iter().enumerate() {
+            if let Some(list) = list {
+                slots[row * stride..][..list.len()].copy_from_slice(list);
+            }
+        }
+        self.slots = slots;
+        self.stride = stride;
+    }
+}
+
+impl PartialEq for NearestTable {
+    fn eq(&self, other: &Self) -> bool {
+        self.len() == other.len() && self.iter().eq(other.iter())
+    }
+}
+
+impl std::fmt::Debug for NearestTable {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_list().entries(self.iter()).finish()
+    }
+}
+
+impl<'a> FromIterator<Option<&'a [f64]>> for NearestTable {
+    fn from_iter<I: IntoIterator<Item = Option<&'a [f64]>>>(lists: I) -> Self {
+        let mut table = NearestTable::default();
+        for list in lists {
+            table.push(list);
+        }
+        table
     }
 }
 
@@ -193,7 +289,7 @@ mod tests {
     fn delta_eta_tracks_the_kth_distance() {
         let mut c = NeighborCache::new(3);
         c.push_row(3);
-        c.set_inlier_list(0, vec![0.0, 1.0, 2.5]);
+        c.set_inlier_list(0, &[0.0, 1.0, 2.5]);
         assert_eq!(c.delta_eta(0), 2.5);
         // A nearer inlier appears: the 3rd-nearest tightens.
         c.observe_inlier_distance(0, 0.5);
@@ -207,7 +303,7 @@ mod tests {
     fn short_list_means_unbounded() {
         let mut c = NeighborCache::new(4);
         c.push_row(4);
-        c.set_inlier_list(0, vec![0.0, 1.0]);
+        c.set_inlier_list(0, &[0.0, 1.0]);
         assert_eq!(c.delta_eta(0), f64::INFINITY);
         c.observe_inlier_distance(0, 3.0);
         assert_eq!(c.delta_eta(0), f64::INFINITY);
@@ -220,7 +316,7 @@ mod tests {
         let mut c = NeighborCache::new(2);
         c.push_row(1);
         assert!(!c.is_inlier(0));
-        c.set_inlier_list(0, vec![0.0, 1.5]);
+        c.set_inlier_list(0, &[0.0, 1.5]);
         assert!(c.is_inlier(0));
         assert_eq!(c.delta_eta(0), 1.5);
     }
@@ -229,10 +325,45 @@ mod tests {
     fn duplicate_distances_are_kept() {
         let mut c = NeighborCache::new(3);
         c.push_row(3);
-        c.set_inlier_list(0, vec![0.0, 1.0, 1.0]);
+        c.set_inlier_list(0, &[0.0, 1.0, 1.0]);
         c.observe_inlier_distance(0, 1.0);
         assert_eq!(c.delta_eta(0), 1.0);
         c.observe_inlier_distance(0, 0.0);
         assert_eq!(c.delta_eta(0), 1.0);
+    }
+
+    #[test]
+    fn table_rows_keep_their_lists_across_widening() {
+        let mut t = NearestTable::default();
+        t.push(None);
+        t.push(Some(&[0.0]));
+        t.push(Some(&[0.0, 0.5, 2.0])); // widens stride 1 -> 3
+        assert_eq!(t.get(0), None);
+        assert_eq!(t.get(1), Some(&[0.0][..]));
+        assert_eq!(t.get(2), Some(&[0.0, 0.5, 2.0][..]));
+        assert_eq!(t.get(3), None, "past the end");
+        t.set(0, Some(&[0.0, 1.0]));
+        t.set(2, None);
+        let lists: Vec<Option<&[f64]>> = vec![Some(&[0.0, 1.0]), Some(&[0.0]), None];
+        assert_eq!(t, lists.into_iter().collect::<NearestTable>());
+        // Equality ignores the stride.
+        let mut wide = NearestTable::with_capacity(8, 3);
+        wide.push(Some(&[0.0, 1.0]));
+        wide.push(Some(&[0.0]));
+        wide.push(None);
+        assert_eq!(t, wide);
+        assert_eq!(format!("{t:?}"), "[Some([0.0, 1.0]), Some([0.0]), None]");
+    }
+
+    #[test]
+    fn observe_keeps_the_list_at_most_eta_long() {
+        let mut c = NeighborCache::new(2);
+        c.push_row(2);
+        c.push_row(2);
+        c.set_inlier_list(1, &[0.0]);
+        c.observe_inlier_distance(1, 3.0);
+        c.observe_inlier_distance(1, 1.0);
+        assert_eq!(c.inlier_lists().get(1), Some(&[0.0, 1.0][..]));
+        assert_eq!(c.inlier_lists().get(0), None, "row 0 stays an outlier");
     }
 }

@@ -3,8 +3,8 @@
 //!
 //! [`ShardedEngine`] owns the dataset and hash-partitions its rows
 //! across `S` shards ([`crate::shard`]); each shard owns its own
-//! [`DynamicIndex`](disc_index::DynamicIndex) pair and [`NeighborCache`]
-//! slice. Each
+//! [`DynamicIndex`](disc_index::DynamicIndex) pair and
+//! [`NeighborCache`](crate::cache::NeighborCache) slice. Each
 //! [`ShardedEngine::ingest`] call:
 //!
 //! 1. appends the batch (each row to its hash-assigned shard) and
@@ -12,17 +12,23 @@
 //!    fanned out across shards on scoped threads and merged by summing
 //!    the per-shard hit counts; every old row a query lands within ε of
 //!    gets its cached count bumped (rows untouched by any query keep
-//!    their cached count: `engine.cache_hits`);
+//!    their cached count: `engine.cache_hits`), and the hits' distances
+//!    are kept for step 3;
 //! 2. re-classifies only rows whose count changed — because counts never
 //!    decrease, inliers stay inliers and the only transitions are new
 //!    rows settling and old outliers being *promoted* (their adjusted
 //!    values, if any, are reverted to the original ingested values);
 //! 3. maintains the `δ_η` lists: each shard's existing inliers observe
-//!    their distance to each newly established inlier in parallel
-//!    (per-shard caches are disjoint), noting whose `δ_η` fell, and new
-//!    inliers get a fresh η-NN query fanned out over the per-shard
-//!    inlier indexes, merged by `(total_cmp distance, global id)` and
-//!    truncated to η;
+//!    their distance to the newly established inliers in parallel
+//!    (per-shard caches are disjoint), noting whose `δ_η` fell. A
+//!    *narrow* inlier, whose `δ_η` lies below ε by `NARROW_MARGIN`,
+//!    can only be tightened by a new inlier within ε, so it observes
+//!    just those: a fresh row's distances come from step 1's hits, and
+//!    each promoted row gets one ε-range query. A *wide* inlier (larger
+//!    `δ_η`, or fewer than η inliers listed) observes every new inlier
+//!    directly (`engine.delta_eta_evals`). New inliers get a fresh η-NN
+//!    query fanned out over the per-shard inlier indexes, merged by
+//!    `(total_cmp distance, global id)` and truncated to η;
 //! 4. computes the *dirty set* — the outliers whose save outcome could
 //!    have changed: the new outliers, any previously skipped/failed
 //!    rows, and, when the inlier set grew, every old outlier the saver
@@ -34,22 +40,28 @@
 //!    than its current cost (Prop. 3/5). The saver is asked only while
 //!    every inlier cell is a number; once an inlier holds a `Null` or
 //!    text cell, every old outlier is re-saved whenever r grows;
-//! 5. runs the ordinary budgeted / parallel / panic-isolated save
-//!    machinery ([`pipeline`](crate::pipeline)) on just the dirty rows
-//!    and applies the adjustments.
+//! 5. merges the new inliers into the engine's [`RSet`] in place, at
+//!    their rank in ascending row order, and rewrites the tightened
+//!    `δ_η` (timed as `stages.rset_build`), then runs the ordinary
+//!    budgeted / parallel / panic-isolated save machinery
+//!    ([`pipeline`](crate::pipeline)) on just the dirty rows and applies
+//!    the adjustments.
 //!
 //! Determinism contract: detection and saving always work on the
 //! *original* ingested values (adjustments live only in the output
-//! dataset), the RSet lists inliers in ascending row order, and dirty
-//! outliers are saved in ascending row order — exactly the batch
-//! pipeline's conventions. The dirty set depends only on state an
-//! [`EngineState`] carries (an outlier's cost is read off its original
-//! and current rows), so a restored engine or a replica re-saves the
-//! same rows. Sharding adds nothing observable: a range count is the
-//! sum of per-shard hit counts (the shards partition the rows, so hit
-//! sets union disjointly), and a merged η-NN list carries the same
-//! distance *multiset* as a single-shard query (each shard's
-//! contribution to the global top-η is contained in its local top-η).
+//! dataset), the RSet lists inliers in ascending row order and equals a
+//! from-scratch build over them (`RSet::merge`), every `δ_η` list holds
+//! exactly the η nearest inlier distances (the narrow rule skips only
+//! pairs that cannot tighten a list), and dirty outliers are saved in
+//! ascending row order — exactly the batch pipeline's conventions. The
+//! dirty set depends only on state an [`EngineState`] carries (an
+//! outlier's cost is read off its original and current rows), so a
+//! restored engine or a replica re-saves the same rows. Sharding adds
+//! nothing observable: a range count is the sum of per-shard hit counts
+//! (the shards partition the rows, so hit sets union disjointly), and a
+//! merged η-NN list carries the same distance *multiset* as a
+//! single-shard query (each shard's contribution to the global top-η is
+//! contained in its local top-η).
 //! After any sequence of ingests the engine's classification and saved
 //! dataset are identical to one batch `save_all` over the concatenated
 //! data — **for every shard count and every worker count** (see the
@@ -64,7 +76,7 @@ use disc_distance::Value;
 use disc_index::{DynamicNeighborIndex, NeighborIndex, NonNumericCell};
 use disc_obs::{counters, PipelineStats, Snapshot};
 
-use crate::cache::NeighborCache;
+use crate::cache::NearestTable;
 use crate::error::Error;
 use crate::parallel::parallel_map;
 use crate::pipeline::{save_outlier_rows, SaveReport};
@@ -72,6 +84,42 @@ use crate::query::{Query, Response};
 use crate::rset::RSet;
 use crate::saver::Saver;
 use crate::shard::{self, EngineShard, ShardMap, ShardStats};
+
+/// Relative margin of phase 3's narrow-row rule. A pre-existing inlier
+/// whose `δ_η ≤ ε·(1 − NARROW_MARGIN)` is *narrow*: it observes only
+/// the new inliers the ingest's ε-range queries returned, with the
+/// distances those queries computed. That is exact when no pair the
+/// queries excluded could tighten the row, i.e. when every excluded pair
+/// has `d ≥ δ_η`. A range query keeps a row iff its accumulated
+/// distance `acc` passes `acc ≤ to_acc(ε)` (`disc_distance::Norm`), and
+/// reports `d = finish(acc)`, bit-identical to `TupleDistance::dist`
+/// (every attribute metric is symmetric bit for bit, so the query's
+/// direction does not matter). So an excluded pair has `acc > to_acc(ε)`:
+///
+/// * under L¹ and L^∞, `to_acc` and `finish` are the identity: `d > ε`;
+/// * under L², `to_acc(ε) = ε·ε` rounds by at most `u = 2⁻⁵³` relative
+///   (a subnormal `ε²` by half its ulp, after which `acc ≥ ε²` exactly)
+///   and `sqrt` by another `u`: `d ≥ ε·(1 − 2u)`;
+/// * under L^p, both steps call `powf`, which is not correctly rounded.
+///   With `e` its relative error, and `1/p` itself rounded (which moves
+///   `acc^{1/p}` by at most `u·|ln acc| ≤ 745u`),
+///   `d ≥ ε·(1 − 2e − 746u)`.
+///
+/// `1e-9` exceeds these bounds by three orders of magnitude even for a
+/// `powf` a thousand ulps off, so every excluded pair has
+/// `d > ε·(1 − NARROW_MARGIN) ≥ δ_η` of a narrow row. (The grid
+/// backend scans one cell beyond `ceil(ε / width)`, so its cell
+/// rounding never drops a pair the comparison keeps.) A row the margin
+/// leaves wide costs only the direct distance loop. The
+/// `delta_eta_lists_match_brute_force` test pins the rule against
+/// brute force under L¹, L², L^∞ and L³ with `δ_η` at ε and one ulp
+/// either side.
+const NARROW_MARGIN: f64 = 1e-9;
+
+/// One new row's ε-range hits in one shard: their count, and the
+/// (local id, distance) of the old rows among them, whose distances
+/// phase 3 reuses.
+type ShardHits = (usize, Vec<(u32, f64)>);
 
 /// A long-lived incremental DISC engine; see the [module docs](self).
 pub struct ShardedEngine {
@@ -86,7 +134,6 @@ pub struct ShardedEngine {
     map: ShardMap,
     /// The partitions: per-shard index pair + neighbor-cache slice.
     shards: Vec<EngineShard>,
-    inlier_count: usize,
     /// True while every cell of every inlier is a number. Inliers never
     /// leave r, so once false it stays false; phase 4 asks the saver to
     /// prove outliers stable only while it holds.
@@ -94,9 +141,13 @@ pub struct ShardedEngine {
     /// Outliers whose last save attempt was skipped (budget) or failed
     /// (panic); retried on the next ingest.
     pending: BTreeSet<usize>,
-    /// The inlier context, cached between ingests and rebuilt after the
-    /// inlier set grows.
-    rset: Option<RSet>,
+    /// The inlier context r the saver works against: its rows are the
+    /// inliers' original values in ascending global id order, and every
+    /// ingest that grows r merges the new inliers into it in place.
+    rset: RSet,
+    /// Global ids of r's rows, ascending: RSet row `i` is global row
+    /// `inliers[i]`.
+    inliers: Vec<usize>,
     /// Number of successful ingests applied since the engine was empty.
     /// The persistence layer keys snapshots and write-ahead-log records
     /// off this: snapshot generation `g` plus the WAL records for
@@ -116,12 +167,13 @@ pub type DiscEngine = ShardedEngine;
 /// The image holds everything that cannot be recomputed cheaply and
 /// deterministically: the as-ingested rows, the output rows (original
 /// values with saved adjustments applied), the neighbor-cache tables
-/// (in global id order — shard-agnostic), and the pending retry set.
-/// The per-shard dynamic indexes and the cached `RSet` are deliberately
-/// *not* part of the image — they are rebuilt on restore from the rows,
-/// which keeps the on-disk format independent of index-backend
-/// internals *and of the shard count* (both affect only query cost,
-/// never query results).
+/// (in global id order — shard-agnostic; the `δ_η` lists in one
+/// contiguous [`NearestTable`]), and the pending retry set. The
+/// per-shard dynamic indexes and the `RSet` are deliberately *not* part
+/// of the image — restore rebuilds them from the rows and lists (the
+/// RSet by merging every inlier into an empty one), which keeps the
+/// on-disk format independent of index-backend internals *and of the
+/// shard count* (both affect only query cost, never query results).
 ///
 /// Like the counts and `δ_η` lists, an outlier's `current` row is
 /// trusted as-is: it is taken to be the outcome of saving the row
@@ -140,9 +192,9 @@ pub struct EngineState {
     pub current: Vec<Vec<Value>>,
     /// Cached ε-neighbor count per row, self-inclusive.
     pub counts: Vec<usize>,
-    /// Per-row ascending η-nearest-inlier distances; `None` marks a row
-    /// currently classified outlier.
-    pub nearest: Vec<Option<Vec<f64>>>,
+    /// Per-row ascending η-nearest-inlier distances, in one contiguous
+    /// table; a row with no list is currently classified outlier.
+    pub nearest: NearestTable,
     /// Outliers whose last save attempt was skipped or failed,
     /// ascending.
     pub pending: Vec<usize>,
@@ -190,10 +242,10 @@ impl ShardedEngine {
             shards: (0..shards)
                 .map(|_| EngineShard::new(dist.clone(), eps, eta))
                 .collect(),
-            inlier_count: 0,
             numeric_inliers: true,
             pending: BTreeSet::new(),
-            rset: None,
+            rset: RSet::empty(dist, saver.constraints()),
+            inliers: Vec::new(),
             generation: 0,
             saver,
         }
@@ -424,9 +476,8 @@ impl ShardedEngine {
         }
         let n = self.original.len();
         let new_count = n - first_new;
-        // per_shard[s][i] = (hits in shard s for new row first_new+i,
-        //                    old global ids among them)
-        let per_shard: Vec<Vec<(usize, Vec<usize>)>> = if new_count > 0 {
+        // per_shard[s][i] = new row first_new+i's hits in shard s.
+        let per_shard: Vec<Vec<ShardHits>> = if new_count > 0 {
             let original = &self.original;
             let map = &self.map;
             shard::fan_out(self.shards.iter_mut().enumerate(), workers, |(s, shard)| {
@@ -438,14 +489,12 @@ impl ShardedEngine {
                 (first_new..n)
                     .map(|g| {
                         let hits = shard.full_index.range(&original[g], eps);
-                        let mut old = Vec::new();
-                        for &(l, _) in &hits {
-                            let h = globals[l as usize];
-                            if h < first_new {
-                                old.push(h);
-                            }
-                        }
-                        (hits.len(), old)
+                        let count = hits.len();
+                        let old = hits
+                            .into_iter()
+                            .filter(|&(l, _)| globals[l as usize] < first_new)
+                            .collect();
+                        (count, old)
                     })
                     .collect()
             })
@@ -460,12 +509,11 @@ impl ShardedEngine {
             let (s, l) = self.map.locate(g);
             self.shards[s].cache.set_count(l, count);
         }
-        for rows in &per_shard {
+        for (s, rows) in per_shard.iter().enumerate() {
             for (_, old) in rows {
-                for &h in old {
-                    let (s, l) = self.map.locate(h);
-                    self.shards[s].cache.bump(l);
-                    bumped.insert(h);
+                for &(l, _) in old {
+                    self.shards[s].cache.bump(l as usize);
+                    bumped.insert(self.map.global(s, l as usize));
                 }
             }
         }
@@ -485,11 +533,9 @@ impl ShardedEngine {
                 self.pending.remove(&h);
             }
         }
-        for g in first_new..n {
-            if self.satisfies(g) {
-                new_inliers.push(g);
-            }
-        }
+        let promoted = new_inliers.len();
+        let fresh_inlier: Vec<bool> = (first_new..n).map(|g| self.satisfies(g)).collect();
+        new_inliers.extend((first_new..n).filter(|g| fresh_inlier[g - first_new]));
 
         // Phase 3: maintain the δ_η lists, noting which old inliers' δ_η
         // fell (phase 4 checks them as possible new hosts).
@@ -502,31 +548,70 @@ impl ShardedEngine {
                 self.numeric_inliers &= all_numeric(&self.original[i]);
             }
             // Each shard's pre-existing inliers observe their distance
-            // to every new inlier. New inliers (promoted and fresh
-            // alike) have no list yet, so `is_inlier` here selects
-            // exactly the pre-existing ones; per-shard caches are
-            // disjoint, so the fan-out mutates without overlap, and the
-            // observed distance multiset per row is fan-out-independent.
+            // to the new inliers. A narrow row (see `NARROW_MARGIN`)
+            // observes only the new inliers within ε: the fresh ones'
+            // phase-1 hits plus one ε-range query per promoted row. A
+            // wide row observes every new inlier directly. New inliers
+            // (promoted and fresh alike) have no list yet, so
+            // `is_inlier` here selects exactly the pre-existing ones;
+            // per-shard caches are disjoint, so the fan-out mutates
+            // without overlap, and each row ends with the same list
+            // for any fan-out.
             let original = &self.original;
             let map = &self.map;
             let dist = self.saver.distance();
             let new_list = &new_inliers;
+            let (per_shard, fresh_inlier) = (&per_shard, &fresh_inlier);
+            let narrow = eps * (1.0 - NARROW_MARGIN);
             let parts =
                 shard::fan_out(self.shards.iter_mut().enumerate(), workers, |(s, shard)| {
                     let globals = map.globals(s);
+                    // (local id, distance) of this shard's rows within ε
+                    // of a new inlier, grouped by row.
+                    let mut near: Vec<(u32, f64)> = Vec::new();
+                    for ((_, old), _) in per_shard[s]
+                        .iter()
+                        .zip(fresh_inlier)
+                        .filter(|(_, inlier)| **inlier)
+                    {
+                        near.extend_from_slice(old);
+                    }
+                    let promoted = &new_list[..promoted];
+                    shard
+                        .range_queries
+                        .fetch_add(promoted.len() as u64, Ordering::Relaxed);
+                    counters::SHARD_RANGE_QUERIES.add(promoted.len() as u64);
+                    for &p in promoted {
+                        near.extend(shard.full_index.range(&original[p], eps));
+                    }
+                    near.sort_unstable_by_key(|&(l, _)| l);
+                    let mut rest = near.as_slice();
                     let mut changed = Vec::new();
-                    for (l, &j) in globals.iter().enumerate().take(shard.cache.len()) {
-                        if j < first_new && shard.cache.is_inlier(l) {
-                            let before = shard.cache.delta_eta(l);
+                    let mut evals = 0u64;
+                    for (l, &j) in globals.iter().enumerate() {
+                        let k = rest.partition_point(|&(h, _)| h as usize == l);
+                        let (within, tail) = rest.split_at(k);
+                        rest = tail;
+                        if j >= first_new || !shard.cache.is_inlier(l) {
+                            continue;
+                        }
+                        let before = shard.cache.delta_eta(l);
+                        if before <= narrow {
+                            for &(_, d) in within {
+                                shard.cache.observe_inlier_distance(l, d);
+                            }
+                        } else {
                             for &i in new_list {
                                 let d = dist.dist(&original[j], &original[i]);
                                 shard.cache.observe_inlier_distance(l, d);
                             }
-                            if shard.cache.delta_eta(l) != before {
-                                changed.push(j);
-                            }
+                            evals += new_list.len() as u64;
+                        }
+                        if shard.cache.delta_eta(l) != before {
+                            changed.push(j);
                         }
                     }
+                    counters::ENGINE_DELTA_ETA_EVALS.add(evals);
                     changed
                 });
             tightened = parts.into_iter().flatten().collect();
@@ -558,10 +643,8 @@ impl ShardedEngine {
                 candidates.truncate(constraints.eta);
                 let list: Vec<f64> = candidates.into_iter().map(|(d, _)| d).collect();
                 let (s, l) = self.map.locate(i);
-                self.shards[s].cache.set_inlier_list(l, list);
+                self.shards[s].cache.set_inlier_list(l, &list);
             }
-            self.inlier_count += new_inliers.len();
-            self.rset = None; // r grew: the cached context is stale
         }
         // All index mutations for this ingest are done; attribute their
         // rebuilds to the shard counters.
@@ -580,6 +663,9 @@ impl ShardedEngine {
         counters::ENGINE_DIRTY_ROWS.add(dirty.len() as u64);
         counters::ENGINE_RESAVES.add(dirty.iter().filter(|&&row| row < first_new).count() as u64);
         stats.stages.detect = t_detect.elapsed();
+        let t_rset = Instant::now();
+        self.grow_rset(&new_inliers, &tightened);
+        stats.stages.rset_build = t_rset.elapsed();
 
         let mut report = SaveReport {
             outliers: dirty.clone(),
@@ -607,45 +693,15 @@ impl ShardedEngine {
             report.stats = stats;
             return Ok(report);
         }
-        let t_rset = Instant::now();
-        if self.rset.is_none() {
-            // Ascending row order, matching the batch pipeline's RSet.
-            let mut rows = Vec::with_capacity(self.inlier_count);
-            let mut delta_eta = Vec::with_capacity(self.inlier_count);
-            for i in 0..n {
-                if self.is_inlier(i) {
-                    rows.push(self.original[i].clone());
-                    let (s, l) = self.map.locate(i);
-                    delta_eta.push(self.shards[s].cache.delta_eta(l));
-                }
-            }
-            self.rset = Some(RSet::from_parts(
-                rows,
-                self.saver.distance().clone(),
-                constraints,
-                delta_eta,
-            ));
-        }
-        stats.stages.rset_build = t_rset.elapsed();
         let t_save = Instant::now();
         // A dirty row's previous adjustment (if any) is stale; start the
         // save pass from original values so unsaved rows end up original.
         for &row in &dirty {
             self.current.set_row(row, self.original[row].clone());
         }
-        let Some(r) = self.rset.as_ref() else {
-            // Unreachable: the branch above populates `self.rset` when it
-            // is `None`, and nothing between there and here clears it. A
-            // served engine must never abort the process, so the release
-            // build degrades to a typed error instead of panicking.
-            debug_assert!(false, "RSet missing immediately after its build");
-            return Err(Error::State {
-                message: "internal invariant violated: inlier context missing after build".into(),
-            });
-        };
         let adjustments = save_outlier_rows(
             &*self.saver,
-            r,
+            &self.rset,
             &self.original,
             &dirty,
             workers,
@@ -673,6 +729,29 @@ impl ShardedEngine {
         Ok(report)
     }
 
+    /// Merges the new inliers `added` (ascending global ids) into the
+    /// RSet at their ranks among r's rows, and rewrites the `δ_η` of the
+    /// old inliers in `tightened`; both read `δ_η` from the caches.
+    fn grow_rset(&mut self, added: &[usize], tightened: &[usize]) {
+        let mut rows = Vec::with_capacity(added.len());
+        for &g in added {
+            let rank = self.inliers.partition_point(|&i| i < g);
+            self.inliers.insert(rank, g);
+            rows.push((rank, self.original[g].clone(), self.delta_eta(g)));
+        }
+        let tightened: Vec<(usize, f64)> = tightened
+            .iter()
+            .map(|&g| (self.inliers.partition_point(|&i| i < g), self.delta_eta(g)))
+            .collect();
+        self.rset.merge(rows, &tightened);
+    }
+
+    /// The cached `δ_η` of inlier `row`.
+    fn delta_eta(&self, row: usize) -> f64 {
+        let (s, l) = self.map.locate(row);
+        self.shards[s].cache.delta_eta(l)
+    }
+
     /// The old outliers outside `dirty` whose save outcome may change now
     /// that r gained `added` and the `δ_η` of `tightened` fell, ascending:
     /// all of them once an inlier holds a non-number, else the ones the
@@ -693,13 +772,7 @@ impl ShardedEngine {
         if !self.numeric_inliers {
             return old;
         }
-        let host = |&g: &usize| {
-            let (s, l) = self.map.locate(g);
-            (
-                self.original[g].as_slice(),
-                self.shards[s].cache.delta_eta(l),
-            )
-        };
+        let host = |&g: &usize| (self.original[g].as_slice(), self.delta_eta(g));
         let added: Vec<(&[Value], f64)> = added.iter().map(host).collect();
         let tightened: Vec<(&[Value], f64)> = tightened.iter().map(host).collect();
         let (saver, rows) = (&*self.saver, self.current.rows());
@@ -723,11 +796,11 @@ impl ShardedEngine {
     pub fn export_state(&self) -> EngineState {
         let n = self.original.len();
         let mut counts = Vec::with_capacity(n);
-        let mut nearest = Vec::with_capacity(n);
+        let mut nearest = NearestTable::with_capacity(self.saver.constraints().eta, n);
         for g in 0..n {
             let (s, l) = self.map.locate(g);
             counts.push(self.shards[s].cache.count(l));
-            nearest.push(self.shards[s].cache.inlier_lists()[l].clone());
+            nearest.push(self.shards[s].cache.inlier_lists().get(l));
         }
         EngineState {
             generation: self.generation,
@@ -767,8 +840,9 @@ impl ShardedEngine {
     /// identical results. Per-shard indexes are recomputed from the
     /// stored rows (full index in global row order, inlier index in
     /// ascending row order — insertion order only affects index
-    /// internals, never query results) and the `RSet` is left to its
-    /// usual lazy, deterministic rebuild.
+    /// internals, never query results), and the `RSet` is built by
+    /// merging every inlier, with the `δ_η` its list gives, into an
+    /// empty one.
     ///
     /// A restored engine is *behaviorally identical* to the engine that
     /// exported the image: every subsequent [`ShardedEngine::ingest`]
@@ -825,7 +899,7 @@ impl ShardedEngine {
             }
         }
         for i in 0..n {
-            let marked_inlier = state.nearest[i].is_some();
+            let marked_inlier = state.nearest.get(i).is_some();
             if marked_inlier != (state.counts[i] >= eta) {
                 return bad(format!(
                     "row {i}: inlier marking contradicts its count {} (η = {eta})",
@@ -840,39 +914,30 @@ impl ShardedEngine {
             if row >= n {
                 return bad(format!("pending row {row} out of range (n = {n})"));
             }
-            if state.nearest[row].is_some() {
+            if state.nearest.get(row).is_some() {
                 return bad(format!("pending row {row} is an inlier"));
             }
         }
 
+        // Rows go to their shards in global id order, so each shard's
+        // cache fills in local id order.
+        let mut inliers = Vec::new();
         for (i, row) in state.original.iter().enumerate() {
-            let (s, _) = engine.map.push(i);
+            let (s, l) = engine.map.push(i);
             counters::SHARD_ROWS.incr();
-            engine.shards[s].full_index.insert(row.clone());
-            if state.nearest[i].is_some() {
-                engine.shards[s].inlier_index.insert(row.clone());
-                engine.shards[s].inlier_globals.push(i);
-                engine.inlier_count += 1;
+            let shard = &mut engine.shards[s];
+            shard.full_index.insert(row.clone());
+            shard.cache.push_row(state.counts[i]);
+            if let Some(list) = state.nearest.get(i) {
+                shard.cache.set_inlier_list(l, list);
+                shard.inlier_index.insert(row.clone());
+                shard.inlier_globals.push(i);
                 engine.numeric_inliers &= all_numeric(row);
+                inliers.push(i);
             }
         }
-        // Slice the global cache tables into per-shard local-id order.
-        for s in 0..engine.shards.len() {
-            let counts: Vec<usize> = engine
-                .map
-                .globals(s)
-                .iter()
-                .map(|&g| state.counts[g])
-                .collect();
-            let nearest: Vec<Option<Vec<f64>>> = engine
-                .map
-                .globals(s)
-                .iter()
-                .map(|&g| state.nearest[g].clone())
-                .collect();
-            engine.shards[s].cache = NeighborCache::from_parts(eta, counts, nearest);
-        }
         engine.original = state.original;
+        engine.grow_rset(&inliers, &[]);
         for row in &state.current {
             engine.current.push(row.clone());
         }
@@ -1274,7 +1339,7 @@ mod tests {
         assert!(matches!(err, Error::State { .. }), "{err}");
 
         let mut broken = good.clone();
-        broken.nearest[0] = None; // contradicts its ≥ η count
+        broken.nearest.set(0, None); // contradicts its ≥ η count
         let err = ShardedEngine::restore(Schema::numeric(2), fresh_saver(), broken)
             .map(|_| ())
             .unwrap_err();
@@ -1288,9 +1353,9 @@ mod tests {
         assert!(matches!(err, Error::State { .. }), "{err}");
 
         let mut broken = good.clone();
-        if let Some(list) = broken.nearest[0].as_mut() {
-            list.reverse(); // no longer ascending
-        }
+        let mut list = good.nearest.get(0).unwrap().to_vec();
+        list.reverse(); // no longer ascending
+        broken.nearest.set(0, Some(&list));
         let err = ShardedEngine::restore(Schema::numeric(2), fresh_saver(), broken)
             .map(|_| ())
             .unwrap_err();

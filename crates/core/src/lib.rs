@@ -68,6 +68,7 @@ pub mod shard;
 
 pub use approx::{Adjustment, DiscSaver};
 pub use budget::{set_global_deadline_ms, Budget, CancelToken, Cancelled};
+pub use cache::NearestTable;
 pub use config::EngineConfig;
 pub use constraints::{
     detect_outliers, detect_outliers_parallel, DistanceConstraints, OutlierSplit,

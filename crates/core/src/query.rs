@@ -76,9 +76,7 @@ impl EngineState {
         match query {
             Query::Len => Response::Len(self.original.len()),
             Query::Generation => Response::Generation(self.generation),
-            Query::IsInlier { row } => {
-                Response::IsInlier(self.nearest.get(row).is_some_and(|n| n.is_some()))
-            }
+            Query::IsInlier { row } => Response::IsInlier(self.nearest.get(row).is_some()),
             Query::NeighborCount { row } => Response::NeighborCount(self.counts.get(row).copied()),
             Query::CurrentRow { row } => {
                 Response::CurrentRow(self.current.get(row).map(Vec::as_slice))
@@ -88,7 +86,7 @@ impl EngineState {
             }
             Query::Outliers => Response::Outliers(
                 (0..self.original.len())
-                    .filter(|&i| self.nearest[i].is_none())
+                    .filter(|&i| self.nearest.get(i).is_none())
                     .collect(),
             ),
         }
@@ -113,7 +111,9 @@ mod tests {
                 vec![Value::Num(1.5)], // saved outlier: adjusted output
             ],
             counts: vec![2, 2, 1],
-            nearest: vec![Some(vec![1.0]), Some(vec![1.0]), None],
+            nearest: [Some(&[1.0][..]), Some(&[1.0][..]), None]
+                .into_iter()
+                .collect(),
             pending: vec![],
         }
     }

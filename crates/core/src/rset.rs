@@ -14,6 +14,11 @@ use crate::parallel::{parallel_map, Parallelism};
 ///   Algorithm 1, line 4;
 /// * per-attribute sorted projections for numeric attributes, answering the
 ///   single-attribute ε-balls that seed the κ-restricted recursion roots.
+///
+/// The batch pipeline builds it once per run ([`RSet::new`]). The
+/// streaming engine keeps one for its lifetime and grows it in place
+/// ([`RSet::merge`]) with the `δ_η` values it maintains, so an ingest
+/// costs the rows it adds, not a rebuild.
 pub struct RSet {
     rows: Vec<Vec<Value>>,
     dist: TupleDistance,
@@ -67,31 +72,54 @@ impl RSet {
         }
     }
 
-    /// Builds the context from already-known `δ_η` values, skipping the
-    /// η-NN preprocessing pass entirely (only the sorted attribute
-    /// projections are computed). Used by the streaming engine, which
-    /// maintains the `δ_η` table incrementally across ingests.
-    ///
-    /// # Panics
-    /// Panics unless `delta_eta` has exactly one entry per row.
-    pub fn from_parts(
-        rows: Vec<Vec<Value>>,
-        dist: TupleDistance,
-        constraints: DistanceConstraints,
-        delta_eta: Vec<f64>,
-    ) -> Self {
-        assert_eq!(rows.len(), delta_eta.len(), "one δ_η entry per inlier row");
-        let columns = (0..dist.arity())
-            .map(|j| SortedColumn::new(&rows, j))
-            .collect();
-        let packed = PackedMatrix::build(&rows, &dist);
+    /// An empty context, for a caller that grows it with
+    /// [`RSet::merge`].
+    pub fn empty(dist: TupleDistance, constraints: DistanceConstraints) -> Self {
         RSet {
-            rows,
+            rows: Vec::new(),
+            delta_eta: Vec::new(),
+            columns: (0..dist.arity())
+                .map(|j| SortedColumn::new(&[], j))
+                .collect(),
+            packed: PackedMatrix::build(&[], &dist),
             dist,
             constraints,
-            delta_eta,
-            columns,
-            packed,
+        }
+    }
+
+    /// Merges new inliers into the context in place, leaving it equal to
+    /// a from-scratch build over the merged rows (given the same `δ_η`
+    /// values). `added` lists each new row with its rank in the merged
+    /// row order, ranks strictly ascending, and its `δ_η`; `tightened`
+    /// rewrites the `δ_η` of existing rows, by rank in the merged order.
+    /// The caller supplies every `δ_η`: the streaming engine maintains
+    /// them incrementally, so no η-NN pass runs here. A new row with a
+    /// non-number in some attribute drops that attribute's sorted
+    /// projection, as it would at build time.
+    ///
+    /// # Panics
+    /// Panics if a rank lies past the end of the merged rows.
+    pub fn merge(&mut self, added: Vec<(usize, Vec<Value>, f64)>, tightened: &[(usize, f64)]) {
+        for (attr, column) in self.columns.iter_mut().enumerate() {
+            let Some(col) = column else { continue };
+            let cells: Option<Vec<(u32, f64)>> = added
+                .iter()
+                .map(|(rank, row, _)| Some((*rank as u32, row[attr].as_num()?)))
+                .collect();
+            match cells {
+                Some(cells) => col.insert(&cells),
+                None => *column = None,
+            }
+        }
+        for (rank, row, delta_eta) in added {
+            if let Some(packed) = &mut self.packed {
+                packed.insert_row(rank, &row);
+            }
+            self.delta_eta.insert(rank, delta_eta);
+            self.rows.insert(rank, row);
+        }
+        for &(rank, delta_eta) in tightened {
+            self.delta_eta[rank] = delta_eta;
         }
     }
 
@@ -176,6 +204,7 @@ impl RSet {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use disc_distance::Norm;
 
     fn rset(points: &[[f64; 2]], eps: f64, eta: usize) -> RSet {
         let rows: Vec<Vec<Value>> = points
@@ -227,5 +256,122 @@ mod tests {
     fn delta_eta_infinite_when_r_too_small() {
         let r = rset(&[[0.0, 0.0]], 1.0, 3);
         assert_eq!(r.delta_eta(0), f64::INFINITY);
+    }
+
+    /// SplitMix64, for the merge proptest's data.
+    struct Mix(u64);
+
+    impl Mix {
+        fn below(&mut self, k: u64) -> u64 {
+            self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
+            let mut z = self.0;
+            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+            (z ^ (z >> 31)) % k
+        }
+    }
+
+    /// Asserts that `merged` equals `built` in every part a saver reads.
+    fn assert_same_context(merged: &RSet, built: &RSet, context: &str) {
+        assert_eq!(merged.rows(), built.rows(), "rows: {context}");
+        for i in 0..built.len() {
+            assert_eq!(
+                merged.delta_eta(i).to_bits(),
+                built.delta_eta(i).to_bits(),
+                "δ_η of row {i}: {context}"
+            );
+        }
+        for attr in 0..built.distance().arity() {
+            let (a, b) = (merged.column(attr), built.column(attr));
+            assert_eq!(a.is_some(), b.is_some(), "column {attr}: {context}");
+            let (Some(a), Some(b)) = (a, b) else { continue };
+            for q in [-0.5, 0.0, 0.5, 1.0, 1.5, 2.0, 3.0, 3.5] {
+                for eps in [0.0, 0.5, 1.0] {
+                    assert_eq!(
+                        a.ball(q, eps).collect::<Vec<_>>(),
+                        b.ball(q, eps).collect::<Vec<_>>(),
+                        "column {attr} ball({q}, {eps}): {context}"
+                    );
+                }
+            }
+        }
+        assert_eq!(merged.packed().is_some(), built.packed().is_some());
+        if let (Some(a), Some(b)) = (merged.packed(), built.packed()) {
+            assert_eq!(a.len(), b.len(), "packed rows: {context}");
+            for i in 0..b.len() {
+                assert_eq!(a.row(i), b.row(i), "packed row {i}: {context}");
+            }
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(48))]
+        /// Merging batches into a built RSet equals building over the
+        /// merged rows: rows with random keys (so new rows land
+        /// mid-order as well as at the end), small integer cells
+        /// (duplicate values in every column), now and then a `Null`
+        /// or text cell (dropping the column's projection and the row's
+        /// packed layout), and the `δ_η` of existing rows rewritten
+        /// whenever the new rows tighten it.
+        #[test]
+        fn merge_equals_rebuild(seed in 0u64..1_000_000, m in 1usize..4, eta in 1usize..5) {
+            let mut mix = Mix(seed);
+            let norm = [Norm::L1, Norm::L2, Norm::LInf][mix.below(3) as usize];
+            let dist = TupleDistance::new(vec![disc_distance::Metric::Absolute; m], norm);
+            let c = DistanceConstraints::new(1.0, eta);
+            let n = 4 + mix.below(40) as usize;
+            // (key, row) pairs; r lists rows in ascending key order.
+            let mut pending: Vec<(u64, Vec<Value>)> = (0..n as u64)
+                .map(|i| {
+                    let mut row: Vec<Value> =
+                        (0..m).map(|_| Value::Num(mix.below(4) as f64)).collect();
+                    match mix.below(24) {
+                        0 => row[mix.below(m as u64) as usize] = Value::Null,
+                        1 => row[mix.below(m as u64) as usize] = Value::Text("x".into()),
+                        _ => {}
+                    }
+                    // Distinct keys in random order.
+                    (mix.below(1 << 20) << 8 | i, row)
+                })
+                .collect();
+            let build = |members: &[(u64, Vec<Value>)]| {
+                let rows = members.iter().map(|(_, row)| row.clone()).collect();
+                RSet::with_parallelism(rows, dist.clone(), c, Parallelism(1))
+            };
+            // Start from a built context, or now and then an empty one.
+            let first = (mix.below(n as u64 / 2) as usize).min(pending.len());
+            let mut members: Vec<(u64, Vec<Value>)> = pending.drain(..first).collect();
+            members.sort_by_key(|(key, _)| *key);
+            let mut r = if members.is_empty() {
+                RSet::empty(dist.clone(), c)
+            } else {
+                build(&members)
+            };
+            let mut merges = 0;
+            while !pending.is_empty() {
+                let take = (1 + mix.below(8) as usize).min(pending.len());
+                let batch: Vec<(u64, Vec<Value>)> = pending.drain(..take).collect();
+                members.extend(batch.iter().cloned());
+                members.sort_by_key(|(key, _)| *key);
+                let built = build(&members);
+                let mut added: Vec<(usize, Vec<Value>, f64)> = Vec::new();
+                let mut tightened = Vec::new();
+                let mut old = 0;
+                for (rank, (key, row)) in members.iter().enumerate() {
+                    if batch.iter().any(|(k, _)| k == key) {
+                        added.push((rank, row.clone(), built.delta_eta(rank)));
+                    } else {
+                        if r.delta_eta(old).to_bits() != built.delta_eta(rank).to_bits() {
+                            tightened.push((rank, built.delta_eta(rank)));
+                        }
+                        old += 1;
+                    }
+                }
+                r.merge(added, &tightened);
+                merges += 1;
+                let context = format!("seed {seed}, {norm:?}, m = {m}, η = {eta}, merge {merges}");
+                assert_same_context(&r, &built, &context);
+            }
+        }
     }
 }

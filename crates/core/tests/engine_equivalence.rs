@@ -11,9 +11,11 @@
 //! detects/saves against original values — exactly what a from-scratch
 //! batch run sees. The property is checked bit-exactly (same outlier
 //! set, same saved adjustments, same final rows), for sequential and
-//! parallel workers; the per-prefix oracle at the end checks it after
-//! every single ingest, across norms, κ, batch sizes and tie-heavy
-//! integer data, with and without `Null` cells.
+//! parallel workers; the per-prefix oracle checks it after every single
+//! ingest, across norms, κ, batch sizes and tie-heavy integer data, with
+//! and without `Null` cells. The last tests check the state under it:
+//! after every ingest, each inlier's `δ_η` list equals its η nearest
+//! inlier distances by brute force, bit for bit.
 
 use disc_core::{DiscEngine, DistanceConstraints, Parallelism, SavedOutlier, SaverConfig};
 use disc_data::{bit_equal, ClusterSpec, Dataset, ErrorInjector, Schema};
@@ -307,5 +309,157 @@ proptest! {
     #[test]
     fn every_prefix_matches_batch_linf(n in 24usize..72, seed in 0u64..1_000_000, workers in 1usize..3) {
         prefix_oracle_matrix(Norm::LInf, n, seed, workers);
+    }
+}
+
+/// `n` rows whose cells are `scale` times values at and around 1 (one
+/// and two ulps above, one below, and `1 − 2·10⁻⁹`, just inside the
+/// narrow-row margin), 0, ½ and 2 — so, with ε = `scale`, many pairs
+/// differ by exactly ε, or by a hair more or less, on one attribute and
+/// some `δ_η` land on ε or one ulp from it — with one row in ten
+/// holding a `Null` (at 1 from every number under `AbsoluteDiff`).
+/// A large `scale` makes L^p's rounded `1/p` exponent matter: a pair
+/// just beyond ε can then report a distance a few ulps below it.
+fn boundary_rows(n: usize, m: usize, seed: u64, scale: f64) -> Vec<Vec<Value>> {
+    const CELLS: [f64; 8] = [
+        0.0,
+        1.0,
+        1.0 + f64::EPSILON,       // one ulp above 1
+        1.0 + 2.0 * f64::EPSILON, // two ulps above 1
+        1.0 - f64::EPSILON / 2.0, // one ulp below 1
+        1.0 - 2e-9,
+        0.5,
+        2.0,
+    ];
+    let mut mix = Mix(seed);
+    (0..n)
+        .map(|_| {
+            let mut row: Vec<Value> = (0..m)
+                .map(|_| match mix.below(3) {
+                    0 => Value::Num(0.0),
+                    _ => Value::Num(scale * CELLS[mix.below(CELLS.len() as u64) as usize]),
+                })
+                .collect();
+            if mix.below(10) == 0 {
+                row[mix.below(m as u64) as usize] = Value::Null;
+            }
+            row
+        })
+        .collect()
+}
+
+/// Streams `rows` in ingests of `batch` rows into an engine of `shards`
+/// shards and, after every ingest, checks each inlier's exported `δ_η`
+/// list against its η nearest inlier distances by brute force, bit for
+/// bit.
+fn lists_match_brute_force(
+    rows: &[Vec<Value>],
+    dist: &TupleDistance,
+    c: DistanceConstraints,
+    batch: usize,
+    shards: usize,
+) {
+    let config = SaverConfig::new(c, dist.clone())
+        .kappa(2)
+        .parallelism(Parallelism(2));
+    let m = dist.arity();
+    let mut engine = DiscEngine::with_shards(
+        Schema::numeric(m),
+        Box::new(config.build_approx().unwrap()),
+        shards,
+    );
+    for (k, chunk) in rows.chunks(batch).enumerate() {
+        engine.ingest(chunk.to_vec()).expect("finite data");
+        let state = engine.export_state();
+        let inliers: Vec<usize> = (0..state.original.len())
+            .filter(|&g| state.nearest.get(g).is_some())
+            .collect();
+        for &g in &inliers {
+            let mut expected: Vec<f64> = inliers
+                .iter()
+                .map(|&h| dist.dist(&state.original[g], &state.original[h]))
+                .collect();
+            expected.sort_by(f64::total_cmp);
+            expected.truncate(c.eta);
+            let listed = state.nearest.get(g).unwrap();
+            assert!(
+                bit_equal_f64(listed, &expected),
+                "{:?}, S = {shards}, batch {batch}, after ingest {k}: row {g} lists {listed:?}, brute force {expected:?}",
+                dist.norm()
+            );
+        }
+    }
+}
+
+fn bit_equal_f64(a: &[f64], b: &[f64]) -> bool {
+    a.len() == b.len() && a.iter().zip(b).all(|(x, y)| x.to_bits() == y.to_bits())
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(6))]
+    /// The engine's `δ_η` upkeep (phase 3: range-hit distances for
+    /// narrow rows, direct distances for wide ones) keeps every list
+    /// equal to brute force, under L¹, L², L^∞ and L³ (whose `powf` is
+    /// not correctly rounded), for ingests of 1 and 8 rows at 1 and 3
+    /// shards, on clustered data and on rows placed around ε.
+    #[test]
+    fn delta_eta_lists_match_brute_force(n in 24usize..64, seed in 0u64..1_000_000, eta in 2usize..4) {
+        for norm in [Norm::L1, Norm::L2, Norm::LInf, Norm::Lp(3.0)] {
+            let dist = TupleDistance::new(vec![Metric::Absolute; 3], norm);
+            let mut clustered = ClusterSpec::new(n, 3, 2, seed).generate();
+            ErrorInjector::new(n / 8, 1, seed ^ 0x9E37_79B9).inject(&mut clustered);
+            for batch in [1, 8] {
+                for shards in [1, 3] {
+                    let c = DistanceConstraints::new(2.5, eta);
+                    lists_match_brute_force(clustered.rows(), &dist, c, batch, shards);
+                    for scale in [1.0, 2f64.powi(40)] {
+                        let boundary = boundary_rows(n, 3, seed, scale);
+                        let c = DistanceConstraints::new(scale, eta);
+                        lists_match_brute_force(&boundary, &dist, c, batch, shards);
+                    }
+                }
+            }
+        }
+    }
+}
+
+/// A pinned case for the narrow-row margin. Under L³ at ε = 2⁴⁰ the
+/// rounded `1/3` exponent reports a pair a hair beyond ε a few ulps
+/// *below* ε: row j's third-nearest inlier q (two ulps beyond ε away)
+/// sits at ε − 5 ulps, and the last row t (one ulp beyond ε away,
+/// outside every ε-range query) at ε − 6 ulps. A rule that took j as
+/// narrow because its `δ_η ≤ ε` would never see t; the margin keeps j
+/// wide, so it observes t directly.
+#[test]
+fn narrow_margin_covers_powf_rounding() {
+    let s = 2f64.powi(40);
+    let at = |x: f64| vec![Value::Num(x), Value::Num(0.0), Value::Num(0.0)];
+    let (j, t, q) = (
+        at(0.0),
+        at(s * (1.0 + f64::EPSILON)),
+        at(s * (1.0 + 2.0 * f64::EPSILON)),
+    );
+    let rows = vec![
+        j.clone(),
+        at(s / 2.0),
+        at(-0.6 * s), // j's second ε-neighbour, itself an outlier
+        q.clone(),
+        at(1.5 * s),
+        t.clone(),
+    ];
+    let dist = TupleDistance::new(vec![Metric::Absolute; 3], Norm::Lp(3.0));
+    assert!(
+        dist.dist_within(&j, &t, s).is_none(),
+        "t lies beyond ε of j"
+    );
+    assert!(
+        dist.dist(&j, &t) < dist.dist(&j, &q),
+        "yet reports nearer than q"
+    );
+    assert!(dist.dist(&j, &q) <= s);
+    for batch in [1, 5] {
+        for shards in [1, 3] {
+            lists_match_brute_force(&rows, &dist, DistanceConstraints::new(s, 3), batch, shards);
+        }
     }
 }

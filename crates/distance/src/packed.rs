@@ -124,6 +124,19 @@ impl PackedMatrix {
         self.valid.push(ok);
     }
 
+    /// Inserts one row at position `at`, shifting later rows up by one:
+    /// the layout [`PackedMatrix::build`] gives the rows with `row`
+    /// inserted there. An unpackable row is recorded invalid.
+    ///
+    /// # Panics
+    /// Panics if `at` exceeds [`PackedMatrix::len`].
+    pub fn insert_row(&mut self, at: usize, row: &[Value]) {
+        assert!(at <= self.len(), "insert position {at} past the end");
+        self.push_row(row);
+        self.data[at * self.m..].rotate_right(self.m);
+        self.valid[at..].rotate_right(1);
+    }
+
     /// Number of packed rows (valid or not).
     pub fn len(&self) -> usize {
         self.valid.len()
@@ -473,5 +486,29 @@ mod tests {
         assert_eq!(mat.arity(), 2);
         assert_eq!(mat.row(0), Some(&[1.0, 2.0][..]));
         assert_eq!(mat.row(1), None);
+    }
+
+    #[test]
+    fn insert_row_matches_building_over_the_merged_rows() {
+        let dist = TupleDistance::numeric(2);
+        let rows = vec![vec![n(1.0), n(2.0)], vec![n(3.0), n(4.0)]];
+        let mut mat = PackedMatrix::build(&rows, &dist).unwrap();
+        let text = vec![n(7.0), Value::Text("x".into())];
+        mat.insert_row(1, &text);
+        mat.insert_row(0, &[n(5.0), n(6.0)]);
+        mat.insert_row(4, &[n(8.0), n(9.0)]);
+        let merged = vec![
+            vec![n(5.0), n(6.0)],
+            rows[0].clone(),
+            text,
+            rows[1].clone(),
+            vec![n(8.0), n(9.0)],
+        ];
+        let built = PackedMatrix::build(&merged, &dist).unwrap();
+        assert_eq!(mat.len(), built.len());
+        for i in 0..built.len() {
+            assert_eq!(mat.row(i), built.row(i), "row {i}");
+        }
+        assert_eq!(mat.row(2), None);
     }
 }

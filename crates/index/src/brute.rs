@@ -118,15 +118,26 @@ pub(crate) fn scan_knn(
     best: &mut Vec<(u32, f64)>,
 ) {
     for id in ids {
-        if let Some(d) = scan.dist_within(id, kth_bound(best, k)) {
+        // The early exit compares accumulators against `to_acc` of the
+        // incumbent k-th distance. Under L^p both `to_acc` and the
+        // finished distance go through `powf` (with a rounded `1/p`), so
+        // a row can report a smaller distance than the incumbent while
+        // its accumulator exceeds that threshold. Widening the threshold
+        // by `KNN_SLACK` (far above that rounding, about `10³ u`) keeps
+        // such rows; `push_best` ranks what passes by exact distance.
+        if let Some(d) = scan.dist_within(id, kth_bound(best, k) * KNN_SLACK) {
             push_best(best, k, id, d);
         }
     }
 }
 
+/// Relative widening of the k-NN early-exit threshold; see [`scan_knn`].
+const KNN_SLACK: f64 = 1.0 + 1e-9;
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use disc_distance::{Metric, Norm};
 
     fn rows(points: &[[f64; 2]]) -> Vec<Vec<Value>> {
         points
@@ -194,6 +205,42 @@ mod tests {
         let idx = BruteForceIndex::new(&data, TupleDistance::numeric(2));
         assert!(idx.is_empty());
         assert!(idx.range(&q(0.0, 0.0), 1.0).is_empty());
+    }
+
+    #[test]
+    fn knn_distances_are_exact_when_powf_rounds() {
+        // Under L³ at this scale the rounded `1/3` exponent reports some
+        // rows a few ulps *below* distances whose accumulators are
+        // smaller, so an early exit against `to_acc` of the incumbent
+        // k-th distance alone would drop closer rows.
+        let s = 2f64.powi(40);
+        let cells = [
+            0.0,
+            s / 2.0,
+            s,
+            s * (1.0 + f64::EPSILON),
+            s * (1.0 + 2.0 * f64::EPSILON),
+            s * (1.0 - f64::EPSILON / 2.0),
+        ];
+        let mut data = Vec::new();
+        for &x in &cells {
+            for &y in &cells {
+                for &z in &cells {
+                    data.push(vec![Value::Num(x), Value::Num(y), Value::Num(z)]);
+                }
+            }
+        }
+        let dist = TupleDistance::new(vec![Metric::Absolute; 3], Norm::Lp(3.0));
+        let idx = BruteForceIndex::new(&data, dist.clone());
+        for query in &data {
+            let mut all: Vec<f64> = data.iter().map(|row| dist.dist(query, row)).collect();
+            all.sort_by(f64::total_cmp);
+            for k in 1..6 {
+                let got: Vec<u64> = idx.knn(query, k).iter().map(|h| h.1.to_bits()).collect();
+                let want: Vec<u64> = all[..k].iter().map(|d| d.to_bits()).collect();
+                assert_eq!(got, want, "query {query:?}, k = {k}");
+            }
+        }
     }
 
     #[test]

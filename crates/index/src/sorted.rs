@@ -25,12 +25,40 @@ impl SortedColumn {
         for (i, row) in rows.iter().enumerate() {
             entries.push((row[attr].as_num()?, i as u32));
         }
-        entries.sort_by(|a, b| {
-            a.0.partial_cmp(&b.0)
-                .unwrap_or(std::cmp::Ordering::Equal)
-                .then(a.1.cmp(&b.1))
-        });
+        entries.sort_by(entry_order);
         Some(SortedColumn { entries })
+    }
+
+    /// Inserts rows, leaving the column equal to [`SortedColumn::new`]
+    /// over the merged rows. `added` lists each new row's id in the
+    /// merged row order with its value, ids strictly ascending; every
+    /// existing row id moves up past the new ids placed before it.
+    pub fn insert(&mut self, added: &[(u32, f64)]) {
+        if added.is_empty() {
+            return;
+        }
+        // New row `j` lands just before the existing row `added[j].0 - j`.
+        let before: Vec<u32> = (0u32..).zip(added).map(|(j, &(id, _))| id - j).collect();
+        if before
+            .first()
+            .is_some_and(|&b| (b as usize) < self.entries.len())
+        {
+            for e in &mut self.entries {
+                e.1 += before.partition_point(|&b| b <= e.1) as u32;
+            }
+        }
+        let mut fresh: Vec<(f64, u32)> = added.iter().map(|&(id, x)| (x, id)).collect();
+        fresh.sort_by(entry_order);
+        let mut fresh = fresh.into_iter().peekable();
+        let old = std::mem::take(&mut self.entries);
+        self.entries.reserve(old.len() + fresh.len());
+        for e in old {
+            while let Some(f) = fresh.next_if(|f| entry_order(f, &e).is_lt()) {
+                self.entries.push(f);
+            }
+            self.entries.push(e);
+        }
+        self.entries.extend(fresh);
     }
 
     /// Number of entries.
@@ -72,6 +100,13 @@ impl SortedColumn {
     }
 }
 
+/// The column order: by value, ties by row id.
+fn entry_order(a: &(f64, u32), b: &(f64, u32)) -> std::cmp::Ordering {
+    a.0.partial_cmp(&b.0)
+        .unwrap_or(std::cmp::Ordering::Equal)
+        .then(a.1.cmp(&b.1))
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -108,6 +143,28 @@ mod tests {
     fn non_numeric_column_rejected() {
         let rows = vec![vec![Value::Text("a".into())]];
         assert!(SortedColumn::new(&rows, 0).is_none());
+    }
+
+    #[test]
+    fn insert_equals_building_over_the_merged_rows() {
+        // Old rows 5, 1, 3, 2; new rows land at ids 0, 2 (mid-order, a
+        // duplicate value) and 6 (appended).
+        let mut c = col(&[5.0, 1.0, 3.0, 2.0]);
+        c.insert(&[(0, 4.0), (2, 1.0), (6, 0.5)]);
+        let merged = col(&[4.0, 5.0, 1.0, 1.0, 3.0, 2.0, 0.5]);
+        assert_eq!(c.entries, merged.entries);
+        assert_eq!(c.ball(1.0, 0.0).collect::<Vec<_>>(), vec![2, 3]);
+    }
+
+    #[test]
+    fn insert_into_empty_and_append_only() {
+        let mut c = col(&[]);
+        c.insert(&[(0, 3.0), (1, 1.0)]);
+        assert_eq!(c.entries, col(&[3.0, 1.0]).entries);
+        c.insert(&[(2, 2.0)]);
+        assert_eq!(c.entries, col(&[3.0, 1.0, 2.0]).entries);
+        c.insert(&[]);
+        assert_eq!(c.len(), 3);
     }
 
     #[test]

@@ -187,6 +187,11 @@ declare_counters! {
     /// Outliers promoted to inliers by later arrivals (their saved
     /// adjustment, if any, is reverted to the original values).
     ENGINE_PROMOTIONS => "engine.promotions",
+    /// Tuple distances the engine's `δ_η` upkeep evaluated itself: one
+    /// per wide pre-existing inlier per new inlier (narrow inliers take
+    /// their distances from ε-range queries, which count under
+    /// `index.*` and `kernel.*` instead).
+    ENGINE_DELTA_ETA_EVALS => "engine.delta_eta_evals",
     /// Rows distributed to engine shards (one per row per lifetime of a
     /// sharded engine, counting restores as well as ingests).
     SHARD_ROWS => "shard.rows",

@@ -25,7 +25,7 @@
 use std::fs::OpenOptions;
 use std::path::Path;
 
-use disc_core::EngineState;
+use disc_core::{EngineState, NearestTable};
 use disc_data::binary::{self, Reader};
 use disc_data::Schema;
 use disc_obs::counters;
@@ -73,7 +73,7 @@ fn encode_payload(data: &SnapshotData) -> Vec<u8> {
         binary::put_u64(&mut out, c as u64);
     }
     binary::put_u32(&mut out, data.state.nearest.len() as u32);
-    for list in &data.state.nearest {
+    for list in data.state.nearest.iter() {
         match list {
             None => out.push(0),
             Some(ds) => {
@@ -115,20 +115,21 @@ fn decode_payload(payload: &[u8]) -> Result<SnapshotData, String> {
     let n = r
         .count(1, "nearest table length")
         .map_err(|e| e.to_string())?;
-    let mut nearest = Vec::with_capacity(n);
+    let mut nearest = NearestTable::with_capacity(0, n);
+    let mut ds = Vec::new();
     for _ in 0..n {
-        nearest.push(match r.u8("δ_η list tag").map_err(|e| e.to_string())? {
-            0 => None,
+        match r.u8("δ_η list tag").map_err(|e| e.to_string())? {
+            0 => nearest.push(None),
             1 => {
                 let k = r.count(8, "δ_η list length").map_err(|e| e.to_string())?;
-                let mut ds = Vec::with_capacity(k);
+                ds.clear();
                 for _ in 0..k {
                     ds.push(r.f64("δ_η distance").map_err(|e| e.to_string())?);
                 }
-                Some(ds)
+                nearest.push(Some(&ds));
             }
             tag => return Err(format!("unknown δ_η list tag {tag:#04x}")),
-        });
+        }
     }
     let p = r
         .count(8, "pending set length")
@@ -340,7 +341,7 @@ mod tests {
                     vec![Value::Num(2.5), Value::Null],
                 ],
                 counts: vec![5, 1],
-                nearest: vec![Some(vec![0.1, 0.2, 0.3]), None],
+                nearest: [Some(&[0.1, 0.2, 0.3][..]), None].into_iter().collect(),
                 pending: vec![1],
             },
         }

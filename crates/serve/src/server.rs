@@ -591,9 +591,10 @@ fn writer_loop(
         }
         shared.publish(backend.engine().export_state());
     }
+    // The loop exits only on an empty, closed queue, so the last drain
+    // (or `Server::start`) already published this generation.
     let state = backend.engine().export_state();
     let generation = backend.engine().generation();
-    shared.publish(state.clone());
     let close_error = backend.close();
     ShutdownReport {
         state,
@@ -935,5 +936,31 @@ mod tests {
         );
         handle.request_shutdown();
         handle.wait();
+    }
+
+    #[test]
+    fn shutdown_publishes_no_new_image() {
+        let saver = SaverConfig::new(DistanceConstraints::new(0.5, 4), TupleDistance::numeric(2))
+            .build_approx()
+            .unwrap();
+        let engine = DiscEngine::new(Schema::numeric(2), Box::new(saver));
+        let handle = Server::start(EngineBackend::Memory(engine), ServerConfig::default()).unwrap();
+        let acked = handle
+            .ingest(vec![vec![Value::Num(0.0), Value::Num(0.0)]; 5])
+            .unwrap();
+        // Acks precede publication: wait for the drain's image.
+        while handle.snapshot().generation != acked.generation {
+            thread::sleep(Duration::from_millis(1));
+        }
+        let published = handle.snapshot();
+        let shared = Arc::clone(&handle.shared);
+        handle.request_shutdown();
+        let report = handle.wait();
+        assert!(
+            Arc::ptr_eq(&published, &shared.current()),
+            "shutdown replaced the published image"
+        );
+        assert_eq!(report.state, *published);
+        assert_eq!(report.generation, acked.generation);
     }
 }
