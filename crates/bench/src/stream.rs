@@ -37,7 +37,7 @@ pub fn ingest_workload() -> Dataset {
 
 /// The `stream_ingest` saver: ε = 2.5, η = 5, κ = 2 over `m` numeric
 /// attributes.
-pub fn ingest_saver(m: usize) -> SaverConfig {
+fn ingest_saver(m: usize) -> SaverConfig {
     SaverConfig::new(DistanceConstraints::new(2.5, 5), TupleDistance::numeric(m)).kappa(2)
 }
 

@@ -1075,6 +1075,47 @@ mod tests {
         assert!(stats.iter().all(|s| s.rows_visited > 0), "{stats:?}");
     }
 
+    /// The hash partition balances rows and query work across shards,
+    /// and fanning out shrinks the per-thread work: over 200 ε-range
+    /// queries, the busiest of 4 shards visits fewer rows than 1 shard
+    /// does. At 6,000 rows every shard's index is past its brute scan.
+    #[test]
+    fn fan_out_balances_rows_and_shrinks_per_shard_work() {
+        let mut ds = disc_data::ClusterSpec::new(6000, 3, 4, 17).generate();
+        disc_data::ErrorInjector::new(300, 60, 19).inject(&mut ds);
+        // (rows held, rows visited by the queries) per shard.
+        let per_shard = |shards: usize| -> (Vec<u64>, Vec<u64>) {
+            let saver =
+                SaverConfig::new(DistanceConstraints::new(2.5, 5), TupleDistance::numeric(3))
+                    .kappa(2)
+                    .build_approx()
+                    .unwrap();
+            let mut eng = ShardedEngine::with_shards(Schema::numeric(3), Box::new(saver), shards);
+            eng.ingest(ds.rows().to_vec()).unwrap();
+            let before = eng.shard_stats();
+            for row in &ds.rows()[..200] {
+                eng.range(row, 2.5);
+            }
+            let after = eng.shard_stats();
+            let rows = after.iter().map(|s| s.rows as u64).collect();
+            let visited = after
+                .iter()
+                .zip(before)
+                .map(|(a, b)| a.rows_visited - b.rows_visited);
+            (rows, visited.collect())
+        };
+        let spread =
+            |xs: &[u64]| *xs.iter().max().unwrap() as f64 / *xs.iter().min().unwrap() as f64;
+        let (rows, visited) = per_shard(4);
+        assert!(spread(&rows) < 2.0, "shard rows {rows:?}");
+        assert!(spread(&visited) < 2.0, "rows visited per shard {visited:?}");
+        let (busiest, single) = (*visited.iter().max().unwrap(), per_shard(1).1[0]);
+        assert!(
+            busiest < single,
+            "busiest shard {busiest}, one shard {single}"
+        );
+    }
+
     #[test]
     fn counts_update_incrementally() {
         let mut eng = engine(1.0, 3);

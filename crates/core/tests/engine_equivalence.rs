@@ -463,3 +463,52 @@ fn narrow_margin_covers_powf_rounding() {
         }
     }
 }
+
+/// `n` rows on the lattice `{0.1, 1.1, 2.1}^m · s`, drawn by an LCG:
+/// whole-step distances tie, and with ε a whole number of steps many
+/// pairs lie exactly on the boundary, rounded differently at each scale.
+fn lattice(n: usize, m: usize, s: f64, seed: u64) -> Vec<Vec<Value>> {
+    let mut state = seed;
+    (0..n)
+        .map(|_| {
+            (0..m)
+                .map(|_| {
+                    state = state
+                        .wrapping_mul(6364136223846793005)
+                        .wrapping_add(1442695040888963407);
+                    Value::Num(((state >> 33) % 3) as f64 * s + 0.1 * s)
+                })
+                .collect()
+        })
+        .collect()
+}
+
+/// At m = 5 and 1,100 rows both the batch saver and the engine's shards
+/// search a VP tree, built whole in one and grown by 100-row ingests in
+/// the other. On the lattice the two trees must still return the same
+/// neighbours as a brute scan, rows at exactly ε and k-th-distance ties
+/// included, or streamed and batch results part.
+#[test]
+fn streamed_matches_batch_on_a_five_attribute_lattice() {
+    let m = 5;
+    for s in [1e-3, 7.0] {
+        let rows = lattice(1100, m, s, 2);
+        for norm in [Norm::L1, Norm::L2, Norm::LInf, Norm::Lp(3.0)] {
+            for (eps, eta) in [(s, 40), (s, 120), (2.0 * s, 40), (2.0 * s, 120)] {
+                let dist = TupleDistance::new(vec![Metric::Absolute; m], norm);
+                let config = SaverConfig::new(DistanceConstraints::new(eps, eta), dist).kappa(2);
+                let mut batch = Dataset::new(Schema::numeric(m), rows.clone());
+                config.clone().build_approx().unwrap().save_all(&mut batch);
+                let mut engine =
+                    DiscEngine::new(Schema::numeric(m), Box::new(config.build_approx().unwrap()));
+                for chunk in rows.chunks(100) {
+                    engine.ingest(chunk.to_vec()).expect("finite data");
+                }
+                assert!(
+                    bit_equal(engine.dataset().rows(), batch.rows()),
+                    "{norm:?}, s = {s}, ε = {eps}, η = {eta}"
+                );
+            }
+        }
+    }
+}

@@ -22,7 +22,7 @@
 //! The kernels are **bit-identical** to the `Value` path, not merely
 //! close: they perform the same sequence of IEEE-754 operations in the
 //! same order as [`TupleDistance::dist_within`] /
-//! [`TupleDistance::dist`] restricted to finite numeric cells.
+//! [`TupleDistance::acc`] restricted to finite numeric cells.
 //! Concretely, per attribute the `Value` path computes `d = |x − y|`
 //! (finite operands) and folds it with [`Norm::accumulate`]; the kernels
 //! compute the same `|x − y|` and fold with the same expression
@@ -271,15 +271,22 @@ pub fn lp_within(q: &[f64], r: &[f64], p: f64, threshold: f64) -> Option<f64> {
     Some(acc.powf(1.0 / p))
 }
 
+/// Full packed accumulation under `norm`: [`Norm::finish`] of it is
+/// [`eval_full`].
+#[inline]
+pub fn eval_acc(norm: Norm, q: &[f64], r: &[f64]) -> f64 {
+    match norm {
+        Norm::L1 => l1(q, r),
+        Norm::L2 => l2_squared(q, r),
+        Norm::LInf => linf(q, r),
+        Norm::Lp(p) => lp(q, r, p),
+    }
+}
+
 /// Full packed distance under `norm` (finished, not accumulator space).
 #[inline]
 pub fn eval_full(norm: Norm, q: &[f64], r: &[f64]) -> f64 {
-    match norm {
-        Norm::L1 => l1(q, r),
-        Norm::L2 => l2_squared(q, r).sqrt(),
-        Norm::LInf => linf(q, r),
-        Norm::Lp(p) => lp(q, r, p).powf(1.0 / p),
-    }
+    norm.finish(eval_acc(norm, q, r))
 }
 
 /// Packed distance with early exit, mirroring
@@ -364,18 +371,25 @@ impl<'a> PackedScan<'a> {
             .dist_within(self.query, &self.rows[id as usize], threshold)
     }
 
-    /// Full distance from the query to row `id`, identical in result to
-    /// [`TupleDistance::dist`].
+    /// Full accumulation from the query to row `id`, identical in result
+    /// to [`TupleDistance::acc`]: [`Norm::finish`] of it is the distance,
+    /// and `acc ≤ to_acc(t)` is the verdict of
+    /// [`PackedScan::dist_within`] at `t`.
     #[inline]
-    pub fn dist(&mut self, id: u32) -> f64 {
+    pub fn acc(&mut self, id: u32) -> f64 {
         if let Some(mat) = self.matrix {
             if let Some(row) = mat.row(id as usize) {
                 self.packed_calls += 1;
-                return eval_full(self.dist.norm(), &self.qf, row);
+                return eval_acc(self.dist.norm(), &self.qf, row);
             }
         }
         self.fallback_calls += 1;
-        self.dist.dist(self.query, &self.rows[id as usize])
+        self.dist.acc(self.query, &self.rows[id as usize])
+    }
+
+    /// The norm the scan's metric aggregates with.
+    pub fn norm(&self) -> Norm {
+        self.dist.norm()
     }
 }
 
@@ -461,7 +475,7 @@ mod tests {
         assert_eq!(scan.dist_within(0, 1.0), Some(0.0));
         assert_eq!(scan.dist_within(1, 1.0), Some(1.0)); // Null fallback: d = 1
         assert_eq!(scan.dist_within(2, 1.0), None); // early exit
-        assert_eq!(scan.dist(2), 3.0);
+        assert_eq!(scan.acc(2), 9.0); // L², before the root
         assert_eq!(
             (scan.packed_calls, scan.fallback_calls, scan.early_exits),
             (3, 1, 1)

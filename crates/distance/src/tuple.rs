@@ -104,6 +104,13 @@ impl TupleDistance {
 
     /// Full-tuple distance `Δ(t1, t2)` over all attributes.
     pub fn dist(&self, a: &[Value], b: &[Value]) -> f64 {
+        self.norm.finish(self.acc(a, b))
+    }
+
+    /// [`TupleDistance::dist`] before [`Norm::finish`]: the accumulation
+    /// [`TupleDistance::dist_within`] compares against `to_acc` of its
+    /// threshold.
+    pub fn acc(&self, a: &[Value], b: &[Value]) -> f64 {
         debug_assert_eq!(a.len(), self.arity());
         debug_assert_eq!(b.len(), self.arity());
         let mut acc = self.norm.init();
@@ -112,7 +119,7 @@ impl TupleDistance {
                 .norm
                 .accumulate(acc, self.metrics[i].dist(&a[i], &b[i]));
         }
-        self.norm.finish(acc)
+        acc
     }
 
     /// Distance restricted to the attribute subset `X`:

@@ -70,7 +70,8 @@ impl VpNodes {
         visited: &mut u64,
     ) {
         if let Some(root) = &self.root {
-            range_rec(root, scan, eps, out, visited);
+            let cap = scan.norm().to_acc(eps);
+            range_rec(root, scan, eps, cap, out, visited);
         }
     }
 
@@ -130,29 +131,64 @@ fn build_rec(rows: &[Vec<Value>], dist: &TupleDistance, ids: &mut [u32]) -> Opti
     }))
 }
 
+/// Relative slack on the triangle-inequality prunes, which skip a child
+/// when `d − radius` (inside) or `radius − d` (outside) exceeds the
+/// query bound `τ`: ε, or the incumbent k-th distance. Over the reals
+/// that skips no row within `τ`, but `d = Δ(q, v)`, `radius` and a
+/// row's reported `d' = Δ(q, p)` are computed values, each within a
+/// relative error `e` of the real distance between the stored rows: a
+/// few ulps per attribute under L¹, L² and L^∞, and under L^p
+/// `powf`'s error plus up to `746u` from the rounded `1/p` (`u = 2⁻⁵³`;
+/// see `NARROW_MARGIN` in the engine). Chaining the real triangle
+/// inequality through the computed values gives, for an inside row,
+/// `d − radius ≤ d' + 2.01e·(d' + radius)`, and for an outside row
+/// `radius − d ≤ d' + 2.01e·(d' + d)`. A row the brute scan keeps has
+/// `d' ≤ τ`, or for a range row `acc ≤ to_acc(ε)`, so `d' ≤ ε·(1 + 2e)`
+/// (its rounding is that of `NARROW_MARGIN`'s argument). Either way
+/// the gap stays below `τ + 5e·(d + radius + τ)`, and `1e-9` exceeds
+/// `5e` by orders of magnitude even for a `powf` a thousand ulps off. So
+/// a prune never drops a row at exactly ε, or one that ties the k-th
+/// distance (its id may still win the tie); the slack costs at most a
+/// subtree visit the exact test would skip. A gap that is not a number
+/// (`∞ − ∞`) proves nothing, and the child is visited.
+const PRUNE_SLACK: f64 = 1e-9;
+
+/// True when the triangle inequality proves every row of a child beyond
+/// `tau`, with `gap` its `d − radius` or `radius − d`; see
+/// [`PRUNE_SLACK`].
+fn beyond(gap: f64, d: f64, radius: f64, tau: f64) -> bool {
+    gap > tau + PRUNE_SLACK * (d + radius + tau)
+}
+
+/// Range search below `node`. One kernel evaluation per node gives both
+/// the distance the prunes need and the accumulator the brute scan's
+/// inclusion test reads: a row is in range iff `acc ≤ cap = to_acc(ε)`,
+/// the verdict of `dist_within` (under L² and L^p it can differ from
+/// `d ≤ ε` at the boundary).
 fn range_rec(
     node: &Node,
     scan: &mut PackedScan<'_>,
     eps: f64,
+    cap: f64,
     out: &mut Vec<(u32, f64)>,
     visited: &mut u64,
 ) {
     *visited += 1;
-    let d = scan.dist(node.vantage);
-    if d <= eps {
+    let acc = scan.acc(node.vantage);
+    let d = scan.norm().finish(acc);
+    if acc <= cap {
         out.push((node.vantage, d));
     }
+    // A point p inside has Δ(v,p) ≤ radius, so Δ(q,p) ≥ d − radius; one
+    // outside has Δ(v,p) > radius, so Δ(q,p) ≥ radius − d.
     if let Some(inside) = &node.inside {
-        // A point p inside has Δ(v,p) ≤ radius; by triangle inequality
-        // Δ(q,p) ≥ d − radius, so skip if d − radius > eps.
-        if d - node.radius <= eps {
-            range_rec(inside, scan, eps, out, visited);
+        if !beyond(d - node.radius, d, node.radius, eps) {
+            range_rec(inside, scan, eps, cap, out, visited);
         }
     }
     if let Some(outside) = &node.outside {
-        // A point p outside has Δ(v,p) > radius; Δ(q,p) ≥ radius − d.
-        if node.radius - d <= eps {
-            range_rec(outside, scan, eps, out, visited);
+        if !beyond(node.radius - d, d, node.radius, eps) {
+            range_rec(outside, scan, eps, cap, out, visited);
         }
     }
 }
@@ -165,7 +201,7 @@ fn knn_rec(
     visited: &mut u64,
 ) {
     *visited += 1;
-    let d = scan.dist(node.vantage);
+    let d = scan.norm().finish(scan.acc(node.vantage));
     if d <= kth_bound(best, k) {
         push_best(best, k, node.vantage, d);
     }
@@ -178,13 +214,12 @@ fn knn_rec(
             &node.outside
         };
         if let Some(child) = child {
-            let tau = kth_bound(best, k);
-            let reachable = if go_inside {
-                d - node.radius <= tau
+            let gap = if go_inside {
+                d - node.radius
             } else {
-                node.radius - d <= tau
+                node.radius - d
             };
-            if reachable {
+            if !beyond(gap, d, node.radius, kth_bound(best, k)) {
                 knn_rec(child, scan, k, best, visited);
             }
         }

@@ -342,3 +342,57 @@ fn far_out_coordinates_have_no_grid_cell() {
         }
     }
 }
+
+/// `n` rows on the lattice `{0.1, 1.1, 2.1, 3.1, 4.1}^m · s`, drawn by an
+/// LCG: pairs a whole number of steps apart tie on distance, and with
+/// ε a whole number of steps many lie exactly on the boundary, rounded
+/// differently at each scale.
+fn lattice(n: usize, m: usize, s: f64, seed: u64) -> Vec<Vec<Value>> {
+    let mut state = seed;
+    (0..n)
+        .map(|_| {
+            (0..m)
+                .map(|_| {
+                    state = state
+                        .wrapping_mul(6364136223846793005)
+                        .wrapping_add(1442695040888963407);
+                    Value::Num(((state >> 33) % 5) as f64 * s + 0.1 * s)
+                })
+                .collect()
+        })
+        .collect()
+}
+
+/// The VP tree (built whole, and grown by a dynamic index past its brute
+/// scan) returns exactly the brute scan's range and k-NN answers on the
+/// lattice, where rows at exactly ε and k-th-distance ties are the rule:
+/// the cases its triangle-inequality pruning must not drop under
+/// rounding.
+#[test]
+fn vp_tree_is_exact_on_lattice_ties() {
+    let norms = [Norm::L1, Norm::L2, Norm::LInf, Norm::Lp(1.5), Norm::Lp(3.0)];
+    for s in [1.0, 0.1, 0.3, 1e-3, 7.0] {
+        for m in [2, 3, 5, 7] {
+            let rows = lattice(700, m, s, m as u64);
+            let probes: Vec<&[Value]> = rows.iter().step_by(23).map(|r| &r[..]).collect();
+            for norm in norms {
+                let dist = with_norm(m, norm);
+                let oracle = BruteForceIndex::new(&rows, dist.clone().with_packed(false));
+                let tree = Index::vp_tree(&rows, dist.clone());
+                let grown = dynamic_via_ingest_splits(&rows, &dist, s, m as u64);
+                for (label, idx) in [("vptree", &tree as &dyn NeighborIndex), ("dynamic", &grown)] {
+                    let label = format!("{label} s = {s}, m = {m}");
+                    for q in &probes {
+                        for eps in [s, 2.0 * s] {
+                            let want = sort_by_id(oracle.range(q, eps));
+                            assert_hits_match(norm, &sort_by_id(idx.range(q, eps)), &want, &label);
+                        }
+                        for k in [1, 6, 40] {
+                            assert_hits_match(norm, &idx.knn(q, k), &oracle.knn(q, k), &label);
+                        }
+                    }
+                }
+            }
+        }
+    }
+}

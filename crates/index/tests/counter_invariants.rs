@@ -1,12 +1,20 @@
 //! Counter invariants: an index's own `IndexActivity` and the
-//! process-global `index.*` counters record the same events.
+//! process-global `index.*` counters record the same events, every row
+//! an index visits costs exactly one distance-kernel evaluation, and a
+//! numeric brute scan runs the packed kernels.
 //!
-//! One test in a binary of its own, because the counters are
-//! process-global: a concurrent test would move them.
+//! The counters are process-global, so each test holds `COUNTERS` while
+//! it reads them: a concurrent test would move them.
+
+use std::sync::Mutex;
 
 use disc_distance::{TupleDistance, Value};
-use disc_index::{DynamicIndex, DynamicNeighborIndex, Index, IndexActivity, NeighborIndex};
+use disc_index::{
+    BruteForceIndex, DynamicIndex, DynamicNeighborIndex, Index, IndexActivity, NeighborIndex,
+};
 use disc_obs::Snapshot;
+
+static COUNTERS: Mutex<()> = Mutex::new(());
 
 const BACKENDS: [&str; 3] = ["brute", "grid", "vptree"];
 
@@ -30,20 +38,35 @@ fn global(d: &Snapshot, backend: &str) -> (u64, u64) {
     )
 }
 
-/// Runs range and k-NN queries on `idx`, checks that its activity delta
-/// is exactly the delta on `backend`'s global counters (and that no
-/// other backend's moved), and returns that delta.
+/// Runs range, count, k-NN and k-th-distance queries on `idx`. Checks
+/// that each kind evaluated one distance kernel per row visited, all on
+/// the packed path, and that the activity delta is exactly the delta on
+/// `backend`'s global counters (and that no other backend's moved).
+/// Returns that delta.
 fn queried_delta<R: AsRef<[Vec<Value>]>>(
     idx: &Index<R>,
     backend: &str,
     probes: &[Vec<Value>],
 ) -> IndexActivity {
     let (act, snap) = (idx.activity(), Snapshot::take());
-    for q in probes {
-        idx.range(q, 0.7);
-        idx.count_within(q, 2.0);
-        idx.knn(q, 5);
-        idx.kth_distance(q, 9);
+    for kind in ["range", "count", "knn", "kth"] {
+        let before = Snapshot::take();
+        for q in probes {
+            match kind {
+                "range" => idx.range(q, 0.7).len(),
+                "count" => idx.count_within(q, 2.0),
+                "knn" => idx.knn(q, 5).len(),
+                _ => usize::from(idx.kth_distance(q, 9).is_some()),
+            };
+        }
+        let d = Snapshot::take().delta_since(&before);
+        let (packed, fallback) = (d.get("kernel.packed_calls"), d.get("kernel.fallback_calls"));
+        assert_eq!(
+            packed + fallback,
+            global(&d, backend).1,
+            "{backend} {kind}: kernel evaluations vs rows visited"
+        );
+        assert_eq!(fallback, 0, "{backend} {kind}: numeric rows fell back");
     }
     let d = Snapshot::take().delta_since(&snap);
     let now = idx.activity();
@@ -67,6 +90,7 @@ fn queried_delta<R: AsRef<[Vec<Value>]>>(
 
 #[test]
 fn index_activity_matches_the_global_counters() {
+    let _counters = COUNTERS.lock().unwrap_or_else(|e| e.into_inner());
     let sizes = [
         (300, 2, "brute", "brute"),
         (900, 2, "grid", "grid"),
@@ -99,4 +123,32 @@ fn index_activity_matches_the_global_counters() {
         assert_eq!(rebuilds, u64::from(backend == "grid"), "{backend}");
         assert_eq!(queried_delta(&grown, backend, &probes), auto_delta);
     }
+}
+
+/// A numeric brute scan runs the packed kernels, with early exits and no
+/// fallbacks; `with_packed(false)` makes no packed call, and both paths
+/// answer alike.
+#[test]
+fn numeric_brute_scan_runs_the_packed_kernels() {
+    let _counters = COUNTERS.lock().unwrap_or_else(|e| e.into_inner());
+    let rows = scatter(2000, 3, 9);
+    let dist = TupleDistance::numeric(3);
+    assert!(dist.packable());
+    let probes: Vec<&[Value]> = (0..40).map(|i| &rows[i * 499 % rows.len()][..]).collect();
+    let answers = |idx: &BruteForceIndex| -> (Vec<usize>, Snapshot) {
+        let before = Snapshot::take();
+        let counts = probes.iter().map(|q| idx.count_within(q, 2.0)).collect();
+        (counts, Snapshot::take().delta_since(&before))
+    };
+    let (packed, on) = answers(&BruteForceIndex::new(&rows, dist.clone()));
+    let (unpacked, off) = answers(&BruteForceIndex::new(&rows, dist.with_packed(false)));
+    assert_eq!(packed, unpacked, "the paths disagree");
+    assert!(on.get("kernel.packed_calls") > 0, "no packed kernel ran");
+    assert_eq!(on.get("kernel.fallback_calls"), 0, "numeric rows fell back");
+    assert!(on.get("kernel.early_exits") > 0, "no early exit");
+    assert_eq!(
+        off.get("kernel.packed_calls"),
+        0,
+        "with_packed(false) ran a kernel"
+    );
 }

@@ -241,6 +241,59 @@ fn follower_resyncs_through_a_leader_checkpoint() {
     std::fs::remove_dir_all(&follower_dir).ok();
 }
 
+/// A follower bootstrapped at generation 0 catches up on a 24-frame
+/// backlog over several polls of at most 8 frames: it applies every
+/// frame exactly once, in order, and lands bit-equal to the leader.
+#[test]
+fn follower_catches_up_on_a_frame_backlog() {
+    let leader_dir = temp_store("backlog-leader");
+    let follower_dir = temp_store("backlog-follower");
+    let leader = start_leader(&leader_dir, None); // every frame stays replayable
+    let options = FollowerOptions {
+        max_frames: 8,
+        ..follower_options()
+    };
+    let mut follower = Follower::bootstrap(
+        &follower_dir,
+        leader.addr().to_string(),
+        saver_factory(),
+        options,
+    )
+    .unwrap();
+    assert_eq!(follower.generation(), 0);
+    for b in 0..24usize {
+        let rows = (0..20)
+            .map(|r| {
+                let cell = b * 20 + r;
+                vec![
+                    Value::Num(0.2 * (cell % 6) as f64),
+                    Value::Num(0.2 * (cell / 6 % 6) as f64),
+                ]
+            })
+            .collect();
+        leader.ingest(rows).unwrap();
+    }
+    let mut applied = Vec::new();
+    let mut polls = 0;
+    loop {
+        let round = follower.catch_up_once().unwrap();
+        polls += 1;
+        applied.extend(round.applied.iter().map(|(g, _)| *g));
+        if round.caught_up {
+            break;
+        }
+    }
+    assert_eq!(applied, (1..=24).collect::<Vec<u64>>());
+    assert!(polls >= 3, "24 frames in {polls} polls of at most 8");
+    await_published(&leader, 24);
+    assert_eq!(&follower.state(), &*leader.snapshot());
+
+    leader.request_shutdown();
+    leader.wait();
+    std::fs::remove_dir_all(&leader_dir).ok();
+    std::fs::remove_dir_all(&follower_dir).ok();
+}
+
 /// The full daemon: a replica server fed by `Follower::run` serves
 /// reads at the leader's generation and refuses writes with a typed
 /// `not_leader` error naming the leader.

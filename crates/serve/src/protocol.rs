@@ -17,7 +17,8 @@
 //!
 //! Every response carries `"ok"`. Failures are typed:
 //! `{"ok":false,"op":…,"error":{"kind":…,"message":…}}` with `kind` one
-//! of [`KIND_PARSE`], [`KIND_INVALID`], [`KIND_OVERLOADED`] (the
+//! of [`KIND_PARSE`], [`KIND_INVALID`] (also the answer to a line
+//! longer than [`MAX_LINE_BYTES`]), [`KIND_OVERLOADED`] (the
 //! admission-control backpressure signal), [`KIND_SHUTTING_DOWN`],
 //! [`KIND_REJECTED`] (the engine refused the batch; nothing was
 //! applied), or [`KIND_IO`] (the durable backend failed; the batch must
@@ -34,6 +35,13 @@ use crate::json::{self, Json};
 /// say otherwise. Bounds one response line's size; the follower polls
 /// again immediately while frames keep coming.
 pub const DEFAULT_MAX_FRAMES: usize = 256;
+
+/// The longest request line the server reads, in bytes before the
+/// newline. A longer line is refused with [`KIND_INVALID`] and its
+/// connection closed, so a client that never sends `\n` cannot grow the
+/// server's memory without bound. Far above any batch a client sends,
+/// and far below the `u32` length the WAL records per frame.
+pub const MAX_LINE_BYTES: usize = 64 << 20;
 
 /// The request line was not a JSON object the parser accepts.
 pub const KIND_PARSE: &str = "parse";

@@ -41,7 +41,7 @@
 //! lost.
 
 use std::collections::VecDeque;
-use std::io::{BufRead, BufReader, Write};
+use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -58,7 +58,7 @@ use disc_persist::{snapshot, store, DurableEngine, WalTailer};
 
 use crate::protocol::{
     self, Request, KIND_INVALID, KIND_IO, KIND_NOT_LEADER, KIND_OVERLOADED, KIND_REJECTED,
-    KIND_SHUTTING_DOWN,
+    KIND_SHUTTING_DOWN, MAX_LINE_BYTES,
 };
 
 /// How the server stores ingested rows.
@@ -649,13 +649,25 @@ fn connection_loop(stream: TcpStream, shared: &Arc<Shared>, poll: Duration) {
 fn serve_connection(stream: TcpStream, shared: &Arc<Shared>, poll: Duration) {
     // Timeouts keep reads from pinning a thread past shutdown; a partial
     // line survives across timeouts in `line`, since `read_until` keeps
-    // the bytes it read before an error.
+    // the bytes it read before an error. Each read stops one byte past
+    // `MAX_LINE_BYTES`, so an over-long line shows without buffering
+    // the rest of it.
     let _ = stream.set_read_timeout(Some(poll));
     let _ = stream.set_nodelay(true);
     let mut reader = BufReader::new(stream);
     let mut line: Vec<u8> = Vec::new();
     loop {
-        match reader.read_until(b'\n', &mut line) {
+        let budget = (MAX_LINE_BYTES + 1 - line.len()) as u64;
+        match reader.by_ref().take(budget).read_until(b'\n', &mut line) {
+            Ok(_) if line.len() > MAX_LINE_BYTES && line.last() != Some(&b'\n') => {
+                let message = format!("request line exceeds {MAX_LINE_BYTES} bytes");
+                let response = protocol::error_response(None, KIND_INVALID, &message);
+                let out = reader.get_mut();
+                let _ = out
+                    .write_all(response.as_bytes())
+                    .and_then(|()| out.write_all(b"\n"));
+                return;
+            }
             // EOF, between lines or inside one.
             Ok(_) if line.last() != Some(&b'\n') => return,
             Ok(_) => {

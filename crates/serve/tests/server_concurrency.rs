@@ -18,6 +18,7 @@ use disc_core::{DiscEngine, DistanceConstraints, Query, Response, SaveReport, Sa
 use disc_data::Schema;
 use disc_distance::{TupleDistance, Value};
 use disc_obs::Snapshot;
+use disc_serve::protocol::MAX_LINE_BYTES;
 use disc_serve::{json, EngineBackend, Server, ServerConfig};
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
@@ -282,6 +283,47 @@ fn long_split_and_pipelined_lines_are_framed_in_order() {
 
     stream.write_all(b"{\"op\":\"shutdown\"}\n").unwrap();
     assert_eq!(next().get("ok"), Some(&json::Json::Bool(true)));
+    handle.wait();
+}
+
+/// A line one byte over `MAX_LINE_BYTES`, with no newline, is refused
+/// with a typed `invalid` error naming the limit and its connection is
+/// closed; the next connection is served.
+#[test]
+fn over_long_line_is_refused_and_its_connection_closed() {
+    let handle = Server::start(memory_backend(), ServerConfig::default()).unwrap();
+    let mut stream = TcpStream::connect(handle.addr()).unwrap();
+    // A server that kept reading would never answer: fail, not hang.
+    stream
+        .set_read_timeout(Some(Duration::from_secs(30)))
+        .unwrap();
+    let mut reader = BufReader::new(stream.try_clone().unwrap());
+    let chunk = vec![b' '; 1 << 20];
+    for _ in 0..MAX_LINE_BYTES / chunk.len() {
+        stream.write_all(&chunk).unwrap();
+    }
+    stream.write_all(b" ").unwrap();
+    let mut response = String::new();
+    reader.read_line(&mut response).unwrap();
+    let refused = json::parse(response.trim()).expect("response is valid JSON");
+    let error = refused.get("error").unwrap();
+    assert_eq!(error.get("kind").unwrap().as_str(), Some("invalid"));
+    let message = error.get("message").unwrap().as_str().unwrap();
+    assert!(message.contains(&MAX_LINE_BYTES.to_string()), "{message}");
+    response.clear();
+    assert_eq!(
+        reader.read_line(&mut response).unwrap(),
+        0,
+        "connection closed"
+    );
+
+    let mut next = TcpStream::connect(handle.addr()).unwrap();
+    next.write_all(b"{\"op\":\"report\"}\n").unwrap();
+    let mut reply = String::new();
+    BufReader::new(next).read_line(&mut reply).unwrap();
+    let report = json::parse(reply.trim()).expect("response is valid JSON");
+    assert_eq!(report.get("ok"), Some(&json::Json::Bool(true)));
+    handle.request_shutdown();
     handle.wait();
 }
 

@@ -194,14 +194,15 @@ echo "    leader and replica both recovered: $LEADER_REC ($ACKED_ROWS acked rows
 rm -rf "$REPL_DIR"
 trap - EXIT
 
-# Benchmark correctness: one short run each of the stream and serve
-# workloads. Every run checks its output against a batch save_all
-# (streamed, served, follower and reopened stores alike); perfbench
-# exits 0 either way, so the step reads its verdict. --locked keeps
-# cargo from rewriting the benchmark's lockfile.
-echo "==> perfbench correctness (stream_small, serve_durable)"
+# Benchmark correctness: one short run of each workload. The batch run
+# checks that a repeat reproduces it bit for bit; the stream and serve
+# runs check their output against a batch save_all (streamed, served,
+# follower and reopened stores alike). perfbench exits 0 either way, so
+# the step reads its verdict. --locked keeps cargo from rewriting the
+# benchmark's lockfile.
+echo "==> perfbench correctness (repair_batch, stream_small, serve_durable)"
 cargo build --release --offline --locked --quiet --manifest-path perfbench/Cargo.toml
-for workload in stream_small serve_durable; do
+for workload in repair_batch stream_small serve_durable; do
     OUT=$(perfbench/target/release/perfbench --workload "$workload" --seed 1 --seconds 1 --trace 0)
     if ! printf '%s\n' "$OUT" | grep -q '"correct":true' || printf '%s\n' "$OUT" | grep -q 'CHECK FAILED'; then
         printf '%s\n' "$OUT" >&2
