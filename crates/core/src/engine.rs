@@ -108,8 +108,10 @@ use crate::shard::{self, EngineShard, ShardMap, ShardStats};
 /// `1e-9` exceeds these bounds by three orders of magnitude even for a
 /// `powf` a thousand ulps off, so every excluded pair has
 /// `d > ε·(1 − NARROW_MARGIN) ≥ δ_η` of a narrow row. (The grid
-/// backend scans one cell beyond `ceil(ε / width)`, so its cell
-/// rounding never drops a pair the comparison keeps.) A row the margin
+/// backend's cell window reaches `ε·(1 + 2⁻³⁰)` from the query in every
+/// coordinate, a margin the same rounding argument covers, so its cell
+/// arithmetic never drops a pair the comparison keeps; see
+/// `REACH_MARGIN` in `disc_index::grid`.) A row the margin
 /// leaves wide costs only the direct distance loop. The
 /// `delta_eta_lists_match_brute_force` test pins the rule against
 /// brute force under L¹, L², L^∞ and L³ with `δ_η` at ε and one ulp

@@ -391,6 +391,16 @@ impl<'a> PackedScan<'a> {
     pub fn norm(&self) -> Norm {
         self.dist.norm()
     }
+
+    /// The tuple metric the scan evaluates.
+    pub fn distance(&self) -> &'a TupleDistance {
+        self.dist
+    }
+
+    /// The query the scan measures from.
+    pub fn query(&self) -> &'a [Value] {
+        self.query
+    }
 }
 
 impl Drop for PackedScan<'_> {

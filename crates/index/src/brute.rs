@@ -1,7 +1,5 @@
 //! Linear-scan reference index, and the row scans every backend shares.
 
-use std::ops::Range;
-
 use disc_distance::{PackedMatrix, PackedScan, TupleDistance, Value};
 use disc_obs::counters;
 
@@ -97,7 +95,7 @@ impl NeighborIndex for BruteForceIndex<'_> {
 /// Appends every row of `ids` within `eps` of the scan's query to `hits`.
 pub(crate) fn scan_range(
     scan: &mut PackedScan<'_>,
-    ids: Range<u32>,
+    ids: impl IntoIterator<Item = u32>,
     eps: f64,
     hits: &mut Vec<(u32, f64)>,
 ) {
@@ -113,7 +111,7 @@ pub(crate) fn scan_range(
 /// threshold.
 pub(crate) fn scan_knn(
     scan: &mut PackedScan<'_>,
-    ids: Range<u32>,
+    ids: impl IntoIterator<Item = u32>,
     k: usize,
     best: &mut Vec<(u32, f64)>,
 ) {

@@ -1,10 +1,14 @@
 //! The uniform-grid backend of [`Index`](crate::Index), over numeric data.
 //!
-//! Cells have side `cell_width`; a range query with radius `eps` only needs
-//! cells whose coordinates differ by at most `ceil(eps / cell_width)` in
-//! every dimension, because for any `L^p` norm (p ≥ 1, including `L^∞`)
-//! the per-coordinate difference lower-bounds the tuple distance — so
-//! range queries are norm-correct as-is. The k-NN exhaustion bound is the
+//! Cells have side `cell_width`. For any `L^p` norm (p ≥ 1, including
+//! `L^∞`) every per-coordinate difference lower-bounds the tuple
+//! distance, so a row within `eps` of the query lies, in every dimension
+//! `d`, in a cell between `⌊(q_d − eps)/w⌋` and `⌊(q_d + eps)/w⌋`. A range
+//! query visits exactly that window of cells (`3^m` cells at
+//! `w = eps`), computed with a small relative margin on `eps` that
+//! absorbs the distance kernel's rounding (`REACH_MARGIN` states the
+//! argument) and clamped to the occupied key box. Range queries are
+//! therefore norm-correct as-is. The k-NN exhaustion bound is the
 //! norm-*dependent* part: the diameter of the occupied box is `m^{1/p}·s`
 //! for `L^p` and `s` for `L^∞` (with `s` the largest per-coordinate
 //! span), derived from [`disc_distance::Norm::exponent`].
@@ -13,14 +17,15 @@
 //! the rows stay with their owner, as the tree nodes of
 //! [`VpNodes`](crate::VpNodes) do. A row has a cell only if every
 //! coordinate is a finite number whose cell index stays below `2^52` in
-//! magnitude, which keeps all key arithmetic far from `i64` overflow. A
-//! *query* with no cell visits every row, degrading to brute-force
-//! semantics instead of failing.
+//! magnitude, which keeps all key arithmetic far from `i64` overflow. Any
+//! *query* is answered: a coordinate that is not a number bounds nothing,
+//! so its dimension spans the whole box, and a numeric one, however far
+//! out, visits only the occupied cells its window reaches.
 
 use std::collections::HashMap;
 use std::fmt;
 
-use disc_distance::{PackedScan, TupleDistance, Value};
+use disc_distance::{Norm, PackedScan, TupleDistance, Value};
 
 use crate::sort_hits;
 
@@ -30,6 +35,51 @@ type CellKey = Vec<i64>;
 /// Cell indices stay below this in magnitude, so spans and offsets of
 /// keys fit an `i64` many times over.
 const KEY_LIMIT: f64 = (1u64 << 52) as f64;
+
+/// Relative margin of a range query's cell window, `2⁻³⁰`. The window
+/// spans `⌊fl(q_d − e)/w⌋ ..= ⌊fl(q_d + e)/w⌋` in every dimension `d`,
+/// with the reach `e = finish(max(to_acc(ε), MIN_POSITIVE))·(1 +
+/// REACH_MARGIN)` (`disc_distance::Norm`), which is `ε·(1 + 2⁻³⁰)` up to
+/// rounding for any ε whose accumulator is a normal number. No row the
+/// query accepts lies outside it:
+///
+/// * The query keeps a row iff its accumulation passes `acc ≤ cap =
+///   to_acc(ε)` (`dist_within`). Every accumulator is a rounded sum (or
+///   maximum) of non-negative per-coordinate terms, and rounding is
+///   monotone, so each term `t_d` (the computed gap `fl(|q_d − y_d|)`,
+///   squared under L², raised by `powf` under L^p) satisfies `t_d ≤ cap`.
+/// * Undoing the power costs a relative error of at most `2u` under L²
+///   (`u = 2⁻⁵³`) and `2e + 746u` under L^p, with `e` the error of
+///   `powf` (see `NARROW_MARGIN` in the engine), and the gap's own
+///   subtraction at most `u`. Below `MIN_POSITIVE` rounding is absolute,
+///   so there the cap is replaced by `MIN_POSITIVE` (a tiny ε under L²,
+///   or a large `p`, can accept gaps far beyond ε). So an accepted row
+///   has every exact coordinate gap `|q_d − y_d| ≤ e`: `2⁻³⁰ ≈ 9.3e-10`
+///   exceeds those errors by orders of magnitude even for a `powf` a
+///   thousand ulps off.
+/// * Then `q_d − e ≤ y_d ≤ q_d + e` exactly. Rounding the subtraction,
+///   dividing by `w > 0` and `floor` are all monotone, and `y_d` is
+///   representable, so the row's cell `⌊fl(y_d/w)⌋` lies between the
+///   window's bounds.
+///
+/// A bound that is not a number (a NaN query coordinate or ε) clamps to
+/// the edge of the occupied key box, so it only widens the window. The
+/// margin costs a visit to a neighbouring cell only for a query within
+/// `e − ε` of a cell boundary.
+const REACH_MARGIN: f64 = 1.0 / (1u64 << 30) as f64;
+
+/// The largest exact coordinate gap a row within `eps` of a query can
+/// have, under `norm`; see [`REACH_MARGIN`].
+fn reach(eps: f64, norm: Norm) -> f64 {
+    let cap = norm.to_acc(eps);
+    // A NaN cap fails the comparison and stays NaN.
+    let cap = if cap < f64::MIN_POSITIVE {
+        f64::MIN_POSITIVE
+    } else {
+        cap
+    };
+    norm.finish(cap) * (1.0 + REACH_MARGIN)
+}
 
 /// Cell index of one coordinate, or `None` if it is not a finite number
 /// or lies beyond the key range.
@@ -166,11 +216,8 @@ impl Grid {
         eps: f64,
         hits: &mut Vec<(u32, f64)>,
     ) -> u64 {
-        // Two keys differ by less than 2·KEY_LIMIT, so a larger radius
-        // covers every cell.
-        let radius_cells = (eps / self.cell_width).ceil().min(2.0 * KEY_LIMIT) as i64 + 1;
         let mut visited = 0u64;
-        self.for_candidates(query, radius_cells, |id| {
+        self.for_candidates(query, reach(eps, scan.norm()), |id| {
             visited += 1;
             if let Some(d) = scan.dist_within(id, eps) {
                 hits.push((id, d));
@@ -213,51 +260,60 @@ impl Grid {
         }
     }
 
-    /// Visits every row whose cell lies within `radius_cells` of the
-    /// query's cell in Chebyshev distance, enumerating the cell
-    /// neighborhood or scanning the occupied-cell map, whichever is
-    /// smaller. A query with no cell visits every row — the
-    /// per-coordinate bound cannot be evaluated, so nothing can be
-    /// excluded.
-    fn for_candidates(&self, query: &[Value], radius_cells: i64, mut visit: impl FnMut(u32)) {
-        let Some(qkey) = cell_key(query, self.cell_width) else {
-            for ids in self.cells.values() {
-                for &id in ids {
-                    visit(id);
-                }
+    /// Visits every row whose cell lies in the query's window: in each
+    /// dimension, the cells from `⌊fl(q_d − reach)/w⌋` to
+    /// `⌊fl(q_d + reach)/w⌋`, clamped to the occupied key box (see
+    /// [`REACH_MARGIN`]). A non-numeric query coordinate (`Null`, text)
+    /// bounds nothing, so its dimension spans the whole box. The window's
+    /// keys are enumerated in odometer order (dimension 0 fastest)
+    /// through one reused key, or the occupied-cell map is scanned,
+    /// whichever is smaller.
+    fn for_candidates(&self, query: &[Value], reach: f64, mut visit: impl FnMut(u32)) {
+        let w = self.cell_width;
+        let mut window = Vec::with_capacity(self.lo.len());
+        for ((v, &lo), &hi) in query.iter().zip(&self.lo).zip(&self.hi) {
+            let (lo, hi) = (lo as f64, hi as f64);
+            // `max`/`min` return the box edge for a NaN bound, and the
+            // clamped bounds convert to `i64` exactly (`KEY_LIMIT`).
+            let (from, to) = match v.as_num() {
+                Some(q) => (
+                    ((q - reach) / w).floor().max(lo),
+                    ((q + reach) / w).floor().min(hi),
+                ),
+                None => (lo, hi),
+            };
+            if from > to {
+                // Nothing within reach in this dimension, or an empty grid.
+                return;
             }
-            return;
-        };
-        let m = self.lo.len();
-        let span = (2 * radius_cells + 1) as f64;
-        let enumerate_cost = span.powi(m as i32);
-        if enumerate_cost <= 4.0 * self.cells.len() as f64 {
-            // Enumerate the (2r+1)^m neighborhood via an odometer.
-            let mut offsets = vec![-radius_cells; m];
+            window.push((from as i64, to as i64));
+        }
+        let volume: f64 = window.iter().map(|&(a, b)| (b - a + 1) as f64).product();
+        if volume <= 4.0 * self.cells.len() as f64 {
+            let mut key: CellKey = window.iter().map(|&(a, _)| a).collect();
             'outer: loop {
-                let key: CellKey = qkey.iter().zip(&offsets).map(|(q, o)| q + o).collect();
-                if let Some(ids) = self.cells.get(&key) {
+                if let Some(ids) = self.cells.get(&key[..]) {
                     for &id in ids {
                         visit(id);
                     }
                 }
                 // Advance the odometer.
-                for digit in offsets.iter_mut() {
-                    *digit += 1;
-                    if *digit <= radius_cells {
+                for (digit, &(a, b)) in key.iter_mut().zip(&window) {
+                    if *digit < b {
+                        *digit += 1;
                         continue 'outer;
                     }
-                    *digit = -radius_cells;
+                    *digit = a;
                 }
                 break;
             }
         } else {
             for (key, ids) in &self.cells {
-                let near = key
+                if key
                     .iter()
-                    .zip(&qkey)
-                    .all(|(c, q)| (c - q).abs() <= radius_cells);
-                if near {
+                    .zip(&window)
+                    .all(|(c, &(a, b))| (a..=b).contains(c))
+                {
                     for &id in ids {
                         visit(id);
                     }
@@ -398,7 +454,7 @@ mod tests {
     }
 
     #[test]
-    fn null_query_falls_back_to_full_scan() {
+    fn null_query_matches_brute_force() {
         let data = grid_points(120);
         let dist = TupleDistance::numeric(2);
         let grid = Index::grid(&data, dist.clone(), 1.0).unwrap();
@@ -414,6 +470,80 @@ mod tests {
         for k in [1, 7] {
             assert_eq!(grid.knn(&query, k), brute.knn(&query, k), "k={k}");
         }
+        // The `Null` spans its whole dimension; the number still bounds
+        // the other, so a narrow query visits only some rows.
+        let before = grid.activity().rows_visited;
+        grid.range(&query, 0.5);
+        assert!(grid.activity().rows_visited - before < 120);
+    }
+
+    /// One row at the centre of every cell of a 7^m lattice of width 1.
+    fn lattice(m: usize) -> Vec<Vec<Value>> {
+        (0..7usize.pow(m as u32))
+            .map(|i| {
+                (0..m)
+                    .map(|d| Value::Num((i / 7usize.pow(d as u32) % 7) as f64 + 0.5))
+                    .collect()
+            })
+            .collect()
+    }
+
+    /// A radius-`w` query from a cell centre visits exactly the 3^m
+    /// cells the ball can reach.
+    #[test]
+    fn range_at_cell_width_visits_three_cells_per_dimension() {
+        for m in 1..=4 {
+            let data = lattice(m);
+            let grid = Index::grid(&data, TupleDistance::numeric(m), 1.0).unwrap();
+            let hits = grid.range(&vec![Value::Num(3.5); m], 1.0);
+            assert_eq!(grid.activity().rows_visited, 3u64.pow(m as u32), "m={m}");
+            // The centre row and its 2m axis neighbours at distance 1.
+            assert_eq!(hits.len(), 1 + 2 * m, "m={m}");
+        }
+    }
+
+    /// A row whose exact gap to the query exceeds ε while the computed
+    /// gap rounds to ε, one cell below the window's unmargined edge:
+    /// `|1 − (−2⁻⁶⁰)| = 1 + 2⁻⁶⁰` rounds to 1, so every norm accepts it
+    /// at ε = 1, but `fl(1 − 1) = 0` lies in cell 0 and the row in cell
+    /// −1. Only `REACH_MARGIN` brings that cell into the window.
+    #[test]
+    fn range_window_covers_a_gap_that_rounds_to_eps() {
+        let below = -(2f64.powi(-60));
+        assert_eq!(1.0 - below, 1.0);
+        let data = vec![
+            vec![Value::Num(below)],
+            vec![Value::Num(0.5)],
+            vec![Value::Num(5.0)],
+        ];
+        let query = [Value::Num(1.0)];
+        for norm in [Norm::L1, Norm::L2, Norm::LInf, Norm::Lp(3.0)] {
+            let dist = numeric_with_norm(1, norm);
+            let grid = Index::grid(&data, dist.clone(), 1.0).unwrap();
+            let mut got = grid.range(&query, 1.0);
+            let mut want = BruteForceIndex::new(&data, dist).range(&query, 1.0);
+            sort_hits(&mut got);
+            sort_hits(&mut want);
+            assert_eq!(want, vec![(1, 0.5), (0, 1.0)], "{norm:?}");
+            assert_eq!(got, want, "{norm:?}");
+        }
+    }
+
+    /// Below `MIN_POSITIVE` the kernel's rounding is absolute: under
+    /// L^100 at ε = 1e-5, a row 5e-4 away (50 cells out) has `gap^100`
+    /// and `ε^100` both underflow to 0, so every backend must return it.
+    #[test]
+    fn range_window_covers_gaps_accepted_by_underflow() {
+        let data = vec![vec![Value::Num(0.0)], vec![Value::Num(5e-4)]];
+        let dist = numeric_with_norm(1, Norm::Lp(100.0));
+        let grid = Index::grid(&data, dist.clone(), 1e-5).unwrap();
+        let query = [Value::Num(0.0)];
+        let mut got = grid.range(&query, 1e-5);
+        let mut want = BruteForceIndex::new(&data, dist).range(&query, 1e-5);
+        sort_hits(&mut got);
+        sort_hits(&mut want);
+        assert_eq!(want, vec![(0, 0.0), (1, 0.0)]);
+        assert_eq!(got, want);
     }
 
     #[test]

@@ -14,7 +14,9 @@
 //!   - a uniform **grid** over finite numeric data, the workhorse for the
 //!     low-dimensional large datasets (GPS and Flight, m = 3);
 //!   - a **VP tree** ([`VpNodes`]) for any metric, including edit
-//!     distances over text, pruning with the triangle inequality alone.
+//!     distances over text, pruning with the triangle inequality alone
+//!     (rows that break it, a `Null` or text in a numeric column, sit in
+//!     a side list every query scans).
 //!
 //!   [`Index::auto`] picks one by that policy; [`Index::grid`] and
 //!   [`Index::vp_tree`] name a backend.
@@ -133,7 +135,7 @@ impl Backend {
         }
         if dist.arity() <= GRID_MAX_ARITY {
             // A row with no grid cell (a Null, text, a non-finite or a
-            // far-out number) leaves the metric-only tree.
+            // far-out number) leaves the VP tree.
             if let Ok(grid) = Grid::build(rows, dist, cell_width) {
                 return Backend::Grid(grid);
             }

@@ -4,9 +4,19 @@
 //! Works for text attributes under (weighted) edit distance, where the grid
 //! does not apply, using only the triangle inequality for pruning — the
 //! same property the DISC bounds rely on.
+//!
+//! [`AbsoluteDiff`](disc_distance::AbsoluteDiff) breaks that inequality
+//! for a cell that is not a number: a `Null` (or text) sits at 1 from
+//! every number, so `Δ(0, 100) = 100 > Δ(0, Null) + Δ(Null, 100) = 2`.
+//! The tree therefore holds only rows whose every `Absolute` attribute
+//! is a number (NaN and ±∞ included: they are at 0 from themselves and
+//! at ∞ from everything else, which keeps the inequality). The other
+//! rows sit in a side list that every query scans, and a query that
+//! itself holds such a cell scans every row.
 
-use disc_distance::{PackedScan, TupleDistance, Value};
+use disc_distance::{Metric, PackedScan, TupleDistance, Value};
 
+use crate::brute::{scan_knn, scan_range};
 use crate::{kth_bound, push_best};
 
 struct Node {
@@ -28,7 +38,19 @@ struct Node {
 /// tree).
 pub struct VpNodes {
     root: Option<Box<Node>>,
+    /// Rows of the covered prefix the tree leaves out (see the
+    /// [module docs](self)), scanned linearly by every query.
+    side: Vec<u32>,
     len: usize,
+}
+
+/// True when the triangle inequality holds between `row` and every row
+/// that passes this test (every `Absolute` attribute holds a number), so
+/// the tree may hold `row`, and its prunes are sound for `row` as a query.
+fn in_tree_space(row: &[Value], dist: &TupleDistance) -> bool {
+    row.iter()
+        .enumerate()
+        .all(|(i, v)| !matches!(dist.metric(i), Metric::Absolute) || v.as_num().is_some())
 }
 
 impl VpNodes {
@@ -44,12 +66,13 @@ impl VpNodes {
     /// buffer-plus-rebuild owners that index a prefix and scan the tail.
     pub fn build_over(rows: &[Vec<Value>], dist: &TupleDistance, n: usize) -> Self {
         assert!(n <= rows.len());
-        let mut ids: Vec<u32> = (0..n as u32).collect();
+        let (mut ids, side): (Vec<u32>, Vec<u32>) =
+            (0..n as u32).partition(|&id| in_tree_space(&rows[id as usize], dist));
         let root = build_rec(rows, dist, &mut ids);
-        VpNodes { root, len: n }
+        VpNodes { root, side, len: n }
     }
 
-    /// Number of rows covered by the tree.
+    /// Number of rows covered: the tree's plus its side list's.
     pub fn len(&self) -> usize {
         self.len
     }
@@ -59,9 +82,10 @@ impl VpNodes {
         self.len == 0
     }
 
-    /// Appends every tree row within `eps` of the scan's query to `out`;
-    /// `visited` counts the nodes touched. The [`PackedScan`] carries the
-    /// query plus the row storage (packed when the metric admits it).
+    /// Appends every covered row within `eps` of the scan's query to
+    /// `out`; `visited` counts the nodes and side-list rows touched. The
+    /// [`PackedScan`] carries the query plus the row storage (packed when
+    /// the metric admits it).
     pub fn range_into(
         &self,
         scan: &mut PackedScan<'_>,
@@ -69,16 +93,23 @@ impl VpNodes {
         out: &mut Vec<(u32, f64)>,
         visited: &mut u64,
     ) {
+        if !in_tree_space(scan.query(), scan.distance()) {
+            scan_range(scan, 0..self.len as u32, eps, out);
+            *visited += self.len as u64;
+            return;
+        }
         if let Some(root) = &self.root {
             let cap = scan.norm().to_acc(eps);
             range_rec(root, scan, eps, cap, out, visited);
         }
+        scan_range(scan, self.side.iter().copied(), eps, out);
+        *visited += self.side.len() as u64;
     }
 
-    /// Merges the `k` nearest tree rows to the scan's query into the
+    /// Merges the `k` nearest covered rows to the scan's query into the
     /// candidate list `best`, which must already be sorted ascending by
     /// distance (ties by id) and is kept that way; `visited` counts the
-    /// nodes touched.
+    /// nodes and side-list rows touched.
     pub fn knn_into(
         &self,
         scan: &mut PackedScan<'_>,
@@ -86,11 +117,19 @@ impl VpNodes {
         best: &mut Vec<(u32, f64)>,
         visited: &mut u64,
     ) {
-        if k > 0 {
-            if let Some(root) = &self.root {
-                knn_rec(root, scan, k, best, visited);
-            }
+        if k == 0 {
+            return;
         }
+        if !in_tree_space(scan.query(), scan.distance()) {
+            scan_knn(scan, 0..self.len as u32, k, best);
+            *visited += self.len as u64;
+            return;
+        }
+        if let Some(root) = &self.root {
+            knn_rec(root, scan, k, best, visited);
+        }
+        scan_knn(scan, self.side.iter().copied(), k, best);
+        *visited += self.side.len() as u64;
     }
 }
 

@@ -168,15 +168,20 @@ proptest! {
         }
     }
 
-    /// Mixed-validity data: rows containing nulls or non-finite numbers
-    /// fall back per row, and still agree with the `Value` oracle on the
-    /// backends that accept such rows (brute, VP-tree, dynamic).
+    /// Mixed-validity data: rows holding nulls or non-finite numbers fall
+    /// back per row, and the backends that accept such rows (brute,
+    /// VP-tree, dynamic) reproduce the `Value` oracle for range and k-NN
+    /// queries, also from a query holding a null. A null is at 1 from
+    /// every number, which breaks the triangle inequality the tree
+    /// prunes with, so the tree keeps such rows in a side list.
     #[test]
     fn range_differential_with_invalid_rows(
         flat in prop::collection::vec(-40.0f64..40.0, 2..200),
         qf in prop::collection::vec(-40.0f64..40.0, 2),
         poison in prop::collection::vec(0usize..100, 1..8),
+        null_at in 0usize..4,
         eps in 0.05f64..30.0,
+        k in 1usize..12,
         seed in 0u64..u64::MAX,
     ) {
         let m = 2usize;
@@ -192,20 +197,28 @@ proptest! {
                 Value::Num(f64::INFINITY)
             };
         }
-        let query: Vec<Value> = qf.iter().map(|&x| Value::Num(x)).collect();
+        let mut query: Vec<Value> = qf.iter().map(|&x| Value::Num(x)).collect();
+        if let Some(cell) = query.get_mut(null_at) {
+            *cell = Value::Null;
+        }
         for norm in NORMS {
             let on = with_norm(m, norm);
             let off = on.clone().with_packed(false);
             let oracle = BruteForceIndex::new(&rows, off.clone());
             let want = sort_by_id(oracle.range(&query, eps));
-            let brute = BruteForceIndex::new(&rows, on.clone());
-            assert_hits_match(norm, &sort_by_id(brute.range(&query, eps)), &want, "brute/packed");
-            let tree_on = Index::vp_tree(&rows, on.clone());
-            let tree_off = Index::vp_tree(&rows, off.clone());
-            assert_hits_match(norm, &sort_by_id(tree_on.range(&query, eps)), &sort_by_id(tree_off.range(&query, eps)), "vptree/packed-vs-value");
-            let dyn_on = dynamic_via_ingest_splits(&rows, &on, 1.0, seed);
-            let dyn_off = dynamic_via_ingest_splits(&rows, &off, 1.0, seed);
-            assert_hits_match(norm, &sort_by_id(dyn_on.range(&query, eps)), &sort_by_id(dyn_off.range(&query, eps)), "dynamic/packed-vs-value");
+            let want_knn = oracle.knn(&query, k);
+            for (mode, dist) in [("packed", &on), ("value", &off)] {
+                let brute = BruteForceIndex::new(&rows, dist.clone());
+                let tree = Index::vp_tree(&rows, dist.clone());
+                let dynamic = dynamic_via_ingest_splits(&rows, dist, 1.0, seed);
+                let backends: [(&str, &dyn NeighborIndex); 3] =
+                    [("brute", &brute), ("vptree", &tree), ("dynamic", &dynamic)];
+                for (backend, idx) in backends {
+                    let label = format!("{backend}/{mode}");
+                    assert_hits_match(norm, &sort_by_id(idx.range(&query, eps)), &want, &label);
+                    assert_hits_match(norm, &idx.knn(&query, k), &want_knn, &label);
+                }
+            }
         }
     }
 }

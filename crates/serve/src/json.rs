@@ -10,8 +10,9 @@
 
 use std::fmt;
 
-/// Maximum nesting depth accepted by the parser.
-const MAX_DEPTH: usize = 64;
+/// Maximum nesting depth accepted by the parser; the top-level value is
+/// at depth 0, so `[[1]]` reaches depth 2.
+pub const MAX_DEPTH: usize = 64;
 
 /// A parsed JSON value.
 #[derive(Debug, Clone, PartialEq)]
@@ -282,13 +283,19 @@ impl<'a> Parser<'a> {
                 }
                 Some(b) if b < 0x20 => return Err(self.err("control character in string")),
                 Some(_) => {
-                    // Consume one full UTF-8 scalar (input is &str, so
-                    // boundaries are valid).
-                    let rest = &self.bytes[self.pos..];
-                    let s = std::str::from_utf8(rest).map_err(|_| self.err("invalid utf-8"))?;
-                    let c = s.chars().next().ok_or_else(|| self.err("unexpected end"))?;
-                    out.push(c);
-                    self.pos += c.len_utf8();
+                    // Consume the whole run of plain bytes in one step, so
+                    // a string costs O(its length), not O(length × rest
+                    // of the line). The input is a `&str` and the run
+                    // ends at an ASCII byte or at the end, so it is valid
+                    // UTF-8 on its own.
+                    let run = self.bytes[self.pos..]
+                        .iter()
+                        .position(|&b| b == b'"' || b == b'\\' || b < 0x20)
+                        .map_or(self.bytes.len(), |n| self.pos + n);
+                    let s = std::str::from_utf8(&self.bytes[self.pos..run])
+                        .map_err(|_| self.err("invalid utf-8"))?;
+                    out.push_str(s);
+                    self.pos = run;
                 }
             }
         }
@@ -299,10 +306,15 @@ impl<'a> Parser<'a> {
         if end > self.bytes.len() {
             return Err(self.err("truncated unicode escape"));
         }
-        let hex = std::str::from_utf8(&self.bytes[self.pos..end])
-            .ok()
-            .and_then(|s| u32::from_str_radix(s, 16).ok())
-            .ok_or_else(|| self.err("invalid unicode escape"))?;
+        // Exactly four hex digits (`from_str_radix` would also take a
+        // sign, as in `\u+041`).
+        let mut hex = 0;
+        for &b in &self.bytes[self.pos..end] {
+            let digit = char::from(b)
+                .to_digit(16)
+                .ok_or_else(|| self.err("invalid unicode escape"))?;
+            hex = hex * 16 + digit;
+        }
         self.pos = end;
         Ok(hex)
     }
@@ -355,6 +367,32 @@ mod tests {
         // Surrogate pair.
         assert_eq!(parse(r#""😀""#).unwrap(), Json::Str("\u{1F600}".into()));
         assert!(parse(r#""\ud83d""#).is_err(), "lone surrogate");
+        // Escapes and multi-byte scalars right next to runs of plain bytes.
+        assert_eq!(
+            parse(r#""ab\u00e9cé😀x\ud83d\ude00y\n\\z\"q\/é""#).unwrap(),
+            Json::Str("abécé😀x\u{1F600}y\n\\z\"q/é".into())
+        );
+        for bad in [
+            r#""\u+041""#,
+            r#""\u00é""#,
+            r#""\ud83d\u0041""#,
+            r#""\u00"#,
+            r#""abc"#,
+        ] {
+            assert!(parse(bad).is_err(), "{bad:?} should not parse");
+        }
+    }
+
+    /// A string costs O(its length): re-validating the rest of the line
+    /// for every character would take hours on this 8 MiB line.
+    #[test]
+    fn multi_mib_string_parses_in_linear_time() {
+        let piece = r"abcdé\u00e9fg\\";
+        let line = format!(r#"{{"op":"x","s":"{}","n":1}}"#, piece.repeat(1 << 19));
+        let doc = parse(&line).unwrap();
+        let s = doc.get("s").and_then(Json::as_str).unwrap();
+        assert_eq!(s, "abcdééfg\\".repeat(1 << 19));
+        assert_eq!(doc.get("n").and_then(Json::as_f64), Some(1.0));
     }
 
     #[test]

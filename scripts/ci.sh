@@ -213,6 +213,14 @@ for workload in repair_batch stream_small serve_durable; do
 done
 git diff --exit-code perfbench/Cargo.lock
 
+# Work-counter gate: traced repair_batch and stream_small at seed 1 must
+# do no more work (distance evaluations, index queries and rows visited,
+# saves, candidates, engine dirty rows, resaves and promotions) than the
+# newest committed BENCH_<n>.json records. The counters are
+# deterministic; wall-clock figures are printed and never gate.
+echo "==> perfbench work-counter gate (newest BENCH_<n>.json)"
+python3 scripts/bench_gate.py
+
 if [ "$HEAVY" = 1 ]; then
     echo "==> cargo test -q (PROPTEST_CASES=512)"
     PROPTEST_CASES=512 cargo test -q --offline --workspace
