@@ -1,4 +1,4 @@
-//! The per-row neighborhood cache behind the streaming engine.
+//! The per-row η-nearest-inlier table behind the streaming engine.
 //!
 //! A batch `save_all` recomputes two quantities from scratch on every
 //! call: the ε-neighbor count of every row (detection) and the `δ_η`
@@ -11,155 +11,17 @@
 //!   inlier distances form a sorted list that new inliers can only
 //!   tighten.
 //!
-//! [`NeighborCache`] stores exactly these two tables. The engine feeds
-//! it hits from range queries over the new tuples and distances to newly
-//! established inliers; the cache answers detection (`count ≥ η`) and
-//! `δ_η` lookups without touching the index again.
-
-/// Cached ε-neighbor counts (all rows) and η-nearest-inlier distance
-/// lists (inlier rows only); see the [module docs](self).
-#[derive(Debug, Clone)]
-pub struct NeighborCache {
-    eta: usize,
-    /// Per-row ε-neighbor count over the whole dataset, self-inclusive —
-    /// the quantity detection compares against η.
-    counts: Vec<usize>,
-    /// For inlier rows, the ascending distances to the row's η nearest
-    /// *inliers* (self-inclusive, so the first entry is 0); none for
-    /// rows currently classified outliers. A list shorter than η means
-    /// fewer than η inliers exist and `δ_η` is unbounded. The table's
-    /// stride is η, so a list never outgrows its slots.
-    nearest: NearestTable,
-}
-
-impl NeighborCache {
-    /// An empty cache for constraints with threshold `eta`.
-    pub fn new(eta: usize) -> Self {
-        NeighborCache {
-            eta,
-            counts: Vec::new(),
-            nearest: NearestTable::with_capacity(eta, 0),
-        }
-    }
-
-    /// Number of tracked rows.
-    pub fn len(&self) -> usize {
-        self.counts.len()
-    }
-
-    /// True when no rows are tracked.
-    pub fn is_empty(&self) -> bool {
-        self.counts.is_empty()
-    }
-
-    /// Appends a row with ε-neighbor count `count`, classified outlier
-    /// until [`NeighborCache::set_inlier_list`] marks it inlier.
-    pub fn push_row(&mut self, count: usize) {
-        self.counts.push(count);
-        self.nearest.push(None);
-    }
-
-    /// The cached ε-neighbor count of `row`.
-    pub fn count(&self, row: usize) -> usize {
-        self.counts[row]
-    }
-
-    /// Records one additional ε-neighbor for `row`.
-    pub fn bump(&mut self, row: usize) {
-        self.counts[row] += 1;
-    }
-
-    /// Overwrites the ε-neighbor count of `row` (used when a freshly
-    /// appended row's count is computed by a single range query).
-    pub fn set_count(&mut self, row: usize, count: usize) {
-        self.counts[row] = count;
-    }
-
-    /// True when `row` satisfies the constraints, per the cached count.
-    pub fn satisfies(&self, row: usize) -> bool {
-        self.counts[row] >= self.eta
-    }
-
-    /// True when `row` has been established as an inlier (its distance
-    /// list is being maintained).
-    pub fn is_inlier(&self, row: usize) -> bool {
-        self.nearest.get(row).is_some()
-    }
-
-    /// Marks `row` inlier with its ascending η-nearest-inlier distances
-    /// (at most η entries, self-inclusive).
-    ///
-    /// # Panics
-    /// Panics if the list is over-long or not ascending.
-    pub fn set_inlier_list(&mut self, row: usize, list: &[f64]) {
-        assert!(list.len() <= self.eta, "at most η distances per inlier");
-        assert!(
-            list.windows(2).all(|w| w[0] <= w[1]),
-            "distances must be ascending"
-        );
-        self.nearest.set(row, Some(list));
-    }
-
-    /// Records that a new inlier lies at distance `d` from the existing
-    /// inlier `row`, tightening its η-nearest list.
-    ///
-    /// Calling this for a non-inlier `row` is a caller bug (the engine
-    /// only observes distances for rows it just established as inliers);
-    /// debug builds assert, release builds treat it as a no-op — an
-    /// outlier has no list to tighten, and a served engine must not
-    /// abort the process on a misuse that detection will re-derive
-    /// anyway.
-    pub fn observe_inlier_distance(&mut self, row: usize, d: f64) {
-        let t = &mut self.nearest;
-        let len = t.lens[row];
-        if len == OUTLIER {
-            debug_assert!(false, "observe_inlier_distance on non-inlier row {row}");
-            return;
-        }
-        let len = len as usize;
-        let slots = &mut t.slots[row * t.stride..][..self.eta];
-        if len == self.eta && slots.last().is_none_or(|&worst| d >= worst) {
-            return;
-        }
-        let pos = slots[..len].partition_point(|&x| x <= d);
-        let end = (len + 1).min(self.eta);
-        slots.copy_within(pos..end - 1, pos + 1);
-        slots[pos] = d;
-        t.lens[row] = end as u32;
-    }
-
-    /// The per-row η-nearest-inlier lists (none for outliers), in row
-    /// order (read by the engine's state export).
-    pub fn inlier_lists(&self) -> &NearestTable {
-        &self.nearest
-    }
-
-    /// `δ_η(row)` for an inlier: the η-th nearest inlier distance, or
-    /// `+∞` when fewer than η inliers exist (matching the batch RSet's
-    /// `unwrap_or(INFINITY)`).
-    ///
-    /// Calling this for a non-inlier `row` is a caller bug (the engine
-    /// only builds RSets from inlier rows); debug builds assert, release
-    /// builds return `+∞` — the value an inlier with no cached
-    /// neighbors would report — instead of aborting a served process.
-    pub fn delta_eta(&self, row: usize) -> f64 {
-        let Some(list) = self.nearest.get(row) else {
-            debug_assert!(false, "delta_eta on non-inlier row {row}");
-            return f64::INFINITY;
-        };
-        if list.len() == self.eta {
-            list[self.eta - 1]
-        } else {
-            f64::INFINITY
-        }
-    }
-}
+//! The engine keeps the counts as a plain `Vec<usize>` and the lists in
+//! one [`NearestTable`], both in global row order — the layout
+//! [`EngineState`](crate::EngineState) exports. [`NearestTable::observe`]
+//! tightens a list by one new inlier distance and
+//! [`NearestTable::kth`] reads `δ_η` off it, without touching an index.
 
 /// `lens` entry of a row without a list (an outlier).
 const OUTLIER: u32 = u32::MAX;
 
 /// Per-row ascending nearest-inlier distance lists in one contiguous
-/// table (the layout of [`NeighborCache`] and of
+/// table (the engine's, and
 /// [`EngineState::nearest`](crate::EngineState::nearest)): every row
 /// owns `stride` slots, and its list is a prefix of them, so a table
 /// of `n` rows is two allocations instead of one per inlier. A row with
@@ -224,16 +86,61 @@ impl NearestTable {
             self.lens[row] = OUTLIER;
             return;
         };
-        if list.len() > self.stride {
-            self.widen(list.len());
-        }
+        self.widen(list.len());
         self.slots[row * self.stride..][..list.len()].copy_from_slice(list);
         self.lens[row] = u32::try_from(list.len()).expect("list length fits u32");
     }
 
-    /// Re-lays the table out with `stride` slots per row, keeping room
-    /// for as many rows as `lens` has.
-    fn widen(&mut self, stride: usize) {
+    /// Tightens the list of inlier `row` by one more inlier at distance
+    /// `d`: inserts it in ascending order and keeps the `k` smallest, so
+    /// only a list shorter than `k` or with a last entry above `d`
+    /// changes. An outlier has no list and is left alone; debug builds
+    /// assert, since the engine observes distances for inliers only.
+    ///
+    /// # Panics
+    /// Panics if `k` exceeds the slots per row: the list would spill into
+    /// the next row's. [`NearestTable::widen`] first.
+    pub fn observe(&mut self, row: usize, d: f64, k: usize) {
+        assert!(k <= self.stride, "{k} entries exceed {} slots", self.stride);
+        let len = self.lens[row];
+        if len == OUTLIER {
+            debug_assert!(false, "observe on outlier row {row}");
+            return;
+        }
+        let len = len as usize;
+        let slots = &mut self.slots[row * self.stride..][..k];
+        if len == k && slots.last().is_none_or(|&worst| d >= worst) {
+            return;
+        }
+        let pos = slots[..len].partition_point(|&x| x <= d);
+        let end = (len + 1).min(k);
+        slots.copy_within(pos..end - 1, pos + 1);
+        slots[pos] = d;
+        self.lens[row] = end as u32;
+    }
+
+    /// The `k`-th entry (1-based) of inlier `row`'s list — `δ_η` at
+    /// `k = η` — or `+∞` when the list is shorter (the batch RSet's
+    /// `unwrap_or(INFINITY)`). An outlier has no list and reads `+∞`;
+    /// debug builds assert, since the engine reads `δ_η` of inliers only.
+    pub fn kth(&self, row: usize, k: usize) -> f64 {
+        let Some(list) = self.get(row) else {
+            debug_assert!(false, "kth on outlier row {row}");
+            return f64::INFINITY;
+        };
+        k.checked_sub(1)
+            .and_then(|i| list.get(i))
+            .copied()
+            .unwrap_or(f64::INFINITY)
+    }
+
+    /// Gives every row at least `stride` slots, re-laying the table out
+    /// if it has fewer. A table collected from lists (a decoded
+    /// snapshot's) is only as wide as its longest list.
+    pub fn widen(&mut self, stride: usize) {
+        if stride <= self.stride {
+            return;
+        }
         let mut slots = Vec::with_capacity(self.lens.capacity() * stride);
         slots.resize(self.len() * stride, 0.0);
         for (row, list) in self.iter().enumerate() {
@@ -272,64 +179,44 @@ impl<'a> FromIterator<Option<&'a [f64]>> for NearestTable {
 mod tests {
     use super::*;
 
-    #[test]
-    fn counts_grow_monotonically() {
-        let mut c = NeighborCache::new(3);
-        c.push_row(1);
-        c.push_row(4);
-        assert!(!c.satisfies(0));
-        assert!(c.satisfies(1));
-        c.bump(0);
-        c.bump(0);
-        assert_eq!(c.count(0), 3);
-        assert!(c.satisfies(0));
+    /// A table of `lists` with `stride` slots per row.
+    fn table(stride: usize, lists: &[Option<&[f64]>]) -> NearestTable {
+        let mut t = NearestTable::with_capacity(stride, lists.len());
+        for &list in lists {
+            t.push(list);
+        }
+        t
     }
 
     #[test]
-    fn delta_eta_tracks_the_kth_distance() {
-        let mut c = NeighborCache::new(3);
-        c.push_row(3);
-        c.set_inlier_list(0, &[0.0, 1.0, 2.5]);
-        assert_eq!(c.delta_eta(0), 2.5);
+    fn kth_tracks_the_kth_distance() {
+        let mut t = table(3, &[Some(&[0.0, 1.0, 2.5])]);
+        assert_eq!(t.kth(0, 3), 2.5);
         // A nearer inlier appears: the 3rd-nearest tightens.
-        c.observe_inlier_distance(0, 0.5);
-        assert_eq!(c.delta_eta(0), 1.0);
+        t.observe(0, 0.5, 3);
+        assert_eq!(t.kth(0, 3), 1.0);
         // A farther one changes nothing.
-        c.observe_inlier_distance(0, 9.0);
-        assert_eq!(c.delta_eta(0), 1.0);
+        t.observe(0, 9.0, 3);
+        assert_eq!(t.kth(0, 3), 1.0);
     }
 
     #[test]
     fn short_list_means_unbounded() {
-        let mut c = NeighborCache::new(4);
-        c.push_row(4);
-        c.set_inlier_list(0, &[0.0, 1.0]);
-        assert_eq!(c.delta_eta(0), f64::INFINITY);
-        c.observe_inlier_distance(0, 3.0);
-        assert_eq!(c.delta_eta(0), f64::INFINITY);
-        c.observe_inlier_distance(0, 2.0);
-        assert_eq!(c.delta_eta(0), 3.0);
-    }
-
-    #[test]
-    fn outliers_have_no_list() {
-        let mut c = NeighborCache::new(2);
-        c.push_row(1);
-        assert!(!c.is_inlier(0));
-        c.set_inlier_list(0, &[0.0, 1.5]);
-        assert!(c.is_inlier(0));
-        assert_eq!(c.delta_eta(0), 1.5);
+        let mut t = table(4, &[Some(&[0.0, 1.0])]);
+        assert_eq!(t.kth(0, 4), f64::INFINITY);
+        t.observe(0, 3.0, 4);
+        assert_eq!(t.kth(0, 4), f64::INFINITY);
+        t.observe(0, 2.0, 4);
+        assert_eq!(t.kth(0, 4), 3.0);
     }
 
     #[test]
     fn duplicate_distances_are_kept() {
-        let mut c = NeighborCache::new(3);
-        c.push_row(3);
-        c.set_inlier_list(0, &[0.0, 1.0, 1.0]);
-        c.observe_inlier_distance(0, 1.0);
-        assert_eq!(c.delta_eta(0), 1.0);
-        c.observe_inlier_distance(0, 0.0);
-        assert_eq!(c.delta_eta(0), 1.0);
+        let mut t = table(3, &[Some(&[0.0, 1.0, 1.0])]);
+        t.observe(0, 1.0, 3);
+        assert_eq!(t.kth(0, 3), 1.0);
+        t.observe(0, 0.0, 3);
+        assert_eq!(t.kth(0, 3), 1.0);
     }
 
     #[test]
@@ -347,23 +234,34 @@ mod tests {
         let lists: Vec<Option<&[f64]>> = vec![Some(&[0.0, 1.0]), Some(&[0.0]), None];
         assert_eq!(t, lists.into_iter().collect::<NearestTable>());
         // Equality ignores the stride.
-        let mut wide = NearestTable::with_capacity(8, 3);
-        wide.push(Some(&[0.0, 1.0]));
-        wide.push(Some(&[0.0]));
-        wide.push(None);
+        let wide = table(8, &[Some(&[0.0, 1.0]), Some(&[0.0]), None]);
         assert_eq!(t, wide);
         assert_eq!(format!("{t:?}"), "[Some([0.0, 1.0]), Some([0.0]), None]");
     }
 
     #[test]
-    fn observe_keeps_the_list_at_most_eta_long() {
-        let mut c = NeighborCache::new(2);
-        c.push_row(2);
-        c.push_row(2);
-        c.set_inlier_list(1, &[0.0]);
-        c.observe_inlier_distance(1, 3.0);
-        c.observe_inlier_distance(1, 1.0);
-        assert_eq!(c.inlier_lists().get(1), Some(&[0.0, 1.0][..]));
-        assert_eq!(c.inlier_lists().get(0), None, "row 0 stays an outlier");
+    fn observe_grows_each_list_in_its_own_slots() {
+        // Collected lists are only as wide as the longest; widening
+        // first lets both rows grow to k = 3 without touching the other.
+        let mut t: NearestTable = [Some(&[0.0][..]), Some(&[0.0, 2.0][..]), None]
+            .into_iter()
+            .collect();
+        t.widen(3);
+        t.observe(0, 3.0, 3);
+        t.observe(0, 1.0, 3);
+        assert_eq!(t.get(0), Some(&[0.0, 1.0, 3.0][..]));
+        t.observe(0, 2.0, 3); // a full list drops its farthest entry
+        t.observe(1, 1.0, 3);
+        assert_eq!(t.get(0), Some(&[0.0, 1.0, 2.0][..]));
+        assert_eq!(t.get(1), Some(&[0.0, 1.0, 2.0][..]));
+        assert_eq!(t.get(2), None, "row 2 stays an outlier");
+        assert_eq!(t.kth(1, 3), 2.0);
+    }
+
+    #[test]
+    #[should_panic(expected = "exceed")]
+    fn observe_refuses_lists_wider_than_the_slots() {
+        let mut t: NearestTable = [Some(&[0.0][..]), Some(&[0.0][..])].into_iter().collect();
+        t.observe(0, 1.0, 2);
     }
 }

@@ -3,31 +3,32 @@
 //!
 //! [`ShardedEngine`] owns the dataset and hash-partitions its rows
 //! across `S` shards ([`crate::shard`]); each shard owns its own
-//! [`DynamicIndex`](disc_index::DynamicIndex) pair and
-//! [`NeighborCache`](crate::cache::NeighborCache) slice. Each
+//! [`DynamicIndex`](disc_index::DynamicIndex) pair, and the engine keeps
+//! every row's ε-neighbor count and `δ_η` list once, in global row
+//! order (a `Vec` and a [`NearestTable`]). Each
 //! [`ShardedEngine::ingest`] call:
 //!
 //! 1. appends the batch (each row to its hash-assigned shard) and
 //!    updates counts *incrementally* — one ε-range query per new tuple,
 //!    fanned out across shards on scoped threads and merged by summing
 //!    the per-shard hit counts; every old row a query lands within ε of
-//!    gets its cached count bumped (rows untouched by any query keep
-//!    their cached count: `engine.cache_hits`), and the hits' distances
-//!    are kept for step 3;
+//!    gets its count bumped (rows untouched by any query keep their
+//!    count: `engine.cache_hits`), and the hits' distances are kept for
+//!    step 3;
 //! 2. re-classifies only rows whose count changed — because counts never
 //!    decrease, inliers stay inliers and the only transitions are new
 //!    rows settling and old outliers being *promoted* (their adjusted
 //!    values, if any, are reverted to the original ingested values);
-//! 3. maintains the `δ_η` lists: each shard's existing inliers observe
-//!    their distance to the newly established inliers in parallel
-//!    (per-shard caches are disjoint), noting whose `δ_η` fell. A
-//!    *narrow* inlier, whose `δ_η` lies below ε by `NARROW_MARGIN`,
-//!    can only be tightened by a new inlier within ε, so it observes
-//!    just those: a fresh row's distances come from step 1's hits, and
-//!    each promoted row gets one ε-range query. A *wide* inlier (larger
-//!    `δ_η`, or fewer than η inliers listed) observes every new inlier
-//!    directly (`engine.delta_eta_evals`). New inliers get a fresh η-NN
-//!    query fanned out over the per-shard inlier indexes, merged by
+//! 3. maintains the `δ_η` lists in one pass over the old rows in global
+//!    order: each existing inlier observes its distance to the newly
+//!    established inliers, noting whose `δ_η` fell. A *narrow* inlier,
+//!    whose `δ_η` lies below ε by `NARROW_MARGIN`, can only be tightened
+//!    by a new inlier within ε, so it observes just those: a fresh row's
+//!    distances come from step 1's hits, and each promoted row gets one
+//!    ε-range query per shard. A *wide* inlier (larger `δ_η`, or fewer
+//!    than η inliers listed) observes every new inlier directly
+//!    (`engine.delta_eta_evals`). New inliers get a fresh η-NN query
+//!    fanned out over the per-shard inlier indexes, merged by
 //!    `(total_cmp distance, global id)` and truncated to η;
 //! 4. computes the *dirty set* — the outliers whose save outcome could
 //!    have changed: the new outliers, any previously skipped/failed
@@ -73,17 +74,16 @@ use std::time::Instant;
 
 use disc_data::{Dataset, Schema};
 use disc_distance::Value;
-use disc_index::{DynamicNeighborIndex, NeighborIndex, NonNumericCell};
+use disc_index::{NeighborIndex, NonNumericCell};
 use disc_obs::{counters, PipelineStats, Snapshot};
 
 use crate::cache::NearestTable;
 use crate::error::Error;
 use crate::parallel::parallel_map;
 use crate::pipeline::{save_outlier_rows, SaveReport};
-use crate::query::{Query, Response};
 use crate::rset::RSet;
 use crate::saver::Saver;
-use crate::shard::{self, EngineShard, ShardMap, ShardStats};
+use crate::shard::{self, shard_of, EngineShard, ShardStats};
 
 /// Relative margin of phase 3's narrow-row rule. A pre-existing inlier
 /// whose `δ_η ≤ ε·(1 − NARROW_MARGIN)` is *narrow*: it observes only
@@ -119,9 +119,9 @@ use crate::shard::{self, EngineShard, ShardMap, ShardStats};
 const NARROW_MARGIN: f64 = 1e-9;
 
 /// One new row's ε-range hits in one shard: their count, and the
-/// (local id, distance) of the old rows among them, whose distances
+/// (global id, distance) of the old rows among them, whose distances
 /// phase 3 reuses.
-type ShardHits = (usize, Vec<(u32, f64)>);
+type ShardHits = (usize, Vec<(usize, f64)>);
 
 /// A long-lived incremental DISC engine; see the [module docs](self).
 pub struct ShardedEngine {
@@ -132,9 +132,15 @@ pub struct ShardedEngine {
     /// The output dataset: original values with the current adjustment
     /// applied to each saved outlier.
     current: Dataset,
-    /// Global ↔ (shard, local) id bijection.
-    map: ShardMap,
-    /// The partitions: per-shard index pair + neighbor-cache slice.
+    /// Per-row ε-neighbor count over the whole dataset, self-inclusive —
+    /// the quantity detection compares against η.
+    counts: Vec<usize>,
+    /// Per-row ascending distances to the row's η nearest inliers
+    /// (self-inclusive, so the first is 0), η slots per row; a row with
+    /// no list is an outlier. A list shorter than η means fewer than η
+    /// inliers exist and `δ_η` is unbounded.
+    nearest: NearestTable,
+    /// The partitions: per-shard index pair.
     shards: Vec<EngineShard>,
     /// True while every cell of every inlier is a number. Inliers never
     /// leave r, so once false it stays false; phase 4 asks the saver to
@@ -168,8 +174,8 @@ pub type DiscEngine = ShardedEngine;
 ///
 /// The image holds everything that cannot be recomputed cheaply and
 /// deterministically: the as-ingested rows, the output rows (original
-/// values with saved adjustments applied), the neighbor-cache tables
-/// (in global id order — shard-agnostic; the `δ_η` lists in one
+/// values with saved adjustments applied), the per-row counts and `δ_η`
+/// lists (in global id order — shard-agnostic; the lists in one
 /// contiguous [`NearestTable`]), and the pending retry set. The
 /// per-shard dynamic indexes and the `RSet` are deliberately *not* part
 /// of the image — restore rebuilds them from the rows and lists (the
@@ -182,7 +188,8 @@ pub type DiscEngine = ShardedEngine;
 /// against the image's inliers, and later ingests re-save it only when
 /// the saver cannot prove that outcome stable.
 ///
-/// Reads go through [`EngineState::query`].
+/// Reads out of range follow one convention: an unknown row is not an
+/// inlier, and row-valued reads answer `None`.
 #[derive(Debug, Clone, PartialEq)]
 pub struct EngineState {
     /// The engine's [generation](ShardedEngine::generation) at export
@@ -203,9 +210,39 @@ pub struct EngineState {
 }
 
 impl EngineState {
+    /// Number of rows in the image.
+    pub fn len(&self) -> usize {
+        self.original.len()
+    }
+
     /// True when the image holds no rows.
     pub fn is_empty(&self) -> bool {
         self.original.is_empty()
+    }
+
+    /// True when `row` is classified inlier (false past the end).
+    pub fn is_inlier(&self, row: usize) -> bool {
+        self.nearest.get(row).is_some()
+    }
+
+    /// The ε-neighbor count of `row`, self-inclusive.
+    pub fn neighbor_count(&self, row: usize) -> Option<usize> {
+        self.counts.get(row).copied()
+    }
+
+    /// Output values of `row` (original + current adjustment).
+    pub fn current_row(&self, row: usize) -> Option<&[Value]> {
+        self.current.get(row).map(Vec::as_slice)
+    }
+
+    /// Original (as-ingested) values of `row`.
+    pub fn original_row(&self, row: usize) -> Option<&[Value]> {
+        self.original.get(row).map(Vec::as_slice)
+    }
+
+    /// Rows classified outliers, ascending.
+    pub fn outliers(&self) -> Vec<usize> {
+        (0..self.len()).filter(|&i| !self.is_inlier(i)).collect()
     }
 }
 
@@ -240,9 +277,10 @@ impl ShardedEngine {
         ShardedEngine {
             current: Dataset::new(schema, Vec::new()),
             original: Vec::new(),
-            map: ShardMap::new(shards),
+            counts: Vec::new(),
+            nearest: NearestTable::with_capacity(eta, 0),
             shards: (0..shards)
-                .map(|_| EngineShard::new(dist.clone(), eps, eta))
+                .map(|_| EngineShard::new(dist.clone(), eps))
                 .collect(),
             numeric_inliers: true,
             pending: BTreeSet::new(),
@@ -265,7 +303,7 @@ impl ShardedEngine {
 
     /// Number of shards rows are partitioned across.
     pub fn shards(&self) -> usize {
-        self.map.shards()
+        self.shards.len()
     }
 
     /// The saver driving detection and saving.
@@ -289,22 +327,19 @@ impl ShardedEngine {
         &self.original[row]
     }
 
-    /// The cached ε-neighbor count of `row` (self-inclusive).
+    /// The ε-neighbor count of `row` (self-inclusive).
     pub fn neighbor_count(&self, row: usize) -> usize {
-        let (s, l) = self.map.locate(row);
-        self.shards[s].cache.count(l)
+        self.counts[row]
     }
 
     /// True when `row` currently satisfies the distance constraints.
     pub fn is_inlier(&self, row: usize) -> bool {
-        let (s, l) = self.map.locate(row);
-        self.shards[s].cache.is_inlier(l)
+        self.nearest.get(row).is_some()
     }
 
-    /// True when `row`'s cached count meets the η threshold.
+    /// True when `row`'s count meets the η threshold.
     fn satisfies(&self, row: usize) -> bool {
-        let (s, l) = self.map.locate(row);
-        self.shards[s].cache.satisfies(l)
+        self.counts[row] >= self.saver.constraints().eta
     }
 
     /// Rows currently classified outliers, ascending.
@@ -324,43 +359,13 @@ impl ShardedEngine {
         self.generation
     }
 
-    /// Answers one typed read against the live engine — same contract as
-    /// [`EngineState::query`] on an export, without materializing one.
-    pub fn query(&self, query: Query) -> Response<'_> {
-        match query {
-            Query::Len => Response::Len(self.len()),
-            Query::Generation => Response::Generation(self.generation),
-            Query::IsInlier { row } => Response::IsInlier(row < self.len() && self.is_inlier(row)),
-            Query::NeighborCount { row } => {
-                Response::NeighborCount((row < self.len()).then(|| self.neighbor_count(row)))
-            }
-            Query::CurrentRow { row } => {
-                Response::CurrentRow(self.current.rows().get(row).map(Vec::as_slice))
-            }
-            Query::OriginalRow { row } => {
-                Response::OriginalRow(self.original.get(row).map(Vec::as_slice))
-            }
-            Query::Outliers => Response::Outliers(self.outliers()),
-        }
-    }
-
     /// ε-range query over all ingested rows (original values), fanned
     /// out across shards and concatenated in shard order: `(global id,
     /// distance)` pairs. The hit *set* equals a single-shard query's for
     /// any shard count (shards partition the rows).
     pub fn range(&self, query: &[Value], eps: f64) -> Vec<(usize, f64)> {
         let workers = self.saver.parallelism().workers();
-        let map = &self.map;
-        let parts = shard::fan_out(self.shards.iter().enumerate(), workers, |(s, shard)| {
-            shard.range_queries.fetch_add(1, Ordering::Relaxed);
-            counters::SHARD_RANGE_QUERIES.incr();
-            shard
-                .full_index
-                .range(query, eps)
-                .into_iter()
-                .map(|(l, d)| (map.global(s, l as usize), d))
-                .collect::<Vec<_>>()
-        });
+        let parts = shard::fan_out(&self.shards, workers, |shard| shard.range(query, eps));
         parts.into_iter().flatten().collect()
     }
 
@@ -369,13 +374,12 @@ impl ShardedEngine {
     /// — deterministic and shard-count-independent in its distances.
     pub fn knn(&self, query: &[Value], k: usize) -> Vec<(usize, f64)> {
         let workers = self.saver.parallelism().workers();
-        let map = &self.map;
-        let parts = shard::fan_out(self.shards.iter().enumerate(), workers, |(s, shard)| {
+        let parts = shard::fan_out(&self.shards, workers, |shard| {
             shard
                 .full_index
                 .knn(query, k)
                 .into_iter()
-                .map(|(l, d)| (map.global(s, l as usize), d))
+                .map(|(l, d)| (shard.globals[l as usize], d))
                 .collect::<Vec<_>>()
         });
         let mut merged: Vec<(usize, f64)> = parts.into_iter().flatten().collect();
@@ -394,7 +398,7 @@ impl ShardedEngine {
                 let activity = shard.activity();
                 ShardStats {
                     shard: s,
-                    rows: self.map.globals(s).len(),
+                    rows: shard.globals.len(),
                     range_queries: shard.range_queries.load(Ordering::Relaxed),
                     rows_visited: activity.rows_visited,
                     rebuilds: activity.rebuilds,
@@ -467,35 +471,25 @@ impl ShardedEngine {
         // across shards, counts merged by summing per-shard hits —
         // updates every affected cached count.
         let t_detect = Instant::now();
+        let shards = self.shards.len();
         for row in batch {
             let g = self.original.len();
             self.current.push(row.clone());
             self.original.push(row.clone());
-            let (s, _) = self.map.push(g);
             counters::SHARD_ROWS.incr();
-            self.shards[s].full_index.insert(row);
-            self.shards[s].cache.push_row(0);
+            self.shards[shard_of(g, shards)].push(g, row);
+            self.nearest.push(None);
         }
         let n = self.original.len();
-        let new_count = n - first_new;
         // per_shard[s][i] = new row first_new+i's hits in shard s.
-        let per_shard: Vec<Vec<ShardHits>> = if new_count > 0 {
+        let per_shard: Vec<Vec<ShardHits>> = if n > first_new {
             let original = &self.original;
-            let map = &self.map;
-            shard::fan_out(self.shards.iter_mut().enumerate(), workers, |(s, shard)| {
-                shard
-                    .range_queries
-                    .fetch_add(new_count as u64, Ordering::Relaxed);
-                counters::SHARD_RANGE_QUERIES.add(new_count as u64);
-                let globals = map.globals(s);
+            shard::fan_out(&self.shards, workers, |shard| {
                 (first_new..n)
                     .map(|g| {
-                        let hits = shard.full_index.range(&original[g], eps);
+                        let hits = shard.range(&original[g], eps);
                         let count = hits.len();
-                        let old = hits
-                            .into_iter()
-                            .filter(|&(l, _)| globals[l as usize] < first_new)
-                            .collect();
+                        let old = hits.into_iter().filter(|&(h, _)| h < first_new).collect();
                         (count, old)
                     })
                     .collect()
@@ -503,20 +497,16 @@ impl ShardedEngine {
         } else {
             Vec::new()
         };
+        // Self-inclusive: the query row is in exactly one shard's index,
+        // at distance 0, so the sum counts it once.
+        self.counts.extend(
+            (0..n - first_new).map(|i| per_shard.iter().map(|rows| rows[i].0).sum::<usize>()),
+        );
         let mut bumped: BTreeSet<usize> = BTreeSet::new();
-        for (i, g) in (first_new..n).enumerate() {
-            // Self-inclusive: the query row is in exactly one shard's
-            // index, at distance 0, so the sum counts it once.
-            let count: usize = per_shard.iter().map(|rows| rows[i].0).sum();
-            let (s, l) = self.map.locate(g);
-            self.shards[s].cache.set_count(l, count);
-        }
-        for (s, rows) in per_shard.iter().enumerate() {
-            for (_, old) in rows {
-                for &(l, _) in old {
-                    self.shards[s].cache.bump(l as usize);
-                    bumped.insert(self.map.global(s, l as usize));
-                }
+        for (_, old) in per_shard.iter().flatten() {
+            for &(g, _) in old {
+                self.counts[g] += 1;
+                bumped.insert(g);
             }
         }
         counters::ENGINE_CACHE_HITS.add((first_new - bumped.len()) as u64);
@@ -543,85 +533,67 @@ impl ShardedEngine {
         // fell (phase 4 checks them as possible new hosts).
         let mut tightened: Vec<usize> = Vec::new();
         if !new_inliers.is_empty() {
+            let eta = constraints.eta;
             for &i in &new_inliers {
-                let (s, _) = self.map.locate(i);
-                self.shards[s].inlier_index.insert(self.original[i].clone());
-                self.shards[s].inlier_globals.push(i);
-                self.numeric_inliers &= all_numeric(&self.original[i]);
+                let row = self.original[i].clone();
+                self.numeric_inliers &= all_numeric(&row);
+                self.shards[shard_of(i, shards)].push_inlier(i, row);
             }
-            // Each shard's pre-existing inliers observe their distance
-            // to the new inliers. A narrow row (see `NARROW_MARGIN`)
-            // observes only the new inliers within ε: the fresh ones'
-            // phase-1 hits plus one ε-range query per promoted row. A
-            // wide row observes every new inlier directly. New inliers
-            // (promoted and fresh alike) have no list yet, so
-            // `is_inlier` here selects exactly the pre-existing ones;
-            // per-shard caches are disjoint, so the fan-out mutates
-            // without overlap, and each row ends with the same list
-            // for any fan-out.
-            let original = &self.original;
-            let map = &self.map;
+            // The old rows within ε of a new inlier, with their distance:
+            // the fresh ones' phase-1 hits plus one ε-range query per
+            // promoted row and shard, ordered by row.
+            let mut near: Vec<(usize, f64)> = Vec::new();
+            for rows in &per_shard {
+                for ((_, old), _) in rows.iter().zip(&fresh_inlier).filter(|(_, fresh)| **fresh) {
+                    near.extend_from_slice(old);
+                }
+            }
+            for &p in &new_inliers[..promoted] {
+                for shard in &self.shards {
+                    near.extend(shard.range(&self.original[p], eps));
+                }
+            }
+            near.sort_unstable_by_key(|&(g, _)| g);
+            // Each pre-existing inlier observes its distance to the new
+            // inliers. A narrow row (see `NARROW_MARGIN`) observes only
+            // the new inliers within ε; a wide row observes every new
+            // inlier directly. New inliers (promoted and fresh alike)
+            // have no list yet, so `is_inlier` here selects exactly the
+            // pre-existing ones.
             let dist = self.saver.distance();
-            let new_list = &new_inliers;
-            let (per_shard, fresh_inlier) = (&per_shard, &fresh_inlier);
             let narrow = eps * (1.0 - NARROW_MARGIN);
-            let parts =
-                shard::fan_out(self.shards.iter_mut().enumerate(), workers, |(s, shard)| {
-                    let globals = map.globals(s);
-                    // (local id, distance) of this shard's rows within ε
-                    // of a new inlier, grouped by row.
-                    let mut near: Vec<(u32, f64)> = Vec::new();
-                    for ((_, old), _) in per_shard[s]
-                        .iter()
-                        .zip(fresh_inlier)
-                        .filter(|(_, inlier)| **inlier)
-                    {
-                        near.extend_from_slice(old);
+            let mut rest = near.as_slice();
+            let mut evals = 0u64;
+            for j in 0..first_new {
+                let k = rest.partition_point(|&(h, _)| h == j);
+                let (within, tail) = rest.split_at(k);
+                rest = tail;
+                if !self.is_inlier(j) {
+                    continue;
+                }
+                let before = self.nearest.kth(j, eta);
+                if before <= narrow {
+                    for &(_, d) in within {
+                        self.nearest.observe(j, d, eta);
                     }
-                    let promoted = &new_list[..promoted];
-                    shard
-                        .range_queries
-                        .fetch_add(promoted.len() as u64, Ordering::Relaxed);
-                    counters::SHARD_RANGE_QUERIES.add(promoted.len() as u64);
-                    for &p in promoted {
-                        near.extend(shard.full_index.range(&original[p], eps));
+                } else {
+                    for &i in &new_inliers {
+                        let d = dist.dist(&self.original[j], &self.original[i]);
+                        self.nearest.observe(j, d, eta);
                     }
-                    near.sort_unstable_by_key(|&(l, _)| l);
-                    let mut rest = near.as_slice();
-                    let mut changed = Vec::new();
-                    let mut evals = 0u64;
-                    for (l, &j) in globals.iter().enumerate() {
-                        let k = rest.partition_point(|&(h, _)| h as usize == l);
-                        let (within, tail) = rest.split_at(k);
-                        rest = tail;
-                        if j >= first_new || !shard.cache.is_inlier(l) {
-                            continue;
-                        }
-                        let before = shard.cache.delta_eta(l);
-                        if before <= narrow {
-                            for &(_, d) in within {
-                                shard.cache.observe_inlier_distance(l, d);
-                            }
-                        } else {
-                            for &i in new_list {
-                                let d = dist.dist(&original[j], &original[i]);
-                                shard.cache.observe_inlier_distance(l, d);
-                            }
-                            evals += new_list.len() as u64;
-                        }
-                        if shard.cache.delta_eta(l) != before {
-                            changed.push(j);
-                        }
-                    }
-                    counters::ENGINE_DELTA_ETA_EVALS.add(evals);
-                    changed
-                });
-            tightened = parts.into_iter().flatten().collect();
+                    evals += new_inliers.len() as u64;
+                }
+                if self.nearest.kth(j, eta) != before {
+                    tightened.push(j);
+                }
+            }
+            counters::ENGINE_DELTA_ETA_EVALS.add(evals);
             // η-NN per new inlier: per-shard top-η against the inlier
             // indexes, merged by (total_cmp distance, global id). Each
             // shard's members of the global top-η are that shard's
             // closest, hence inside its local top-η — so the merged
             // distance multiset equals a single-shard query's.
+            let (original, new_list) = (&self.original, &new_inliers);
             let knn_parts: Vec<Vec<Vec<(f64, usize)>>> =
                 shard::fan_out(&self.shards, workers, |shard| {
                     new_list
@@ -629,7 +601,7 @@ impl ShardedEngine {
                         .map(|&i| {
                             shard
                                 .inlier_index
-                                .knn(&original[i], constraints.eta)
+                                .knn(&original[i], eta)
                                 .into_iter()
                                 .map(|(id, d)| (d, shard.inlier_globals[id as usize]))
                                 .collect::<Vec<(f64, usize)>>()
@@ -642,10 +614,9 @@ impl ShardedEngine {
                     candidates.extend_from_slice(&part[offset]);
                 }
                 candidates.sort_unstable_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
-                candidates.truncate(constraints.eta);
+                candidates.truncate(eta);
                 let list: Vec<f64> = candidates.into_iter().map(|(d, _)| d).collect();
-                let (s, l) = self.map.locate(i);
-                self.shards[s].cache.set_inlier_list(l, &list);
+                self.nearest.set(i, Some(&list));
             }
         }
         // All index mutations for this ingest are done; attribute their
@@ -733,7 +704,7 @@ impl ShardedEngine {
 
     /// Merges the new inliers `added` (ascending global ids) into the
     /// RSet at their ranks among r's rows, and rewrites the `δ_η` of the
-    /// old inliers in `tightened`; both read `δ_η` from the caches.
+    /// old inliers in `tightened`; both read `δ_η` from their lists.
     fn grow_rset(&mut self, added: &[usize], tightened: &[usize]) {
         let mut rows = Vec::with_capacity(added.len());
         for &g in added {
@@ -748,10 +719,9 @@ impl ShardedEngine {
         self.rset.merge(rows, &tightened);
     }
 
-    /// The cached `δ_η` of inlier `row`.
+    /// The `δ_η` of inlier `row`.
     fn delta_eta(&self, row: usize) -> f64 {
-        let (s, l) = self.map.locate(row);
-        self.shards[s].cache.delta_eta(l)
+        self.nearest.kth(row, self.saver.constraints().eta)
     }
 
     /// The old outliers outside `dirty` whose save outcome may change now
@@ -796,20 +766,12 @@ impl ShardedEngine {
     /// invariants [`ShardedEngine::restore`] checks. The image is in
     /// global id order — independent of the shard count.
     pub fn export_state(&self) -> EngineState {
-        let n = self.original.len();
-        let mut counts = Vec::with_capacity(n);
-        let mut nearest = NearestTable::with_capacity(self.saver.constraints().eta, n);
-        for g in 0..n {
-            let (s, l) = self.map.locate(g);
-            counts.push(self.shards[s].cache.count(l));
-            nearest.push(self.shards[s].cache.inlier_lists().get(l));
-        }
         EngineState {
             generation: self.generation,
             original: self.original.clone(),
             current: self.current.rows().to_vec(),
-            counts,
-            nearest,
+            counts: self.counts.clone(),
+            nearest: self.nearest.clone(),
             pending: self.pending.iter().copied().collect(),
         }
     }
@@ -922,23 +884,24 @@ impl ShardedEngine {
         }
 
         // Rows go to their shards in global id order, so each shard's
-        // cache fills in local id order.
+        // local ids ascend with the global ones.
         let mut inliers = Vec::new();
         for (i, row) in state.original.iter().enumerate() {
-            let (s, l) = engine.map.push(i);
             counters::SHARD_ROWS.incr();
-            let shard = &mut engine.shards[s];
-            shard.full_index.insert(row.clone());
-            shard.cache.push_row(state.counts[i]);
-            if let Some(list) = state.nearest.get(i) {
-                shard.cache.set_inlier_list(l, list);
-                shard.inlier_index.insert(row.clone());
-                shard.inlier_globals.push(i);
+            let shard = &mut engine.shards[shard_of(i, shards)];
+            shard.push(i, row.clone());
+            if state.nearest.get(i).is_some() {
+                shard.push_inlier(i, row.clone());
                 engine.numeric_inliers &= all_numeric(row);
                 inliers.push(i);
             }
         }
         engine.original = state.original;
+        engine.counts = state.counts;
+        // A table collected from lists is only as wide as its longest
+        // one; phase 3 grows lists in place up to η entries.
+        engine.nearest = state.nearest;
+        engine.nearest.widen(eta);
         engine.grow_rset(&inliers, &[]);
         for row in &state.current {
             engine.current.push(row.clone());
@@ -1331,33 +1294,104 @@ mod tests {
         }
     }
 
+    /// A decoded snapshot lays its lists out only as wide as the longest
+    /// (`iter().collect()`); restore must give them η slots before phase 3
+    /// grows them in place, or a growing list spills into the next row's.
     #[test]
-    fn live_queries_match_exported_state() {
-        let mut rows = grid_rows();
-        rows.push(vec![Value::Num(0.5), Value::Num(30.0)]);
-        let mut eng = engine_sharded(0.5, 4, 3);
-        eng.ingest(rows).unwrap();
-        let state = eng.export_state();
-        assert_eq!(eng.query(Query::Len), state.query(Query::Len));
-        for row in [0, 17, 36, 40] {
+    fn restored_short_lists_grow_like_the_uninterrupted_engine() {
+        // Two far-apart plus shapes: only the centres (rows 0 and 1) are
+        // inliers, so each lists 2 < η = 4 inliers.
+        let first = num(&[
+            [0.0, 0.0],
+            [10.0, 10.0],
+            [0.4, 0.0],
+            [-0.4, 0.0],
+            [0.0, 0.4],
+            [0.0, -0.4],
+            [10.4, 10.0],
+            [9.6, 10.0],
+            [10.0, 10.4],
+            [10.0, 9.6],
+        ]);
+        // Each new row is a fresh inlier next to a centre, lengthening
+        // both centres' lists to η.
+        let second = num(&[[0.2, 0.2], [-0.2, -0.2], [10.2, 10.2], [9.8, 9.8]]);
+        let mut reference = engine(0.5, 4);
+        reference.ingest(first).unwrap();
+        let mut state = reference.export_state();
+        assert_eq!(state.outliers(), (2..10).collect::<Vec<_>>());
+        assert_eq!(state.nearest.get(0).map(<[f64]>::len), Some(2));
+        state.nearest = state.nearest.iter().collect();
+        let report = reference.ingest(second.clone()).unwrap();
+        assert_eq!(
+            reference.export_state().nearest.get(0).map(<[f64]>::len),
+            Some(4)
+        );
+        for shards in [1, 3] {
+            let saver =
+                SaverConfig::new(DistanceConstraints::new(0.5, 4), TupleDistance::numeric(2))
+                    .build_approx()
+                    .unwrap();
+            let mut restored = ShardedEngine::restore_with_shards(
+                Schema::numeric(2),
+                Box::new(saver),
+                state.clone(),
+                shards,
+            )
+            .unwrap();
             assert_eq!(
-                eng.query(Query::IsInlier { row }),
-                state.query(Query::IsInlier { row })
+                restored.ingest(second.clone()).unwrap(),
+                report,
+                "S={shards}"
             );
             assert_eq!(
-                eng.query(Query::NeighborCount { row }),
-                state.query(Query::NeighborCount { row })
-            );
-            assert_eq!(
-                eng.query(Query::CurrentRow { row }),
-                state.query(Query::CurrentRow { row })
-            );
-            assert_eq!(
-                eng.query(Query::OriginalRow { row }),
-                state.query(Query::OriginalRow { row })
+                restored.export_state(),
+                reference.export_state(),
+                "S={shards}"
             );
         }
-        assert_eq!(eng.query(Query::Outliers), state.query(Query::Outliers));
+    }
+
+    fn image() -> EngineState {
+        EngineState {
+            generation: 3,
+            original: vec![
+                vec![Value::Num(0.0)],
+                vec![Value::Num(1.0)],
+                vec![Value::Num(9.0)],
+            ],
+            current: vec![
+                vec![Value::Num(0.0)],
+                vec![Value::Num(1.0)],
+                vec![Value::Num(1.5)], // saved outlier: adjusted output
+            ],
+            counts: vec![2, 2, 1],
+            nearest: [Some(&[1.0][..]), Some(&[1.0][..]), None]
+                .into_iter()
+                .collect(),
+            pending: vec![],
+        }
+    }
+
+    #[test]
+    fn state_reads_answer_from_the_image() {
+        let state = image();
+        assert_eq!(state.len(), 3);
+        assert!(state.is_inlier(0));
+        assert!(!state.is_inlier(2));
+        assert_eq!(state.neighbor_count(2), Some(1));
+        assert_eq!(state.current_row(2), Some(&[Value::Num(1.5)][..]));
+        assert_eq!(state.original_row(2), Some(&[Value::Num(9.0)][..]));
+        assert_eq!(state.outliers(), vec![2]);
+    }
+
+    #[test]
+    fn out_of_range_rows_answer_by_convention() {
+        let state = image();
+        assert!(!state.is_inlier(99));
+        assert_eq!(state.neighbor_count(99), None);
+        assert_eq!(state.current_row(99), None);
+        assert_eq!(state.original_row(99), None);
     }
 
     #[test]

@@ -36,10 +36,9 @@
 //! * [`engine`] + [`shard`] — the incremental streaming engine
 //!   ([`ShardedEngine`]), hash-partitioning rows across shards whose
 //!   queries fan out through `parallel_map` and merge deterministically:
-//!   results are bit-identical for every shard and worker count;
-//! * [`query`] — the typed [`Query`] → [`Response`] read API shared by
-//!   the live engine, exported state images, the serve protocol, and
-//!   the CLI;
+//!   results are bit-identical for every shard and worker count. Its
+//!   exported image ([`EngineState`]) answers every read of engine state
+//!   for the serve protocol, the CLI and tests;
 //! * [`config`] — the [`EngineConfig`] builder gathering every engine
 //!   knob (arity, ε, η, κ, shards, parallelism, budget), validated
 //!   once, with the durable byte encoding stores persist;
@@ -61,7 +60,6 @@ pub mod fault;
 pub mod parallel;
 pub mod params;
 pub mod pipeline;
-pub mod query;
 pub mod rset;
 pub mod saver;
 pub mod shard;
@@ -82,7 +80,6 @@ pub use params::{
     poisson_p_at_least, ParamChoice, ParamConfig,
 };
 pub use pipeline::{FailedSave, PipelineError, SaveReport, SavedOutlier};
-pub use query::{Query, Response};
 pub use rset::RSet;
 pub use saver::{Saver, SaverConfig};
 pub use shard::{default_shards, resolve_shards, shard_of, ShardStats};

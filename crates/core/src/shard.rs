@@ -3,21 +3,22 @@
 //! The sharded engine assigns every global row id to a shard with a
 //! fixed stateless hash ([`shard_of`]), so the partition depends only on
 //! the id — never on ingest batching, worker count, or index internals.
-//! A crate-private `ShardMap` records the resulting global ↔ (shard,
-//! local) bijection; each `EngineShard` owns the per-partition index
-//! pair and neighbor cache. Every engine fan-out goes through `fan_out`,
-//! which scatters a closure across shards with [`parallel_map`] and
-//! gathers the results *in shard order* — what makes merged query
-//! results deterministic for any worker count — and times each call.
+//! Shards split index work only: each `EngineShard` owns its partition's
+//! index pair and the global id of each of its rows, while every
+//! per-row quantity (counts, `δ_η` lists) lives on the engine in global
+//! order. Every engine fan-out goes through `fan_out`, which scatters a
+//! closure across shards with [`parallel_map`] and gathers the results
+//! *in shard order* — what makes merged query results deterministic for
+//! any worker count — and times each call.
 
-use std::sync::atomic::AtomicU64;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;
 
-use disc_distance::TupleDistance;
-use disc_index::{DynamicIndex, IndexActivity};
+use disc_distance::{TupleDistance, Value};
+use disc_index::{DynamicIndex, DynamicNeighborIndex, IndexActivity, NeighborIndex};
+use disc_obs::counters;
 use disc_obs::hist::SHARD_FANOUT_MICROS;
 
-use crate::cache::NeighborCache;
 use crate::parallel::parallel_map;
 
 /// SplitMix64: a fixed, high-quality 64-bit mixer. The shard of a row
@@ -62,71 +63,21 @@ pub fn resolve_shards(requested: usize) -> usize {
     }
 }
 
-/// The global ↔ (shard, local) id bijection; see the [module docs](self).
-#[derive(Debug, Clone)]
-pub(crate) struct ShardMap {
-    /// `locs[global] = (shard, local)`.
-    locs: Vec<(u32, u32)>,
-    /// `globals[shard][local] = global` (ascending within each shard,
-    /// because rows are pushed in global order).
-    globals: Vec<Vec<usize>>,
-}
-
-impl ShardMap {
-    pub(crate) fn new(shards: usize) -> Self {
-        assert!(shards >= 1, "a sharded engine needs at least one shard");
-        ShardMap {
-            locs: Vec::new(),
-            globals: vec![Vec::new(); shards],
-        }
-    }
-
-    pub(crate) fn shards(&self) -> usize {
-        self.globals.len()
-    }
-
-    /// Assigns the next global id (must be pushed in order) and returns
-    /// its `(shard, local)` location.
-    pub(crate) fn push(&mut self, global: usize) -> (usize, usize) {
-        debug_assert_eq!(global, self.locs.len(), "rows are pushed in id order");
-        let s = shard_of(global, self.shards());
-        let l = self.globals[s].len();
-        self.globals[s].push(global);
-        self.locs.push((s as u32, l as u32));
-        (s, l)
-    }
-
-    /// The `(shard, local)` location of a previously pushed global id.
-    pub(crate) fn locate(&self, global: usize) -> (usize, usize) {
-        let (s, l) = self.locs[global];
-        (s as usize, l as usize)
-    }
-
-    /// The global id at `(shard, local)`.
-    pub(crate) fn global(&self, shard: usize, local: usize) -> usize {
-        self.globals[shard][local]
-    }
-
-    /// All global ids owned by `shard`, ascending (local id order).
-    pub(crate) fn globals(&self, shard: usize) -> &[usize] {
-        &self.globals[shard]
-    }
-}
-
 /// One partition of the sharded engine: its slice of the rows, indexed
-/// two ways, plus the per-row neighbor cache in *local* id space.
+/// two ways. Index ids are local; `globals` and `inlier_globals` map
+/// them back to global row ids.
 pub(crate) struct EngineShard {
     /// This shard's rows, original values — answers the per-new-tuple
     /// ε-range sub-queries of the count update.
     pub(crate) full_index: DynamicIndex,
+    /// `globals[full_index id] = global id` (ascending, because rows
+    /// arrive in global order).
+    pub(crate) globals: Vec<usize>,
     /// This shard's inlier rows only — answers the η-NN sub-queries that
     /// seed a new inlier's `δ_η` list.
     pub(crate) inlier_index: DynamicIndex,
     /// `inlier_globals[inlier_index id] = global id` (insertion order).
     pub(crate) inlier_globals: Vec<usize>,
-    /// Neighbor counts and `δ_η` lists for this shard's rows, keyed by
-    /// local id.
-    pub(crate) cache: NeighborCache,
     /// Logical range queries this shard answered (atomic so read-only
     /// fan-outs through `&self` can record them).
     pub(crate) range_queries: AtomicU64,
@@ -136,15 +87,39 @@ pub(crate) struct EngineShard {
 }
 
 impl EngineShard {
-    pub(crate) fn new(dist: TupleDistance, eps: f64, eta: usize) -> Self {
+    pub(crate) fn new(dist: TupleDistance, eps: f64) -> Self {
         EngineShard {
             full_index: DynamicIndex::new(dist.clone(), eps),
+            globals: Vec::new(),
             inlier_index: DynamicIndex::new(dist, eps),
             inlier_globals: Vec::new(),
-            cache: NeighborCache::new(eta),
             range_queries: AtomicU64::new(0),
             reported_rebuilds: 0,
         }
+    }
+
+    /// Adds global row `global` to the full index.
+    pub(crate) fn push(&mut self, global: usize, row: Vec<Value>) {
+        self.full_index.insert(row);
+        self.globals.push(global);
+    }
+
+    /// Adds global row `global`, now an inlier, to the inlier index.
+    pub(crate) fn push_inlier(&mut self, global: usize, row: Vec<Value>) {
+        self.inlier_index.insert(row);
+        self.inlier_globals.push(global);
+    }
+
+    /// This shard's ε-range hits around `query`, as `(global id,
+    /// distance)`; counts the query on the shard and on
+    /// `shard.range_queries`.
+    pub(crate) fn range(&self, query: &[Value], eps: f64) -> Vec<(usize, f64)> {
+        self.range_queries.fetch_add(1, Ordering::Relaxed);
+        counters::SHARD_RANGE_QUERIES.incr();
+        let hits = self.full_index.range(query, eps);
+        hits.into_iter()
+            .map(|(l, d)| (self.globals[l as usize], d))
+            .collect()
     }
 
     /// Combined index activity (full + inlier index).
@@ -229,22 +204,6 @@ mod tests {
     }
 
     #[test]
-    fn map_round_trips_ids() {
-        let mut map = ShardMap::new(3);
-        for g in 0..100 {
-            let (s, l) = map.push(g);
-            assert_eq!(map.locate(g), (s, l));
-            assert_eq!(map.global(s, l), g);
-        }
-        let total: usize = (0..3).map(|s| map.globals(s).len()).sum();
-        assert_eq!(total, 100);
-        for s in 0..3 {
-            let globals = map.globals(s);
-            assert!(globals.windows(2).all(|w| w[0] < w[1]), "ascending");
-        }
-    }
-
-    #[test]
     fn resolve_and_default_shards() {
         assert_eq!(resolve_shards(5), 5);
         assert!(resolve_shards(0) >= 1);
@@ -255,7 +214,7 @@ mod tests {
     fn fan_out_records_serial_and_threaded_calls() {
         let dist = TupleDistance::numeric(1);
         let mut shards: Vec<EngineShard> = (0..5)
-            .map(|_| EngineShard::new(dist.clone(), 1.0, 2))
+            .map(|_| EngineShard::new(dist.clone(), 1.0))
             .collect();
         for workers in [1, 3] {
             let before = SHARD_FANOUT_MICROS.snapshot().count();

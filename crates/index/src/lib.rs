@@ -11,8 +11,9 @@
 //!   [`DynamicNeighborIndex`]). It serves queries from one of three
 //!   backends:
 //!   - a linear **brute** scan, the fastest choice up to 512 rows;
-//!   - a uniform **grid** over finite numeric data, the workhorse for the
-//!     low-dimensional large datasets (GPS and Flight, m = 3);
+//!   - a uniform **grid** over finite numeric data under `Absolute`
+//!     metrics, the workhorse for the low-dimensional large datasets (GPS
+//!     and Flight, m = 3);
 //!   - a **VP tree** ([`VpNodes`]) for any metric, including edit
 //!     distances over text, pruning with the triangle inequality alone
 //!     (rows that break it, a `Null` or text in a numeric column, sit in
@@ -37,7 +38,7 @@ pub mod vptree;
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
-use disc_distance::{PackedMatrix, PackedScan, TupleDistance, Value};
+use disc_distance::{Metric, PackedMatrix, PackedScan, TupleDistance, Value};
 use disc_obs::counters::{self, Counter};
 
 pub use brute::BruteForceIndex;
@@ -133,7 +134,10 @@ impl Backend {
         if rows.len() <= BRUTE_MAX {
             return Backend::Brute { cell_width };
         }
-        if dist.arity() <= GRID_MAX_ARITY {
+        // The grid's cell window holds only where a per-coordinate gap
+        // bounds the distance from below, i.e. under `Absolute` metrics.
+        let absolute = (0..dist.arity()).all(|a| matches!(dist.metric(a), Metric::Absolute));
+        if absolute && dist.arity() <= GRID_MAX_ARITY {
             // A row with no grid cell (a Null, text, a non-finite or a
             // far-out number) leaves the VP tree.
             if let Ok(grid) = Grid::build(rows, dist, cell_width) {
@@ -208,8 +212,9 @@ pub struct Index<R> {
 impl<R: AsRef<[Vec<Value>]>> Index<R> {
     /// The backend the data's shape calls for: a brute scan up to 512
     /// rows; past that a grid with cell width `eps_hint` (the expected
-    /// query radius) when the arity is at most 4 and every row has a grid
-    /// cell; otherwise a VP tree.
+    /// query radius) when the arity is at most 4, every attribute metric
+    /// is [`Metric::Absolute`] and every row has a grid cell; otherwise a
+    /// VP tree.
     pub fn auto(rows: R, dist: TupleDistance, eps_hint: f64) -> Self {
         let backend = Backend::auto(rows.as_ref(), &dist, eps_hint.max(1e-9));
         Self::with_backend(rows, dist, backend)

@@ -356,6 +356,36 @@ fn far_out_coordinates_have_no_grid_cell() {
     }
 }
 
+/// Numbers under a `Discrete` metric have grid cells, but the grid's
+/// window assumes a per-coordinate gap bounds the distance from below,
+/// which `Discrete` (0 or 1, whatever the gap) does not: `Index::auto`
+/// and a grown dynamic index must answer like the brute scan.
+#[test]
+fn auto_backend_respects_non_absolute_metrics() {
+    let mut state = 5u64;
+    let mut flat = Vec::new();
+    for i in 0..600 * 2 {
+        state = state
+            .wrapping_mul(6364136223846793005)
+            .wrapping_add(1442695040888963407);
+        flat.push(((state >> 33) % [10, 60][i % 2]) as f64);
+    }
+    let rows = to_rows(&flat, 2);
+    let dist = TupleDistance::new(vec![Metric::Discrete; 2], Norm::L1);
+    let query = vec![Value::Num(3.0), Value::Num(40.0)];
+    let oracle = BruteForceIndex::new(&rows, dist.clone().with_packed(false));
+    let want = sort_by_id(oracle.range(&query, 1.0));
+    assert!(want.len() > 50, "{} hits", want.len());
+    let auto = Index::auto(&rows, dist.clone(), 1.0);
+    let grown = dynamic_via_ingest_splits(&rows, &dist, 1.0, 11);
+    for (label, idx) in [("auto", &auto as &dyn NeighborIndex), ("grown", &grown)] {
+        assert_hits_match(Norm::L1, &sort_by_id(idx.range(&query, 1.0)), &want, label);
+        for k in [1, 9, 40] {
+            assert_hits_match(Norm::L1, &idx.knn(&query, k), &oracle.knn(&query, k), label);
+        }
+    }
+}
+
 /// `n` rows on the lattice `{0.1, 1.1, 2.1, 3.1, 4.1}^m · s`, drawn by an
 /// LCG: pairs a whole number of steps apart tie on distance, and with
 /// ε a whole number of steps many lie exactly on the boundary, rounded

@@ -55,4 +55,4 @@ pub use error::Error;
 pub use lock::StoreLock;
 pub use snapshot::{SnapshotData, SNAP_MAGIC, SNAP_VERSION};
 pub use store::{DurableEngine, RecoveryReport, ReplApply, StoreOptions};
-pub use wal::{TornTail, Wal, WalEnd, WalFrame, WalReader, WalRecord, WalTailer, WAL_MAGIC};
+pub use wal::{TornTail, Wal, WalEnd, WalFrame, WalReader, WalRecord, WAL_MAGIC};

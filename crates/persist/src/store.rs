@@ -350,7 +350,10 @@ impl DurableEngine {
     /// # Errors
     /// [`Error::Engine`] for a batch the engine rejects (nothing is
     /// written); [`Error::Io`] when the append fails (the handle is then
-    /// poisoned); [`Error::Poisoned`] after any earlier IO failure.
+    /// poisoned); [`Error::Poisoned`] after any earlier IO failure. An
+    /// error means the batch was not applied. A failed auto-checkpoint
+    /// is not an error of this call — the batch is logged and applied,
+    /// so recovery replays it — but it poisons the handle.
     pub fn ingest(&mut self, batch: Vec<Vec<Value>>) -> Result<SaveReport, Error> {
         if self.poisoned {
             return Err(Error::Poisoned);
@@ -358,25 +361,39 @@ impl DurableEngine {
         // Validate before the append so a rejected batch never becomes
         // durable — recovery must only replay batches that applied.
         self.engine.validate_batch(&batch).map_err(Error::Engine)?;
-        let generation = self.engine.generation() + 1;
-        if let Err(e) = self.wal.append(generation, &batch) {
+        let frame = WalFrame::encode(self.engine.generation() + 1, &batch);
+        self.log_and_apply(&frame, batch)
+    }
+
+    /// The durable tail of [`DurableEngine::ingest`] and
+    /// [`DurableEngine::apply_replicated`] for a validated batch: append
+    /// `frame` and fsync, apply `rows`, then auto-checkpoint. A failed
+    /// append or apply poisons the handle and is returned. Once applied,
+    /// the batch is durable, so a failed checkpoint only poisons the
+    /// handle (the next mutation gets [`Error::Poisoned`]) and the report
+    /// is still returned.
+    fn log_and_apply(
+        &mut self,
+        frame: &WalFrame,
+        rows: Vec<Vec<Value>>,
+    ) -> Result<SaveReport, Error> {
+        if let Err(e) = self.wal.append_frame(frame) {
             self.poisoned = true;
             return Err(e);
         }
-        let report = match self.engine.ingest(batch) {
-            Ok(report) => report,
-            Err(e) => {
-                // The WAL now holds a record the engine rejected; the
-                // store diverged from the log (unreachable given the
-                // pre-validation, but fail safe).
-                self.poisoned = true;
-                return Err(Error::Engine(e));
-            }
-        };
-        if let Some(every) = self.snapshot_every {
-            if self.engine.generation() - self.last_snapshot >= every {
-                self.checkpoint()?;
-            }
+        let report = self.engine.ingest(rows).map_err(|e| {
+            // The WAL now holds a record the engine rejected; the store
+            // diverged from the log (unreachable given the
+            // pre-validation, but fail safe).
+            self.poisoned = true;
+            Error::Engine(e)
+        })?;
+        let due = self
+            .snapshot_every
+            .is_some_and(|every| self.engine.generation() - self.last_snapshot >= every);
+        if due {
+            // A failed checkpoint poisons the handle; the batch stands.
+            let _ = self.checkpoint();
         }
         Ok(report)
     }
@@ -394,7 +411,8 @@ impl DurableEngine {
     /// any crash.
     ///
     /// Auto-checkpoints under the same [`StoreOptions::snapshot_every`]
-    /// policy as [`DurableEngine::ingest`].
+    /// policy as [`DurableEngine::ingest`], and with the same outcome
+    /// when only that checkpoint fails.
     ///
     /// # Errors
     /// [`Error::Corrupt`] for a frame that does not decode or carries
@@ -425,22 +443,7 @@ impl DurableEngine {
         self.engine
             .validate_batch(&record.rows)
             .map_err(|e| bad_frame(format!("engine rejects rows: {e}")))?;
-        if let Err(e) = self.wal.append_frame(frame) {
-            self.poisoned = true;
-            return Err(e);
-        }
-        let report = match self.engine.ingest(record.rows) {
-            Ok(report) => report,
-            Err(e) => {
-                self.poisoned = true;
-                return Err(Error::Engine(e));
-            }
-        };
-        if let Some(every) = self.snapshot_every {
-            if self.engine.generation() - self.last_snapshot >= every {
-                self.checkpoint()?;
-            }
-        }
+        let report = self.log_and_apply(frame, record.rows)?;
         Ok(ReplApply::Applied(Box::new(report)))
     }
 
@@ -900,8 +903,8 @@ mod tests {
         // Catch-up: tail the leader's log and apply each frame once.
         leader.ingest(rows[12..24].to_vec()).unwrap();
         leader.ingest(rows[24..].to_vec()).unwrap();
-        let mut tailer = crate::wal::WalTailer::new(&wal_path(&leader_dir));
-        let frames = tailer.poll_after(follower.generation(), 64).unwrap();
+        let frames =
+            crate::wal::frames_after(&wal_path(&leader_dir), follower.generation(), 64).unwrap();
         assert_eq!(frames.len(), 2);
         for frame in &frames {
             assert!(matches!(
@@ -973,8 +976,8 @@ mod tests {
         leader.ingest(rows[12..24].to_vec()).unwrap();
         leader.checkpoint().unwrap();
         leader.ingest(rows[24..].to_vec()).unwrap();
-        let mut tailer = crate::wal::WalTailer::new(&wal_path(&leader_dir));
-        let frames = tailer.poll_after(follower.generation(), 64).unwrap();
+        let frames =
+            crate::wal::frames_after(&wal_path(&leader_dir), follower.generation(), 64).unwrap();
         assert_eq!(frames.len(), 1);
         assert!(matches!(
             follower.apply_replicated(&frames[0]).unwrap(),

@@ -21,17 +21,17 @@
 //!
 //! # One decoder, three consumers
 //!
-//! [`WalReader`] is the single frame decoder: it walks a byte image,
+//! [`WalReader`] is the single frame scanner: it walks a byte image,
 //! yields complete checksum-verified [`WalFrame`]s, and reports where
 //! and why it stopped ([`WalEnd`]). Recovery ([`Wal::open`] →
-//! `disc recover`), the leader-side replication service (shipping raw
-//! frames to followers), and the follower's apply loop (decoding
-//! shipped frames) all share it, so a frame that recovers locally is
-//! byte-for-byte the frame that replicates. [`WalTailer`] layers
-//! generation-ordered, resumable polling over a live log file for the
-//! leader side: frames at or below an acked generation are filtered
-//! out, an incomplete tail ends the poll (it may complete later), and a
-//! shrunken file (the WAL reset after a checkpoint) rewinds cleanly.
+//! `disc recover`) and the leader-side replication service
+//! ([`frames_after`], shipping raw frames to followers) scan with it,
+//! and the follower's apply loop admits shipped frames with
+//! [`WalFrame::from_parts`] and decodes them with the same
+//! [`WalFrame::decode`] recovery uses, so a frame that recovers locally
+//! is byte-for-byte the frame that replicates. [`frames_after`] skips
+//! frames at or below an acked generation, and an incomplete tail ends
+//! its scan (it may complete later).
 
 use std::fs::{File, OpenOptions};
 use std::io::{Read, Seek, SeekFrom};
@@ -198,16 +198,6 @@ impl<'a> WalReader<'a> {
         }
     }
 
-    /// Over bare frame bytes with no file header (a replication stream
-    /// chunk or a single shipped frame).
-    pub fn frames_only(bytes: &'a [u8]) -> WalReader<'a> {
-        WalReader {
-            bytes,
-            pos: 0,
-            end: None,
-        }
-    }
-
     /// Byte offset just past the last complete frame yielded so far.
     pub fn offset(&self) -> u64 {
         self.pos as u64
@@ -263,84 +253,39 @@ impl<'a> WalReader<'a> {
     }
 }
 
-/// Generation-ordered polling over a live WAL file — the leader side of
-/// replication. Each [`WalTailer::poll_after`] re-reads the file and
-/// returns the complete frames past an acked generation; torn tails end
-/// the poll (the writer may still be mid-append), and a file that
-/// shrank (the WAL reset after a checkpoint) rewinds the tailer to the
-/// header instead of erroring.
+/// Up to `max` complete frames of the log at `path` whose generation
+/// exceeds `after`, in file (= generation) order — the leader side of
+/// replication. An incomplete tail ends the scan without error (the
+/// writer may still be mid-append).
 ///
-/// The tailer never writes and takes no lock, so it is safe to point at
-/// a store another handle (or process) is appending to: appends are
+/// This never writes and takes no lock, so it is safe to point at a
+/// store another handle (or process) is appending to: appends are
 /// fsynced frame-at-a-time, so a concurrent read sees a complete prefix
 /// plus at most one incomplete frame.
-#[derive(Debug)]
-pub struct WalTailer {
-    path: PathBuf,
-    /// Byte offset just past the last complete frame seen; scanning
-    /// resumes here so a long-lived tailer does not re-verify old
-    /// frames.
-    offset: u64,
-}
-
-impl WalTailer {
-    /// Opens a tailer at the start of `path` (the first poll scans the
-    /// whole log). The file's magic header is verified on each poll, not
-    /// here, so a tailer may be constructed before the log exists.
-    pub fn new(path: &Path) -> WalTailer {
-        WalTailer {
-            path: path.to_path_buf(),
-            offset: WAL_MAGIC.len() as u64,
+///
+/// # Errors
+/// [`Error::Io`] when the file cannot be read; [`Error::Corrupt`] for
+/// states no crash can produce (bad magic, undecodable generation).
+pub fn frames_after(path: &Path, after: u64, max: usize) -> Result<Vec<WalFrame>, Error> {
+    let bytes = std::fs::read(path).map_err(|e| Error::Io {
+        op: "read",
+        path: path.to_path_buf(),
+        source: e,
+    })?;
+    let corrupt = |detail: String| Error::Corrupt {
+        path: path.to_path_buf(),
+        detail,
+    };
+    let mut reader = WalReader::new(&bytes).map_err(corrupt)?;
+    let mut frames = Vec::new();
+    while frames.len() < max {
+        match reader.next_frame().map_err(corrupt)? {
+            Some(frame) if frame.generation > after => frames.push(frame),
+            Some(_) => {}
+            None => break,
         }
     }
-
-    /// The log file being tailed.
-    pub fn path(&self) -> &Path {
-        &self.path
-    }
-
-    /// Returns up to `max` complete frames whose generation exceeds
-    /// `after`, in file (= generation) order, advancing the tailer past
-    /// every frame it scanned. An incomplete tail ends the poll without
-    /// error; a shrunken file rewinds to the header first.
-    ///
-    /// # Errors
-    /// [`Error::Io`] when the file cannot be read; [`Error::Corrupt`]
-    /// for states no crash can produce (bad magic, undecodable
-    /// generation).
-    pub fn poll_after(&mut self, after: u64, max: usize) -> Result<Vec<WalFrame>, Error> {
-        let bytes = std::fs::read(&self.path).map_err(|e| Error::Io {
-            op: "read",
-            path: self.path.clone(),
-            source: e,
-        })?;
-        let corrupt = |detail: String| Error::Corrupt {
-            path: self.path.clone(),
-            detail,
-        };
-        if (bytes.len() as u64) < self.offset {
-            // The WAL was reset by a checkpoint: every logged generation
-            // is covered by the snapshot now, and new appends continue
-            // at higher generations. Start over from the header.
-            self.offset = WAL_MAGIC.len() as u64;
-        }
-        let mut reader = WalReader::new(&bytes).map_err(corrupt)?;
-        // Skip (without re-verifying) the prefix already scanned.
-        reader.pos = (self.offset as usize).min(bytes.len());
-        let mut frames = Vec::new();
-        while frames.len() < max {
-            match reader.next_frame().map_err(corrupt)? {
-                Some(frame) => {
-                    if frame.generation > after {
-                        frames.push(frame);
-                    }
-                }
-                None => break,
-            }
-        }
-        self.offset = reader.offset();
-        Ok(frames)
-    }
+    Ok(frames)
 }
 
 /// An open write-ahead log positioned for appends.
@@ -729,84 +674,50 @@ mod tests {
     }
 
     #[test]
-    fn frames_only_reader_decodes_shipped_bytes() {
-        let a = WalFrame::encode(3, &rows(&[0.5]));
-        let b = WalFrame::encode(4, &rows(&[0.75]));
-        let mut stream = a.file_bytes();
-        stream.extend_from_slice(&b.file_bytes());
-        let mut reader = WalReader::frames_only(&stream);
-        assert_eq!(reader.next_frame().unwrap().unwrap(), a);
-        assert_eq!(reader.next_frame().unwrap().unwrap(), b);
-        assert_eq!(reader.next_frame().unwrap(), None);
-        assert_eq!(reader.end(), Some(WalEnd::Clean));
-    }
-
-    #[test]
-    fn tailer_resumes_after_generation_and_survives_reset() {
-        let path = temp_wal("tailer");
+    fn frames_after_filters_bounds_and_survives_reset() {
+        let path = temp_wal("frames_after");
         let mut wal = Wal::create(&path).unwrap();
         wal.append(1, &rows(&[1.0])).unwrap();
         wal.append(2, &rows(&[2.0])).unwrap();
+        let generations = |after, max| -> Vec<u64> {
+            frames_after(&path, after, max)
+                .unwrap()
+                .iter()
+                .map(|f| f.generation)
+                .collect()
+        };
+        assert_eq!(generations(0, 16), vec![1, 2]);
+        assert!(generations(2, 16).is_empty());
 
-        let mut tailer = WalTailer::new(&path);
-        let frames = tailer.poll_after(0, 16).unwrap();
-        assert_eq!(
-            frames.iter().map(|f| f.generation).collect::<Vec<_>>(),
-            vec![1, 2]
-        );
-        // Nothing new: the tailer remembers its offset and returns
-        // nothing without re-reading old frames.
-        assert!(tailer.poll_after(2, 16).unwrap().is_empty());
-
-        // New appends arrive incrementally; `after` filters acked ones.
+        // New appends arrive; `after` filters acked ones.
         wal.append(3, &rows(&[3.0])).unwrap();
         wal.append(4, &rows(&[4.0])).unwrap();
-        let frames = tailer.poll_after(3, 16).unwrap();
-        assert_eq!(
-            frames.iter().map(|f| f.generation).collect::<Vec<_>>(),
-            vec![4]
-        );
+        assert_eq!(generations(3, 16), vec![4]);
 
-        // `max` bounds one poll; the next poll continues where it left
-        // off (the caller re-passes its last acked generation).
-        let mut fresh = WalTailer::new(&path);
-        let first = fresh.poll_after(0, 3).unwrap();
-        assert_eq!(first.len(), 3);
-        let rest = fresh
-            .poll_after(first.last().unwrap().generation, 3)
-            .unwrap();
-        assert_eq!(
-            rest.iter().map(|f| f.generation).collect::<Vec<_>>(),
-            vec![4]
-        );
+        // `max` bounds one read; the next continues from the caller's
+        // last acked generation.
+        assert_eq!(generations(0, 3), vec![1, 2, 3]);
+        assert_eq!(generations(3, 3), vec![4]);
 
-        // A checkpoint resets the log; the tailer rewinds instead of
-        // erroring, and later appends (at higher generations) flow.
+        // A checkpoint resets the log, and later appends (at higher
+        // generations) flow.
         wal.reset().unwrap();
-        assert!(tailer.poll_after(4, 16).unwrap().is_empty());
+        assert!(generations(4, 16).is_empty());
         wal.append(5, &rows(&[5.0])).unwrap();
-        let frames = tailer.poll_after(4, 16).unwrap();
-        assert_eq!(
-            frames.iter().map(|f| f.generation).collect::<Vec<_>>(),
-            vec![5]
-        );
+        assert_eq!(generations(4, 16), vec![5]);
 
-        // A torn tail ends the poll quietly; once the append completes
+        // A torn tail ends the read quietly; once the append completes
         // (simulated by restoring the bytes) the frame is delivered.
         let full = std::fs::read(&path).unwrap();
         let frame6 = WalFrame::encode(6, &rows(&[6.0])).file_bytes();
         let mut torn = full.clone();
         torn.extend_from_slice(&frame6[..frame6.len() - 3]);
         std::fs::write(&path, &torn).unwrap();
-        assert!(tailer.poll_after(5, 16).unwrap().is_empty());
+        assert!(generations(5, 16).is_empty());
         let mut complete = full;
         complete.extend_from_slice(&frame6);
         std::fs::write(&path, &complete).unwrap();
-        let frames = tailer.poll_after(5, 16).unwrap();
-        assert_eq!(
-            frames.iter().map(|f| f.generation).collect::<Vec<_>>(),
-            vec![6]
-        );
+        assert_eq!(generations(5, 16), vec![6]);
         std::fs::remove_file(&path).ok();
     }
 }

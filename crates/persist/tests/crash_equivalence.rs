@@ -280,6 +280,60 @@ mod io_faults {
         }
     }
 
+    /// With a checkpoint after every ingest, fail each IO op in turn. An
+    /// ingest that errs must not have applied its batch (the generation
+    /// is unchanged), and every ingest that returned `Ok` must survive a
+    /// reopen — so a failed auto-checkpoint after the apply may poison
+    /// the handle but must not fail the ingest, or a client retrying the
+    /// "failed" batch would apply it twice.
+    #[test]
+    fn an_ingest_errs_only_when_its_batch_is_not_applied() {
+        let rows = dirty_rows(40, 5, 3, 1);
+        let chunks = split_rows(&rows, 4, 31);
+        let opts = StoreOptions {
+            snapshot_every: Some(1),
+            ..StoreOptions::default()
+        };
+        for k in 0u64.. {
+            let dir = temp_store("acked");
+            let (acked, fired) = scoped(FaultPlan::new().fail_io(k), || {
+                let Ok(mut store) =
+                    DurableEngine::create(&dir, Schema::numeric(3), saver(1), vec![1], opts)
+                else {
+                    return 0;
+                };
+                let mut acked = 0;
+                for chunk in &chunks {
+                    let before = store.generation();
+                    match store.ingest(chunk.clone()) {
+                        Ok(_) => acked = store.generation(),
+                        Err(e) => assert_eq!(
+                            store.generation(),
+                            before,
+                            "fault at op {k}: the ingest erred ({e}) after applying"
+                        ),
+                    }
+                }
+                acked
+            });
+            let recovered = match DurableEngine::open(&dir, make_saver, opts) {
+                Ok((store, _)) => store.generation(),
+                Err(Error::StoreMissing { .. }) => 0,
+                Err(e) => panic!("fault at op {k}: recovery failed: {e}"),
+            };
+            assert!(
+                recovered >= acked,
+                "fault at op {k}: generation {acked} was acked, {recovered} recovered"
+            );
+            std::fs::remove_dir_all(&dir).ok();
+            if !fired {
+                assert_eq!(acked, chunks.len() as u64, "untouched run");
+                assert!(k > 10, "sweep only interrupted {k} ops — hooks not wired?");
+                return;
+            }
+        }
+    }
+
     /// An IO failure poisons the handle: later mutations are refused
     /// rather than risking divergence from the log.
     #[test]

@@ -8,7 +8,7 @@ use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Duration;
 
-use disc_core::{DistanceConstraints, Query, Response, SaveReport, Saver, SaverConfig};
+use disc_core::{DistanceConstraints, SaveReport, Saver, SaverConfig};
 use disc_data::Schema;
 use disc_distance::{TupleDistance, Value};
 use disc_persist::{DurableEngine, StoreOptions};
@@ -90,13 +90,6 @@ fn await_published(server: &ServerHandle, generation: u64) {
     }
 }
 
-fn outliers_of(state: &disc_core::EngineState) -> Vec<usize> {
-    match state.query(Query::Outliers) {
-        Response::Outliers(o) => o,
-        other => panic!("{other:?}"),
-    }
-}
-
 fn batch_strategy() -> impl Strategy<Value = Vec<Vec<Vec<f64>>>> {
     // A stream of 2..8 batches, each 1..5 rows of 2 values drawn from a
     // small grid (so ε-neighborhoods actually form and savers run).
@@ -159,7 +152,7 @@ proptest! {
         let leader_state = (*leader.snapshot()).clone();
         prop_assert_eq!(follower.generation(), leader_state.generation);
         prop_assert_eq!(&follower.state(), &leader_state);
-        prop_assert_eq!(outliers_of(&follower.state()), outliers_of(&leader_state));
+        prop_assert_eq!(follower.state().outliers(), leader_state.outliers());
 
         // Every report the follower produced is bit-equal to the
         // leader's ack for the same generation. (Generations covered by

@@ -24,7 +24,7 @@
 //! applied), or [`KIND_IO`] (the durable backend failed; the batch must
 //! be considered not applied).
 
-use disc_core::{EngineState, Query, Response, SaveReport};
+use disc_core::{EngineState, SaveReport};
 use disc_distance::Value;
 use disc_obs::json::{push_f64, push_str_literal, Obj};
 use disc_persist::WalFrame;
@@ -280,41 +280,19 @@ pub fn ingest_response(generation: u64, rows: usize, report: &SaveReport) -> Str
     o.finish()
 }
 
-/// The number of rows in `state`, via the typed read API.
-fn state_len(state: &EngineState) -> usize {
-    match state.query(Query::Len) {
-        Response::Len(n) => n,
-        _ => unreachable!("Query::Len answers Response::Len"),
-    }
-}
-
 /// Render a query response against an engine snapshot. Reads go through
-/// the typed [`Query`] API, so the wire protocol and any other consumer
-/// of engine state share one out-of-range convention.
+/// [`EngineState`]'s read methods, so the wire protocol and any other
+/// consumer of engine state share one out-of-range convention.
 pub fn query_response(state: &EngineState, row: usize) -> String {
-    let (current, original) = match (
-        state.query(Query::CurrentRow { row }),
-        state.query(Query::OriginalRow { row }),
-    ) {
-        (Response::CurrentRow(Some(current)), Response::OriginalRow(Some(original))) => {
-            (current, original)
-        }
-        _ => {
-            return error_response(
-                Some("query"),
-                KIND_INVALID,
-                &format!("row {row} out of range (engine holds {})", state_len(state)),
-            )
-        }
+    let (Some(current), Some(original)) = (state.current_row(row), state.original_row(row)) else {
+        return error_response(
+            Some("query"),
+            KIND_INVALID,
+            &format!("row {row} out of range (engine holds {})", state.len()),
+        );
     };
-    let inlier = matches!(
-        state.query(Query::IsInlier { row }),
-        Response::IsInlier(true)
-    );
-    let neighbor_count = match state.query(Query::NeighborCount { row }) {
-        Response::NeighborCount(count) => count.unwrap_or(0),
-        _ => unreachable!("Query::NeighborCount answers Response::NeighborCount"),
-    };
+    let inlier = state.is_inlier(row);
+    let neighbor_count = state.neighbor_count(row).unwrap_or(0);
     let mut o = Obj::new();
     o.raw("ok", "true")
         .str("op", "query")
@@ -329,10 +307,8 @@ pub fn query_response(state: &EngineState, row: usize) -> String {
 
 /// Render a report (summary) response against an engine snapshot.
 pub fn report_response(state: &EngineState) -> String {
-    let Response::Outliers(outliers) = state.query(Query::Outliers) else {
-        unreachable!("Query::Outliers answers Response::Outliers")
-    };
-    let len = state_len(state);
+    let outliers = state.outliers();
+    let len = state.len();
     let mut o = Obj::new();
     o.raw("ok", "true")
         .str("op", "report")
@@ -355,9 +331,7 @@ pub fn snapshot_response(state: &EngineState) -> String {
         rows.push_str(&values_array(row));
     }
     rows.push(']');
-    let Response::Outliers(outliers) = state.query(Query::Outliers) else {
-        unreachable!("Query::Outliers answers Response::Outliers")
-    };
+    let outliers = state.outliers();
     let mut o = Obj::new();
     o.raw("ok", "true")
         .str("op", "snapshot")

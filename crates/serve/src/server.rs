@@ -54,7 +54,7 @@ use disc_distance::Value;
 use disc_obs::hist::{REPL_SHIP_MICROS, SHARD_FANOUT_MICROS};
 use disc_obs::json::Obj;
 use disc_obs::{counters, global_json, hist_json, Histogram};
-use disc_persist::{snapshot, store, DurableEngine, WalTailer};
+use disc_persist::{snapshot, store, wal, DurableEngine};
 
 use crate::protocol::{
     self, Request, KIND_INVALID, KIND_IO, KIND_NOT_LEADER, KIND_OVERLOADED, KIND_REJECTED,
@@ -796,8 +796,7 @@ fn replicate_response(
     let fail = |e: &disc_persist::Error| {
         protocol::error_response(Some("replicate"), KIND_IO, &e.to_string())
     };
-    let mut tailer = WalTailer::new(&store::wal_path(dir));
-    let frames = match tailer.poll_after(from, max_frames) {
+    let frames = match wal::frames_after(&store::wal_path(dir), from, max_frames) {
         Ok(frames) => frames,
         Err(e) => return fail(&e),
     };

@@ -14,7 +14,7 @@ use std::net::TcpStream;
 use std::sync::{Barrier, Mutex};
 use std::time::Duration;
 
-use disc_core::{DiscEngine, DistanceConstraints, Query, Response, SaveReport, Saver, SaverConfig};
+use disc_core::{DiscEngine, DistanceConstraints, SaveReport, Saver, SaverConfig};
 use disc_data::Schema;
 use disc_distance::{TupleDistance, Value};
 use disc_obs::Snapshot;
@@ -227,10 +227,7 @@ fn tcp_protocol_round_trip() {
     let bye = send(&mut stream, &mut reader, r#"{"op":"shutdown"}"#);
     assert_eq!(bye.get("ok"), Some(&json::Json::Bool(true)));
     let shutdown = handle.wait();
-    assert!(matches!(
-        shutdown.state.query(Query::Len),
-        Response::Len(37)
-    ));
+    assert_eq!(shutdown.state.len(), 37);
 }
 
 /// Newline framing: a 1 MiB request written in 8 KiB pieces, with pauses
@@ -429,8 +426,5 @@ fn shutdown_drains_admitted_jobs_and_refuses_new_ones() {
         vec![1, 2, 3],
         "every admitted job is drained and acknowledged"
     );
-    assert!(
-        matches!(shutdown.state.query(Query::Len), Response::Len(3)),
-        "the late batch was never applied"
-    );
+    assert_eq!(shutdown.state.len(), 3, "the late batch was never applied");
 }

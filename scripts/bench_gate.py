@@ -8,9 +8,9 @@ and `stream_small`, and fails if any gated work counter exceeds the value
 recorded for that workload and seed in the newest `BENCH_<n>.json` at the
 repository root (its `"traced"` object: workload -> seed -> metric ->
 value). The counters count work, not time, so they do not drift with the
-machine or with `--seconds`. Wall-clock figures are printed next to them
-and never gate. Exits 1 on a regression, a failed run, or a missing
-figure.
+machine or with `--seconds`. Wall-clock figures, and the run's
+`repo.rust_lines` next to the recorded one, are printed and never gate.
+Exits 1 on a regression, a failed run, or a missing figure.
 """
 
 import argparse
@@ -74,6 +74,9 @@ def main():
             print(f"    {workload} {name} = {got[name]:g} ({bench.name}: {want[name]:g}) {verdict}")
         timings = ", ".join(f"{n} {got[n]:g}" for n in REPORTED if n in got)
         print(f"    {workload} wall clock, not gated: {timings}")
+    lines, then = got.get("repo.rust_lines"), want.get("repo.rust_lines")
+    if lines is not None and then is not None:
+        print(f"    repo.rust_lines = {lines:g} ({bench.name}: {then:g}, {lines - then:+g}), not gated")
     if failed:
         sys.exit(f"bench_gate: a work counter exceeds {bench.name}")
 

@@ -672,13 +672,10 @@ fn cmd_serve_replica(args: &Args, leader: &str) -> Result<(), CliError> {
     let outcome = daemon
         .join()
         .map_err(|_| CliError::Io("replication thread panicked".into()))?;
-    let rows = match report.state.query(Query::Len) {
-        Response::Len(n) => n,
-        _ => unreachable!("Len answers Len"),
-    };
     println!(
         "shutdown complete: generation {}, {} rows",
-        report.generation, rows
+        report.generation,
+        report.state.len()
     );
     match outcome {
         Ok(()) => Ok(()),
@@ -790,13 +787,10 @@ fn cmd_serve(args: &Args) -> Result<(), CliError> {
     // parse the ephemeral port from it.
     println!("listening on {}", handle.addr());
     let report = handle.wait();
-    let rows = match report.state.query(Query::Len) {
-        Response::Len(n) => n,
-        _ => unreachable!("Len answers Len"),
-    };
     println!(
         "shutdown complete: generation {}, {} rows",
-        report.generation, rows
+        report.generation,
+        report.state.len()
     );
     match report.close_error {
         Some(e) => Err(CliError::Io(format!("closing durable store: {e}"))),

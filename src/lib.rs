@@ -79,7 +79,7 @@ pub mod prelude {
     };
     pub use disc_core::{
         determine_parameters, Budget, DiscEngine, DiscSaver, DistanceConstraints, EngineConfig,
-        Error, ExactSaver, Parallelism, Query, Response, SaveReport, Saver, SaverConfig,
+        Error, ExactSaver, Parallelism, SaveReport, Saver, SaverConfig,
     };
     pub use disc_data::{Dataset, NonFinitePolicy, Schema};
     pub use disc_distance::{AttrSet, Metric, Norm, TupleDistance, Value};
