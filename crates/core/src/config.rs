@@ -4,26 +4,24 @@
 //! `DistanceConstraints`, a `TupleDistance`, a `SaverConfig`, and an
 //! engine in sequence, and the CLI kept its own ad-hoc byte codec for
 //! the knobs a durable store must remember. [`EngineConfig`] gathers
-//! the full knob set — arity, ε, η, κ, shard count, worker count,
-//! execution budget — behind named builder setters, validates once in
-//! [`EngineConfig::validate`], and owns the durable byte encoding
-//! ([`EngineConfig::encode`]/[`EngineConfig::decode`]) that stores stamp
-//! into their snapshot header so `disc recover` needs no flags.
+//! the knob set — arity, ε, η, κ, shard count — behind named builder
+//! setters, validates once in [`EngineConfig::validate`], and owns the
+//! durable byte encoding ([`EngineConfig::encode`]/[`EngineConfig::decode`])
+//! that stores stamp into their snapshot header so `disc recover` needs
+//! no flags.
 //!
-//! The persisted knobs are the *semantic* ones (arity, ε, η, κ, shard
-//! count); worker count and budget are runtime properties of the host
-//! running the engine, so they are carried in memory but never
-//! serialized — reopening a store on a smaller machine must not inherit
-//! the bigger machine's parallelism.
+//! Worker count and execution budget are properties of the host running
+//! the engine, not of the store: the saver it builds takes the
+//! [`SaverConfig`] defaults for both (one worker per core, the
+//! process-wide budget), so reopening a store on a smaller machine never
+//! inherits the bigger machine's parallelism.
 
 use disc_data::{binary, Schema};
 use disc_distance::Norm;
 
-use crate::budget::Budget;
 use crate::constraints::DistanceConstraints;
 use crate::engine::ShardedEngine;
 use crate::error::Error;
-use crate::parallel::Parallelism;
 use crate::saver::{Saver, SaverConfig};
 use crate::shard;
 
@@ -40,15 +38,11 @@ pub struct EngineConfig {
     eta: usize,
     kappa: usize,
     shards: usize,
-    parallelism: Parallelism,
-    budget: Budget,
 }
 
 impl EngineConfig {
     /// A configuration over `arity` numeric attributes with constraints
-    /// `(eps, eta)` and the defaults everything else: κ = 2, the
-    /// [`shard::default_shards`] shard count, one worker per core, and
-    /// the process-wide budget.
+    /// `(eps, eta)`, κ = 2 and the [`shard::default_shards`] shard count.
     pub fn new(arity: usize, eps: f64, eta: usize) -> Self {
         EngineConfig {
             arity,
@@ -56,8 +50,6 @@ impl EngineConfig {
             eta,
             kappa: 2,
             shards: shard::default_shards(),
-            parallelism: Parallelism::auto(),
-            budget: Budget::auto(),
         }
     }
 
@@ -72,18 +64,6 @@ impl EngineConfig {
     /// Results are bit-identical for every count.
     pub fn shards(mut self, shards: usize) -> Self {
         self.shards = shards;
-        self
-    }
-
-    /// Overrides the save-pipeline worker count.
-    pub fn parallelism(mut self, parallelism: Parallelism) -> Self {
-        self.parallelism = parallelism;
-        self
-    }
-
-    /// Overrides the execution budget.
-    pub fn budget(mut self, budget: Budget) -> Self {
-        self.budget = budget;
         self
     }
 
@@ -168,8 +148,6 @@ impl EngineConfig {
         }
         let saver = SaverConfig::new(self.constraints(), schema.tuple_distance(Norm::L2))
             .kappa(self.kappa)
-            .parallelism(self.parallelism)
-            .budget(self.budget)
             .build_approx()?;
         Ok(Box::new(saver))
     }
@@ -187,9 +165,8 @@ impl EngineConfig {
         ))
     }
 
-    /// Serializes the semantic knobs (version, arity, ε, η, κ, shards)
-    /// for a durable store's config blob. Runtime knobs (worker count,
-    /// budget) are deliberately not included.
+    /// Serializes the knobs (version, arity, ε, η, κ, shards) for a
+    /// durable store's config blob.
     pub fn encode(&self) -> Vec<u8> {
         let mut out = Vec::new();
         out.push(CONFIG_VERSION);
@@ -201,8 +178,7 @@ impl EngineConfig {
         out
     }
 
-    /// Deserializes an [`EngineConfig::encode`] blob. Runtime knobs come
-    /// back at their defaults — they describe the host, not the store.
+    /// Deserializes an [`EngineConfig::encode`] blob.
     ///
     /// # Errors
     /// [`Error::Config`] for an unknown version byte, a truncated blob,

@@ -189,8 +189,9 @@ pub type DiscEngine = ShardedEngine;
 /// the saver cannot prove that outcome stable.
 ///
 /// Reads out of range follow one convention: an unknown row is not an
-/// inlier, and row-valued reads answer `None`.
-#[derive(Debug, Clone, PartialEq)]
+/// inlier, and row-valued reads answer `None`. The default image is an
+/// empty engine's at generation 0.
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct EngineState {
     /// The engine's [generation](ShardedEngine::generation) at export
     /// time.

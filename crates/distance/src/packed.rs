@@ -77,15 +77,6 @@ pub struct PackedMatrix {
 }
 
 impl PackedMatrix {
-    /// An empty matrix with `m` attributes per row.
-    pub fn with_arity(m: usize) -> Self {
-        PackedMatrix {
-            m,
-            data: Vec::new(),
-            valid: Vec::new(),
-        }
-    }
-
     /// Packs `rows` for `dist`, or `None` when the metric does not admit
     /// the packed layout ([`TupleDistance::packable`]: any non-numeric
     /// attribute metric, or packing disabled). Rows that cannot be packed

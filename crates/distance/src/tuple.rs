@@ -77,13 +77,6 @@ impl TupleDistance {
         self
     }
 
-    /// True when the packed path is enabled (regardless of whether the
-    /// metrics admit it).
-    #[inline]
-    pub fn packed_enabled(&self) -> bool {
-        self.packed
-    }
-
     /// True when evaluations of this metric may use the packed layout:
     /// packing is enabled and every per-attribute metric is numeric
     /// ([`Metric::Absolute`]). Mixed and textual schemas stay on the

@@ -335,11 +335,6 @@ impl Snapshot {
     pub fn iter(&self) -> impl Iterator<Item = (&'static str, u64)> + '_ {
         self.values.iter().copied()
     }
-
-    /// True if every counter reads zero.
-    pub fn is_zero(&self) -> bool {
-        self.values.iter().all(|&(_, v)| v == 0)
-    }
 }
 
 #[cfg(test)]

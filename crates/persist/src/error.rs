@@ -44,13 +44,13 @@ pub enum Error {
     /// A previous IO failure left the handle in an unknown on-disk state;
     /// all further mutations are refused. Reopening the store recovers.
     Poisoned,
-    /// Another live process holds the store's exclusive lock
-    /// (`engine.lock`). Two writers interleaving WAL appends would tear
+    /// Another live handle holds the store's exclusive lock on
+    /// `engine.lock`. Two writers interleaving WAL appends would tear
     /// the generation sequence, so the second opener fails fast instead.
     Locked {
         /// The store directory.
         dir: PathBuf,
-        /// PID recorded in the lock file, when readable.
+        /// PID the holder wrote into the lock file, when readable.
         holder: Option<u32>,
     },
 }

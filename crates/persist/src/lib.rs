@@ -10,6 +10,9 @@
 //!   written to a temp file, fsynced, and atomically renamed into place,
 //!   so the visible snapshot is always complete ([`snapshot`]).
 //!
+//! Every handle comes up through one path ([`store`]) and holds the
+//! store's [`StoreLock`], a kernel lock that dies with its holder.
+//!
 //! Recovery ([`DurableEngine::open`]) is deterministic: load the
 //! snapshot at generation `g`, truncate any torn WAL tail (the expected
 //! artifact of a crash mid-append), and replay the surviving records

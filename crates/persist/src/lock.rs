@@ -1,19 +1,20 @@
-//! Exclusive advisory locking for store directories.
+//! Exclusive locking for store directories.
 //!
 //! Two live handles appending to the same write-ahead log would
 //! interleave records and tear the generation sequence, so every
 //! [`DurableEngine`](crate::DurableEngine) holds a [`StoreLock`] for its
-//! whole lifetime: a `engine.lock` file created with `create_new` (the
-//! atomic exists-check-plus-create the filesystem gives us without any
-//! OS-specific flock machinery) holding the owner's PID.
+//! whole lifetime: an exclusive [`File::try_lock`] on `engine.lock`.
+//! The kernel releases that lock when its file handle closes — when the
+//! value drops or when the holder dies, however it dies — so recovery
+//! after a crash never needs cleanup, and a second opener gets
+//! [`Error::Locked`] immediately while the holder lives. The holder
+//! writes its PID into the file for that error's message only.
 //!
-//! A crash leaves the lock file behind; [`StoreLock::acquire`] treats a
-//! lock whose recorded PID no longer maps to a live process as *stale*
-//! and steals it, so recovery after a crash never needs manual cleanup.
-//! A second live process gets [`Error::Locked`] immediately — failing
-//! fast is the whole point.
+//! The file stays on disk when the lock is released: unlinking a locked
+//! file would let an opener still waiting on the old inode and one that
+//! creates a new file both hold "the" lock.
 
-use std::fs;
+use std::fs::{self, File, OpenOptions, TryLockError};
 use std::io::Write as _;
 use std::path::{Path, PathBuf};
 
@@ -25,109 +26,52 @@ pub fn lock_path(dir: &Path) -> PathBuf {
 }
 
 /// Exclusive ownership of a store directory for the lifetime of the
-/// value; released (the lock file removed) on drop. See the
+/// value; the kernel releases it when the value drops. See the
 /// [module docs](self).
 #[derive(Debug)]
 pub struct StoreLock {
-    path: PathBuf,
-}
-
-/// Best-effort liveness probe for the PID recorded in a lock file. On
-/// Linux `/proc/<pid>` exists exactly while the process does; elsewhere
-/// assume the holder is alive (never steal — a false "dead" verdict
-/// risks the torn interleaving the lock exists to prevent).
-fn process_alive(pid: u32) -> bool {
-    if cfg!(target_os = "linux") {
-        Path::new(&format!("/proc/{pid}")).exists()
-    } else {
-        true
-    }
+    _file: File,
 }
 
 impl StoreLock {
-    /// Acquires the exclusive lock for `dir` (created if missing),
-    /// stealing a stale lock left by a dead process.
+    /// Acquires the exclusive lock for `dir` (created if missing).
     ///
     /// # Errors
-    /// [`Error::Locked`] when a live process holds the lock;
-    /// [`Error::Io`] when the directory or lock file cannot be written.
+    /// [`Error::Locked`] when another handle, in this process or
+    /// another, holds the lock; [`Error::Io`] when the directory or lock
+    /// file cannot be opened, locked or written.
     pub fn acquire(dir: &Path) -> Result<StoreLock, Error> {
-        fs::create_dir_all(dir).map_err(|e| Error::Io {
-            op: "create_dir",
-            path: dir.to_path_buf(),
-            source: e,
-        })?;
-        let path = lock_path(dir);
-        match Self::try_create(&path) {
-            Ok(lock) => Ok(lock),
-            Err(e) if e.kind() == std::io::ErrorKind::AlreadyExists => {
-                let holder = fs::read_to_string(&path)
-                    .ok()
-                    .and_then(|s| s.trim().parse::<u32>().ok());
-                let stale = match holder {
-                    Some(pid) => pid != std::process::id() && !process_alive(pid),
-                    // An empty or unparsable lock file is a torn write
-                    // from a crash mid-create: nothing live wrote it.
-                    None => true,
-                };
-                if !stale {
-                    return Err(Error::Locked {
-                        dir: dir.to_path_buf(),
-                        holder,
-                    });
-                }
-                fs::remove_file(&path).map_err(|e| Error::Io {
-                    op: "remove",
-                    path: path.clone(),
-                    source: e,
-                })?;
-                // One retry: if another process won the race to recreate
-                // it, the store is genuinely locked now.
-                match Self::try_create(&path) {
-                    Ok(lock) => Ok(lock),
-                    Err(e) if e.kind() == std::io::ErrorKind::AlreadyExists => Err(Error::Locked {
-                        dir: dir.to_path_buf(),
-                        holder: None,
-                    }),
-                    Err(e) => Err(Error::Io {
-                        op: "create",
-                        path,
-                        source: e,
-                    }),
-                }
-            }
-            Err(e) => Err(Error::Io {
-                op: "create",
-                path,
-                source: e,
-            }),
-        }
-    }
-
-    fn try_create(path: &Path) -> std::io::Result<StoreLock> {
-        let mut file = fs::OpenOptions::new()
-            .write(true)
-            .create_new(true)
-            .open(path)?;
-        // PID first, then make it visible: readers tolerate a torn or
-        // empty file (treated as stale), so no fsync is needed here.
-        writeln!(file, "{}", std::process::id())?;
-        Ok(StoreLock {
+        let io_err = |op, path: &Path, source| Error::Io {
+            op,
             path: path.to_path_buf(),
-        })
-    }
-
-    /// The lock file this value owns.
-    pub fn path(&self) -> &Path {
-        &self.path
-    }
-}
-
-impl Drop for StoreLock {
-    fn drop(&mut self) {
-        // Best effort: a failed removal degrades to a stale lock that
-        // the next acquire steals.
-        let _ = fs::remove_file(&self.path);
+            source,
+        };
+        fs::create_dir_all(dir).map_err(|e| io_err("create_dir", dir, e))?;
+        let path = lock_path(dir);
+        let mut file = OpenOptions::new()
+            .write(true)
+            .create(true)
+            .truncate(false)
+            .open(&path)
+            .map_err(|e| io_err("open", &path, e))?;
+        match file.try_lock() {
+            Ok(()) => {}
+            Err(TryLockError::WouldBlock) => {
+                let pid = fs::read_to_string(&path).ok();
+                let holder = pid.and_then(|pid| pid.trim().parse().ok());
+                return Err(Error::Locked {
+                    dir: dir.to_path_buf(),
+                    holder,
+                });
+            }
+            Err(TryLockError::Error(e)) => return Err(io_err("lock", &path, e)),
+        }
+        // A reader racing this write may find no PID and name no holder;
+        // the PID only feeds that message, so it needs no fsync.
+        file.set_len(0)
+            .and_then(|()| writeln!(file, "{}", std::process::id()))
+            .map_err(|e| io_err("write", &path, e))?;
+        Ok(StoreLock { _file: file })
     }
 }
 
@@ -165,24 +109,26 @@ mod tests {
     fn drop_releases_the_lock() {
         let dir = temp_dir("release");
         let lock = StoreLock::acquire(&dir).unwrap();
-        let path = lock.path().to_path_buf();
-        assert!(path.exists());
         drop(lock);
-        assert!(!path.exists(), "lock file must be removed on drop");
+        assert!(lock_path(&dir).exists(), "the lock file stays on disk");
         let _second = StoreLock::acquire(&dir).unwrap();
         fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
     fn stale_lock_from_a_dead_process_is_stolen() {
-        let dir = temp_dir("stale");
-        fs::create_dir_all(&dir).unwrap();
-        // PIDs are well below u32::MAX on every supported platform; this
-        // one cannot name a live process.
-        fs::write(lock_path(&dir), format!("{}\n", u32::MAX)).unwrap();
-        let lock = StoreLock::acquire(&dir).unwrap();
-        drop(lock);
-        fs::remove_dir_all(&dir).ok();
+        // A leftover file holds no lock, whatever PID it names: one no
+        // process can have, this process's own, or PID 1 (which every
+        // restart of a container's entrypoint reuses).
+        for pid in [u32::MAX, std::process::id(), 1] {
+            let dir = temp_dir("stale");
+            fs::create_dir_all(&dir).unwrap();
+            fs::write(lock_path(&dir), format!("{pid}\n")).unwrap();
+            let lock = StoreLock::acquire(&dir)
+                .unwrap_or_else(|e| panic!("a file naming PID {pid} must be acquired: {e}"));
+            drop(lock);
+            fs::remove_dir_all(&dir).ok();
+        }
     }
 
     #[test]

@@ -15,12 +15,15 @@
 //!           [u32 p][u64 row       × p]      (pending, ascending)
 //! ```
 //!
-//! Write protocol: the full image goes to `engine.snap.tmp`, is fsynced,
-//! renamed over `engine.snap`, and the directory is fsynced — so the
-//! visible snapshot file is always complete. A crash mid-write leaves at
-//! worst a stale `.tmp` (cleaned on the next open) and the previous
-//! snapshot intact. Because no crash can expose a partial snapshot,
-//! *any* validation failure on read is [`Error::Corrupt`].
+//! Write protocol, one staging function for every image the store
+//! writes (its own checkpoints and genesis image, and the leader images
+//! a follower installs verbatim): the full image goes to
+//! `engine.snap.tmp`, is fsynced, renamed over `engine.snap`, and the
+//! directory is fsynced — so the visible snapshot file is always
+//! complete. A crash mid-write leaves at worst a stale `.tmp` (cleaned
+//! on the next open) and the previous snapshot intact. Because no crash
+//! can expose a partial snapshot, *any* validation failure on read is
+//! [`Error::Corrupt`].
 
 use std::fs::OpenOptions;
 use std::path::Path;
@@ -220,7 +223,15 @@ pub fn snapshot_from_bytes(bytes: &[u8]) -> Result<SnapshotData, String> {
 /// Writes `data` atomically: stage to `engine.snap.tmp`, fsync, rename
 /// over `engine.snap`, fsync the directory.
 pub fn write_snapshot(dir: &Path, data: &SnapshotData) -> Result<(), Error> {
-    let bytes = snapshot_to_bytes(data);
+    stage_snapshot(dir, &snapshot_to_bytes(data))
+}
+
+/// Makes `bytes`, a snapshot file image the caller encoded or already
+/// validated, the store's snapshot: stage it in `engine.snap.tmp`,
+/// fsync, rename over `engine.snap`, fsync the directory. Every
+/// snapshot the store writes goes through here: checkpoints, the
+/// genesis image, and images a follower installs verbatim.
+pub(crate) fn stage_snapshot(dir: &Path, bytes: &[u8]) -> Result<(), Error> {
     let tmp = snapshot_tmp_path(dir);
     let mut file = OpenOptions::new()
         .write(true)
@@ -232,7 +243,7 @@ pub fn write_snapshot(dir: &Path, data: &SnapshotData) -> Result<(), Error> {
             path: tmp.clone(),
             source: e,
         })?;
-    io::write_all(&mut file, &bytes, &tmp)?;
+    io::write_all(&mut file, bytes, &tmp)?;
     io::fsync(&file, &tmp)?;
     drop(file);
     io::rename(&tmp, &snapshot_path(dir))?;
@@ -244,18 +255,7 @@ pub fn write_snapshot(dir: &Path, data: &SnapshotData) -> Result<(), Error> {
 
 /// Reads and fully validates the store's snapshot.
 pub fn read_snapshot(dir: &Path) -> Result<SnapshotData, Error> {
-    let path = snapshot_path(dir);
-    let bytes = std::fs::read(&path).map_err(|e| Error::Io {
-        op: "read",
-        path: path.clone(),
-        source: e,
-    })?;
-    let data = snapshot_from_bytes(&bytes).map_err(|detail| Error::Corrupt {
-        path: path.clone(),
-        detail,
-    })?;
-    counters::SNAPSHOT_LOADS.incr();
-    Ok(data)
+    read_snapshot_bytes(dir).map(|(_, data)| data)
 }
 
 /// Reads the store's snapshot as a validated file image — what a
@@ -276,36 +276,6 @@ pub fn read_snapshot_bytes(dir: &Path) -> Result<(Vec<u8>, SnapshotData), Error>
     })?;
     counters::SNAPSHOT_LOADS.incr();
     Ok((bytes, data))
-}
-
-/// Atomically installs a pre-encoded snapshot file image into `dir` —
-/// the follower half of snapshot shipping. The bytes are validated
-/// before any byte lands on disk; the returned [`SnapshotData`] is the
-/// decoded image. Same staging protocol as [`write_snapshot`].
-pub fn install_snapshot_bytes(dir: &Path, bytes: &[u8]) -> Result<SnapshotData, Error> {
-    let tmp = snapshot_tmp_path(dir);
-    let data = snapshot_from_bytes(bytes).map_err(|detail| Error::Corrupt {
-        path: snapshot_path(dir),
-        detail,
-    })?;
-    let mut file = OpenOptions::new()
-        .write(true)
-        .create(true)
-        .truncate(true)
-        .open(&tmp)
-        .map_err(|e| Error::Io {
-            op: "create",
-            path: tmp.clone(),
-            source: e,
-        })?;
-    io::write_all(&mut file, bytes, &tmp)?;
-    io::fsync(&file, &tmp)?;
-    drop(file);
-    io::rename(&tmp, &snapshot_path(dir))?;
-    io::fsync_dir(dir)?;
-    counters::SNAPSHOT_WRITES.incr();
-    counters::SNAPSHOT_BYTES_WRITTEN.add(bytes.len() as u64);
-    Ok(data)
 }
 
 #[cfg(test)]
@@ -374,23 +344,12 @@ mod tests {
         assert_eq!(on_disk, bytes);
         assert_eq!(decoded, data);
 
-        // Shipping the image into another store installs it bit-exactly.
+        // Staging the image in another store installs it bit-exactly.
         let dst = temp_store("install");
-        let installed = install_snapshot_bytes(&dst, &on_disk).unwrap();
-        assert_eq!(installed, data);
+        stage_snapshot(&dst, &on_disk).unwrap();
         assert_eq!(read_snapshot(&dst).unwrap(), data);
         assert_eq!(std::fs::read(snapshot_path(&dst)).unwrap(), bytes);
-
-        // A corrupted image is refused before anything lands on disk.
-        let empty = temp_store("refuse");
-        let mut bad = bytes.clone();
-        bad[24] ^= 0x01;
-        assert!(matches!(
-            install_snapshot_bytes(&empty, &bad),
-            Err(Error::Corrupt { .. })
-        ));
-        assert!(!snapshot_path(&empty).exists());
-        for dir in [dir, dst, empty] {
+        for dir in [dir, dst] {
             std::fs::remove_dir_all(&dir).ok();
         }
     }

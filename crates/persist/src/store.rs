@@ -6,9 +6,17 @@
 //!   generation `g` (atomically replaced; see [`crate::snapshot`]);
 //! * `engine.wal` — the write-ahead log of every ingest batch since that
 //!   checkpoint, generations `g+1, g+2, …` (see [`crate::wal`]);
-//! * `engine.lock` — the exclusive-writer lock held while any handle is
-//!   live, so a second process fails fast with [`Error::Locked`] instead
-//!   of interleaving torn WAL records (see [`crate::lock`]).
+//! * `engine.lock` — held under an exclusive kernel lock by every live
+//!   handle, so a second opener fails fast with [`Error::Locked`]
+//!   instead of interleaving torn WAL records (see [`crate::lock`]).
+//!
+//! One bring-up path: [`DurableEngine::create`] (an empty engine's
+//! image), [`DurableEngine::create_from_snapshot`] (a leader's) and
+//! [`DurableEngine::open`] (the store's own) take the lock, then restore
+//! the engine from the image on [`StoreOptions::shards`] shards, else
+//! the image's count, write the image if the store lacks it, open or
+//! create the log, and replay it. [`DurableEngine::install_snapshot`]
+//! restores a leader's image the same way.
 //!
 //! Ingest protocol: validate the batch (a batch the engine would reject
 //! is never made durable), append it to the WAL, fsync, *then* mutate
@@ -25,7 +33,9 @@
 
 use std::path::{Path, PathBuf};
 
-use disc_core::{resolve_shards, DiscEngine, EngineConfig, SaveReport, Saver};
+use disc_core::{
+    default_shards, resolve_shards, DiscEngine, EngineConfig, EngineState, SaveReport, Saver,
+};
 use disc_data::Schema;
 use disc_distance::Value;
 use disc_obs::counters;
@@ -42,11 +52,10 @@ pub struct StoreOptions {
     /// generations accumulate in the log; `None` checkpoints only on
     /// explicit [`DurableEngine::checkpoint`] calls.
     pub snapshot_every: Option<u64>,
-    /// Shard count for the engine (`Some(0)` = auto, one per core). On
-    /// create, `None` means the default shard count; on open, `None`
-    /// means the count recorded in the snapshot — the engine's results
-    /// are bit-identical either way, so this only tunes parallel query
-    /// fan-out.
+    /// Shard count for the engine (`Some(0)` = auto, one per core);
+    /// `None` keeps the count the snapshot image records (on create, the
+    /// default one). Results are bit-identical either way, so this only
+    /// tunes parallel query fan-out.
     pub shards: Option<usize>,
 }
 
@@ -99,6 +108,51 @@ pub enum ReplApply {
     },
 }
 
+/// How a bring-up's snapshot image becomes the store's `engine.snap`.
+enum Image<'a> {
+    /// It already is (`open`).
+    OnDisk,
+    /// Encoded from the restored empty engine (`create`).
+    Genesis,
+    /// This file image, staged verbatim (`create_from_snapshot`).
+    Shipped(&'a [u8]),
+}
+
+/// Restores an engine, with the image's schema and config blob, on
+/// `shards` shards when set, else on the image's count.
+fn restore(
+    data: SnapshotData,
+    make_saver: impl FnOnce(&Schema, &[u8]) -> Result<Box<dyn Saver>, disc_core::Error>,
+    shards: Option<usize>,
+) -> Result<(DiscEngine, Schema, Vec<u8>), Error> {
+    let saver = make_saver(&data.schema, &data.config)?;
+    let shards = shards.map(resolve_shards).unwrap_or(data.shards as usize);
+    let engine = DiscEngine::restore_with_shards(data.schema.clone(), saver, data.state, shards)?;
+    Ok((engine, data.schema, data.config))
+}
+
+/// The lock on a directory that holds no store yet.
+fn lock_fresh(dir: &Path) -> Result<StoreLock, Error> {
+    if snapshot::snapshot_path(dir).exists() || wal_path(dir).exists() {
+        return Err(Error::StoreExists {
+            dir: dir.to_path_buf(),
+        });
+    }
+    // Creates the directory as a side effect; taken before any store
+    // file exists so a concurrent creator loses cleanly.
+    StoreLock::acquire(dir)
+}
+
+/// The snapshot image of `engine`'s current state.
+fn image_of(engine: &DiscEngine, schema: &Schema, config: &[u8]) -> SnapshotData {
+    SnapshotData {
+        schema: schema.clone(),
+        config: config.to_vec(),
+        shards: engine.shards() as u32,
+        state: engine.export_state(),
+    }
+}
+
 /// A [`DiscEngine`] whose state survives crashes; see the
 /// [module docs](self).
 pub struct DurableEngine {
@@ -135,39 +189,15 @@ impl DurableEngine {
         config: Vec<u8>,
         options: StoreOptions,
     ) -> Result<DurableEngine, Error> {
-        if snapshot::snapshot_path(dir).exists() || wal_path(dir).exists() {
-            return Err(Error::StoreExists {
-                dir: dir.to_path_buf(),
-            });
-        }
-        // Creates the directory as a side effect; taken before any store
-        // file exists so a concurrent creator loses cleanly.
-        let lock = StoreLock::acquire(dir)?;
-        let engine = match options.shards {
-            Some(s) => DiscEngine::with_shards(schema.clone(), saver, resolve_shards(s)),
-            None => DiscEngine::new(schema.clone(), saver),
-        };
-        snapshot::write_snapshot(
-            dir,
-            &SnapshotData {
-                schema: schema.clone(),
-                config: config.clone(),
-                shards: engine.shards() as u32,
-                state: engine.export_state(),
-            },
-        )?;
-        let wal = Wal::create(&wal_path(dir))?;
-        Ok(DurableEngine {
-            engine,
-            wal,
-            dir: dir.to_path_buf(),
+        let lock = lock_fresh(dir)?;
+        let empty = SnapshotData {
             schema,
             config,
-            snapshot_every: options.snapshot_every,
-            last_snapshot: 0,
-            poisoned: false,
-            _lock: lock,
-        })
+            shards: default_shards() as u32,
+            state: EngineState::default(),
+        };
+        Self::bring_up(dir, lock, empty, Image::Genesis, |_, _| Ok(saver), options)
+            .map(|(store, _)| store)
     }
 
     /// Creates a fresh store from one validated [`EngineConfig`]: the
@@ -186,22 +216,21 @@ impl DurableEngine {
         engine_config: &EngineConfig,
         options: StoreOptions,
     ) -> Result<DurableEngine, Error> {
-        let saver = engine_config
-            .build_saver_for(&schema)
-            .map_err(Error::Engine)?;
+        let saver = engine_config.build_saver_for(&schema)?;
         let options = StoreOptions {
-            shards: options.shards.or(Some(engine_config.resolved_shards())),
+            shards: options.shards.or(Some(engine_config.shards_value())),
             ..options
         };
         Self::create(dir, schema, saver, engine_config.encode(), options)
     }
 
     /// Creates a fresh store in `dir` from a shipped snapshot file image
-    /// — the follower's bootstrap. The bytes are fully validated, then
+    /// — the follower's bootstrap. The bytes are fully validated and the
+    /// engine restored before anything is written; then the image is
     /// installed verbatim as `engine.snap` (so the follower's first
-    /// checkpoint base is bit-for-bit the leader's), an empty WAL is
-    /// created, and the engine is restored exactly as
-    /// [`DurableEngine::open`] would after a crash at that generation.
+    /// checkpoint base is bit-for-bit the leader's) and an empty WAL is
+    /// created, exactly as [`DurableEngine::open`] would find the store
+    /// after a crash at that generation.
     ///
     /// Shard count follows [`StoreOptions::shards`] when set, else the
     /// count recorded in the image — either way the restored state is
@@ -212,34 +241,13 @@ impl DurableEngine {
         make_saver: impl FnOnce(&Schema, &[u8]) -> Result<Box<dyn Saver>, disc_core::Error>,
         options: StoreOptions,
     ) -> Result<DurableEngine, Error> {
-        if snapshot::snapshot_path(dir).exists() || wal_path(dir).exists() {
-            return Err(Error::StoreExists {
-                dir: dir.to_path_buf(),
-            });
-        }
-        let lock = StoreLock::acquire(dir)?;
-        let data = snapshot::install_snapshot_bytes(dir, bytes)?;
-        let saver = make_saver(&data.schema, &data.config).map_err(Error::Engine)?;
-        let shards = options
-            .shards
-            .map(resolve_shards)
-            .unwrap_or(data.shards as usize);
-        let schema = data.schema;
-        let engine = DiscEngine::restore_with_shards(schema.clone(), saver, data.state, shards)
-            .map_err(Error::Engine)?;
-        let wal = Wal::create(&wal_path(dir))?;
-        let last_snapshot = engine.generation();
-        Ok(DurableEngine {
-            engine,
-            wal,
-            dir: dir.to_path_buf(),
-            schema,
-            config: data.config,
-            snapshot_every: options.snapshot_every,
-            last_snapshot,
-            poisoned: false,
-            _lock: lock,
-        })
+        let lock = lock_fresh(dir)?;
+        let data = snapshot::snapshot_from_bytes(bytes).map_err(|detail| Error::Corrupt {
+            path: snapshot::snapshot_path(dir),
+            detail,
+        })?;
+        Self::bring_up(dir, lock, data, Image::Shipped(bytes), make_saver, options)
+            .map(|(store, _)| store)
     }
 
     /// Opens an existing store: loads the snapshot, rebuilds the saver
@@ -273,21 +281,31 @@ impl DurableEngine {
             })?;
         }
         let data = snapshot::read_snapshot(dir)?;
-        let snapshot_generation = data.state.generation;
-        let saver = make_saver(&data.schema, &data.config).map_err(Error::Engine)?;
-        // The snapshot remembers the shard count it was written with, so
-        // an unconfigured reopen keeps the store's partition layout; an
-        // explicit option re-partitions (the image is shard-agnostic).
-        let shards = options
-            .shards
-            .map(resolve_shards)
-            .unwrap_or(data.shards as usize);
-        let mut engine =
-            DiscEngine::restore_with_shards(data.schema.clone(), saver, data.state, shards)
-                .map_err(Error::Engine)?;
+        let recovered = Self::bring_up(dir, lock, data, Image::OnDisk, make_saver, options)?;
+        counters::PERSIST_RECOVERIES.incr();
+        Ok(recovered)
+    }
 
-        // A crash between the genesis snapshot and WAL creation leaves
-        // no log; an empty one is equivalent.
+    /// The one bring-up path; see the [module docs](self). `data` is the
+    /// image, and `image` says how it becomes the store's snapshot.
+    fn bring_up(
+        dir: &Path,
+        lock: StoreLock,
+        data: SnapshotData,
+        image: Image<'_>,
+        make_saver: impl FnOnce(&Schema, &[u8]) -> Result<Box<dyn Saver>, disc_core::Error>,
+        options: StoreOptions,
+    ) -> Result<(DurableEngine, RecoveryReport), Error> {
+        let snapshot_generation = data.state.generation;
+        let (mut engine, schema, config) = restore(data, make_saver, options.shards)?;
+        match image {
+            Image::OnDisk => {}
+            Image::Genesis => snapshot::write_snapshot(dir, &image_of(&engine, &schema, &config))?,
+            Image::Shipped(bytes) => snapshot::stage_snapshot(dir, bytes)?,
+        }
+
+        // A crash between the first snapshot and the log's creation
+        // leaves no log; an empty one is equivalent.
         let path = wal_path(dir);
         let (wal, records, torn_tail) = if path.exists() {
             Wal::open(&path)?
@@ -312,11 +330,10 @@ impl DurableEngine {
                 });
             }
             replayed_rows += record.rows.len() as u64;
-            engine.ingest(record.rows).map_err(Error::Engine)?;
+            engine.ingest(record.rows)?;
             replayed_records += 1;
         }
         counters::WAL_RECORDS_REPLAYED.add(replayed_records);
-        counters::PERSIST_RECOVERIES.incr();
 
         let report = RecoveryReport {
             snapshot_generation,
@@ -326,20 +343,18 @@ impl DurableEngine {
             generation: engine.generation(),
             rows: engine.len(),
         };
-        Ok((
-            DurableEngine {
-                engine,
-                wal,
-                dir: dir.to_path_buf(),
-                schema: data.schema,
-                config: data.config,
-                snapshot_every: options.snapshot_every,
-                last_snapshot: snapshot_generation,
-                poisoned: false,
-                _lock: lock,
-            },
-            report,
-        ))
+        let store = DurableEngine {
+            engine,
+            wal,
+            dir: dir.to_path_buf(),
+            schema,
+            config,
+            snapshot_every: options.snapshot_every,
+            last_snapshot: snapshot_generation,
+            poisoned: false,
+            _lock: lock,
+        };
+        Ok((store, report))
     }
 
     /// Durably ingests one batch: validate, WAL-append + fsync, then run
@@ -466,31 +481,22 @@ impl DurableEngine {
         if self.poisoned {
             return Err(Error::Poisoned);
         }
-        let data = snapshot::snapshot_from_bytes(bytes).map_err(|detail| Error::Corrupt {
+        let corrupt = |detail| Error::Corrupt {
             path: snapshot::snapshot_path(&self.dir),
             detail,
-        })?;
+        };
+        let data = snapshot::snapshot_from_bytes(bytes).map_err(corrupt)?;
         let generation = data.state.generation;
         if generation <= self.engine.generation() {
-            return Err(Error::Corrupt {
-                path: snapshot::snapshot_path(&self.dir),
-                detail: format!(
-                    "snapshot at generation {generation} would regress engine at {}",
-                    self.engine.generation()
-                ),
-            });
+            return Err(corrupt(format!(
+                "snapshot at generation {generation} would regress engine at {}",
+                self.engine.generation()
+            )));
         }
         // Build the replacement engine before touching disk, so a saver
         // or restore failure leaves the store untouched and unpoisoned.
-        let saver = make_saver(&data.schema, &data.config).map_err(Error::Engine)?;
-        let engine = DiscEngine::restore_with_shards(
-            data.schema.clone(),
-            saver,
-            data.state,
-            self.engine.shards(),
-        )
-        .map_err(Error::Engine)?;
-        if let Err(e) = snapshot::install_snapshot_bytes(&self.dir, bytes) {
+        let (engine, schema, config) = restore(data, make_saver, Some(self.engine.shards()))?;
+        if let Err(e) = snapshot::stage_snapshot(&self.dir, bytes) {
             self.poisoned = true;
             return Err(e);
         }
@@ -499,8 +505,8 @@ impl DurableEngine {
             return Err(e);
         }
         self.engine = engine;
-        self.schema = data.schema;
-        self.config = data.config;
+        self.schema = schema;
+        self.config = config;
         self.last_snapshot = generation;
         Ok(generation)
     }
@@ -512,13 +518,8 @@ impl DurableEngine {
         if self.poisoned {
             return Err(Error::Poisoned);
         }
-        let data = SnapshotData {
-            schema: self.schema.clone(),
-            config: self.config.clone(),
-            shards: self.engine.shards() as u32,
-            state: self.engine.export_state(),
-        };
-        if let Err(e) = snapshot::write_snapshot(&self.dir, &data) {
+        let image = image_of(&self.engine, &self.schema, &self.config);
+        if let Err(e) = snapshot::write_snapshot(&self.dir, &image) {
             self.poisoned = true;
             return Err(e);
         }
@@ -551,13 +552,6 @@ impl DurableEngine {
     /// True once an IO failure has disabled further mutation.
     pub fn is_poisoned(&self) -> bool {
         self.poisoned
-    }
-
-    /// Consumes the handle, returning the in-memory engine (for
-    /// exporting the dataset after a final checkpoint). Releases the
-    /// store lock.
-    pub fn into_engine(self) -> DiscEngine {
-        self.engine
     }
 
     /// Graceful shutdown: checkpoint (snapshot the final state and reset
@@ -885,8 +879,21 @@ mod tests {
         leader.ingest(rows[..12].to_vec()).unwrap();
         leader.checkpoint().unwrap();
 
-        // Bootstrap: ship the leader's snapshot image verbatim.
+        // Bootstrap: ship the leader's snapshot image verbatim. A
+        // corrupted image is refused before anything lands on disk.
         let (bytes, _) = snapshot::read_snapshot_bytes(&leader_dir).unwrap();
+        let mut bad = bytes.clone();
+        bad[24] ^= 0x01;
+        let err = DurableEngine::create_from_snapshot(
+            &follower_dir,
+            &bad,
+            make_saver,
+            StoreOptions::default(),
+        )
+        .map(|_| ())
+        .unwrap_err();
+        assert!(matches!(err, Error::Corrupt { .. }), "{err}");
+        assert!(!snapshot::snapshot_path(&follower_dir).exists());
         let mut follower = DurableEngine::create_from_snapshot(
             &follower_dir,
             &bytes,

@@ -15,8 +15,10 @@
 //! incomplete. [`Wal::open`] detects the tear (any framing or CRC
 //! failure), truncates the file back to the last complete record, and
 //! reports it as a [`TornTail`] — an expected crash artifact, not
-//! corruption. Only states no crash can produce (wrong magic, a
-//! checksum-valid payload that does not decode) are
+//! corruption. A crash inside [`Wal::create`] leaves a prefix of the
+//! magic, which [`Wal::open`] also reports as a torn tail before it
+//! creates the log again. Only states no crash can produce (wrong
+//! magic, a checksum-valid payload that does not decode) are
 //! [`Error::Corrupt`].
 //!
 //! # One decoder, three consumers
@@ -326,8 +328,9 @@ impl Wal {
     /// the torn-tail report if one was removed.
     ///
     /// A file shorter than the magic header whose bytes are a *prefix*
-    /// of the magic is treated as a crash during [`Wal::create`] and
-    /// rewritten; any other header mismatch is [`Error::Corrupt`].
+    /// of the magic is a crash during [`Wal::create`]: the log is created
+    /// again and the prefix reported as a torn tail. Any other header
+    /// mismatch is [`Error::Corrupt`].
     pub fn open(path: &Path) -> Result<(Wal, Vec<WalRecord>, Option<TornTail>), Error> {
         let mut file = OpenOptions::new()
             .read(true)
@@ -352,35 +355,15 @@ impl Wal {
                     detail: format!("short header is not a prefix of {WAL_MAGIC:?}"),
                 });
             }
-            // Crash during create: rewrite the header in place.
-            let dropped = bytes.len() as u64;
-            io::truncate(&file, 0, path)?;
-            file.seek(SeekFrom::Start(0)).map_err(|e| Error::Io {
-                op: "seek",
-                path: path.to_path_buf(),
-                source: e,
-            })?;
-            io::write_all(&mut file, WAL_MAGIC, path)?;
-            io::fsync(&file, path)?;
-            counters::WAL_FSYNCS.incr();
+            // A crash during create: create the log again.
+            drop(file);
+            let wal = Wal::create(path)?;
             counters::WAL_TORN_TAILS.incr();
-            file.seek(SeekFrom::Start(WAL_MAGIC.len() as u64))
-                .map_err(|e| Error::Io {
-                    op: "seek",
-                    path: path.to_path_buf(),
-                    source: e,
-                })?;
-            return Ok((
-                Wal {
-                    file,
-                    path: path.to_path_buf(),
-                },
-                Vec::new(),
-                Some(TornTail {
-                    valid_len: WAL_MAGIC.len() as u64,
-                    dropped_bytes: dropped,
-                }),
-            ));
+            let torn = TornTail {
+                valid_len: WAL_MAGIC.len() as u64,
+                dropped_bytes: bytes.len() as u64,
+            };
+            return Ok((wal, Vec::new(), Some(torn)));
         }
 
         let corrupt = |detail: String| Error::Corrupt {
@@ -459,11 +442,6 @@ impl Wal {
                 source: e,
             })?;
         Ok(())
-    }
-
-    /// The log's file path.
-    pub fn path(&self) -> &Path {
-        &self.path
     }
 }
 

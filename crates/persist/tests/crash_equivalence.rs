@@ -161,7 +161,7 @@ proptest! {
 mod io_faults {
     use super::*;
     use disc_core::fault::{scoped, FaultPlan};
-    use disc_persist::Error;
+    use disc_persist::{snapshot, Error};
 
     /// The faultable workload: create the store, ingest every chunk
     /// (auto-checkpointing), final checkpoint. Stops at the first error.
@@ -332,6 +332,63 @@ mod io_faults {
                 return;
             }
         }
+    }
+
+    /// A follower's two snapshot installs, the bootstrap from a leader
+    /// image at generation 2 and the resync to its image at generation 4,
+    /// with each of their IO ops failed in turn. The failing call must
+    /// err, and a reopen must find no store or one of the two images'
+    /// states: never a mix, never `Corrupt`.
+    #[test]
+    fn failed_io_in_snapshot_installs_leaves_one_image() {
+        let rows = dirty_rows(40, 7, 3, 1);
+        let opts = StoreOptions::default();
+        let leader_dir = temp_store("install-leader");
+        let mut leader =
+            DurableEngine::create(&leader_dir, Schema::numeric(3), saver(1), vec![1], opts)
+                .expect("create the leader");
+        let mut image = |batches: [&[Vec<Value>]; 2]| {
+            for batch in batches {
+                leader
+                    .ingest(batch.to_vec())
+                    .expect("finite synthetic data");
+            }
+            leader.checkpoint().expect("leader checkpoint");
+            let (bytes, data) = snapshot::read_snapshot_bytes(&leader_dir).expect("leader image");
+            (bytes, data.state)
+        };
+        let (bytes2, state2) = image([&rows[..10], &rows[10..20]]);
+        let (bytes4, state4) = image([&rows[20..30], &rows[30..]]);
+        assert_eq!((state2.generation, state4.generation), (2, 4));
+        for k in 0u64.. {
+            let dir = temp_store("install");
+            let (result, fired) = scoped(FaultPlan::new().fail_io(k), || {
+                let mut store =
+                    DurableEngine::create_from_snapshot(&dir, &bytes2, make_saver, opts)?;
+                store.install_snapshot(&bytes4, make_saver).map(drop)
+            });
+            let state = match DurableEngine::open(&dir, make_saver, opts) {
+                Ok((store, _)) => Some(store.engine().export_state()),
+                Err(Error::StoreMissing { .. }) => None,
+                Err(e) => panic!("fault at op {k}: reopen failed: {e}"),
+            };
+            std::fs::remove_dir_all(&dir).ok();
+            if !fired {
+                result.expect("untouched installs must succeed");
+                assert_eq!(state, Some(state4), "untouched run");
+                assert!(k >= 12, "sweep only interrupted {k} ops — hooks not wired?");
+                break;
+            }
+            assert!(
+                result.is_err(),
+                "fault at op {k}: the failing call returned Ok"
+            );
+            assert!(
+                state.is_none() || state == Some(state2.clone()) || state == Some(state4.clone()),
+                "fault at op {k}: the reopened state is neither image's"
+            );
+        }
+        std::fs::remove_dir_all(&leader_dir).ok();
     }
 
     /// An IO failure poisons the handle: later mutations are refused

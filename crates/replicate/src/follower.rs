@@ -17,11 +17,12 @@
 //!    there, so redelivered frames are skipped and out-of-order frames
 //!    schedule a resync instead of corrupting the store.
 //!
-//! [`Follower::run`] wraps that in the daemon loop: publish every new
-//! state to the read-only server via its [`StatePublisher`], sleep
-//! [`FollowerOptions::poll_interval`] when caught up, and reconnect
-//! with exponential backoff ([`FollowerOptions::min_backoff`] …
-//! [`FollowerOptions::max_backoff`]) when the link drops.
+//! [`Follower::bootstrap`] applies the frames of its first response with
+//! the same step-3 loop. [`Follower::run`] wraps rounds in the daemon
+//! loop: publish every new state to the read-only server via its
+//! [`StatePublisher`], sleep `POLL_INTERVAL` when caught up, and
+//! reconnect with exponential backoff (`MIN_BACKOFF` … `MAX_BACKOFF`)
+//! when the link drops.
 
 use std::path::Path;
 use std::time::{Duration, Instant};
@@ -30,7 +31,7 @@ use disc_core::{EngineState, SaveReport, Saver};
 use disc_data::Schema;
 use disc_obs::counters;
 use disc_obs::hist::REPL_SHIP_MICROS;
-use disc_persist::{snapshot, DurableEngine, ReplApply, StoreOptions};
+use disc_persist::{snapshot, DurableEngine, ReplApply, StoreOptions, WalFrame};
 use disc_serve::protocol::DEFAULT_MAX_FRAMES;
 use disc_serve::{ReplHealth, StatePublisher};
 
@@ -43,6 +44,15 @@ use crate::client::{PollError, ReplClient};
 pub type SaverFactory =
     Box<dyn Fn(&Schema, &[u8]) -> Result<Box<dyn Saver>, disc_core::Error> + Send>;
 
+/// The daemon's sleep between polls once caught up.
+const POLL_INTERVAL: Duration = Duration::from_millis(50);
+
+/// The daemon's first reconnect delay after a dropped link.
+const MIN_BACKOFF: Duration = Duration::from_millis(50);
+
+/// The reconnect delay ceiling (the delay doubles up to this).
+const MAX_BACKOFF: Duration = Duration::from_secs(5);
+
 /// Follower tuning knobs.
 #[derive(Debug, Clone, Copy)]
 pub struct FollowerOptions {
@@ -52,12 +62,6 @@ pub struct FollowerOptions {
     pub store: StoreOptions,
     /// Frames requested per poll (bounds one response line).
     pub max_frames: usize,
-    /// Sleep between polls once caught up.
-    pub poll_interval: Duration,
-    /// First reconnect delay after a dropped link.
-    pub min_backoff: Duration,
-    /// Reconnect delay ceiling (the delay doubles up to this).
-    pub max_backoff: Duration,
     /// Connect timeout, and read/write timeout on the link.
     pub io_timeout: Duration,
 }
@@ -67,9 +71,6 @@ impl Default for FollowerOptions {
         FollowerOptions {
             store: StoreOptions::default(),
             max_frames: DEFAULT_MAX_FRAMES,
-            poll_interval: Duration::from_millis(50),
-            min_backoff: Duration::from_millis(50),
-            max_backoff: Duration::from_secs(5),
             io_timeout: Duration::from_secs(5),
         }
     }
@@ -181,40 +182,29 @@ impl Follower {
         let image = batch.snapshot.as_deref().ok_or_else(|| {
             FollowerError::Protocol("leader shipped no snapshot for a fresh bootstrap".into())
         })?;
-        let mut store =
+        let store =
             DurableEngine::create_from_snapshot(dir, image, |s, c| make_saver(s, c), options.store)
                 .map_err(FollowerError::Store)?;
         counters::REPL_SNAPSHOTS_INSTALLED.incr();
-        // Apply the frames the same response carried, so the first
-        // published state is as fresh as the response allows.
-        for frame in &batch.frames {
-            match store
-                .apply_replicated(frame)
-                .map_err(FollowerError::Store)?
-            {
-                ReplApply::Applied(_) => counters::REPL_FRAMES_APPLIED.incr(),
-                ReplApply::AlreadyApplied => counters::REPL_FRAMES_SKIPPED.incr(),
-                ReplApply::Gap { .. } => break,
-            }
-        }
-        let health = ReplHealth {
-            connected: true,
-            leader_generation: batch.leader_generation,
-            applied_generation: store.generation(),
-            reconnects: 0,
-            snapshots_installed: 1,
-        };
-        counters::REPL_LAG_GENERATIONS.set(health.lag());
-        Ok(Follower {
+        let mut follower = Follower {
             store,
             leader_addr,
             client: Some(client),
             make_saver,
             options,
-            health,
+            health: ReplHealth {
+                connected: true,
+                leader_generation: batch.leader_generation,
+                snapshots_installed: 1,
+                ..ReplHealth::default()
+            },
             resync_next: false,
             connected_once: true,
-        })
+        };
+        // Apply the frames the same response carried, so the first
+        // published state is as fresh as the response allows.
+        follower.apply(&batch.frames)?;
+        Ok(follower)
     }
 
     /// The leader this follower replicates from.
@@ -302,8 +292,22 @@ impl Follower {
             }
         }
 
+        let applied = self.apply(&batch.frames)?;
+        Ok(CatchUp {
+            leader_generation: batch.leader_generation,
+            applied,
+            snapshot_installed,
+            caught_up: !self.resync_next && self.store.generation() >= batch.leader_generation,
+        })
+    }
+
+    /// Applies shipped frames in order through
+    /// [`DurableEngine::apply_replicated`], returning the report of each
+    /// one applied, and brings the health's applied generation and the
+    /// lag gauge up to date.
+    fn apply(&mut self, frames: &[WalFrame]) -> Result<Vec<(u64, SaveReport)>, FollowerError> {
         let mut applied = Vec::new();
-        for frame in &batch.frames {
+        for frame in frames {
             match self
                 .store
                 .apply_replicated(frame)
@@ -326,12 +330,7 @@ impl Follower {
         }
         self.health.applied_generation = self.store.generation();
         counters::REPL_LAG_GENERATIONS.set(self.health.lag());
-        Ok(CatchUp {
-            leader_generation: batch.leader_generation,
-            applied,
-            snapshot_installed,
-            caught_up: !self.resync_next && self.store.generation() >= batch.leader_generation,
-        })
+        Ok(applied)
     }
 
     /// The daemon loop: poll, apply, publish, until the server shuts
@@ -346,23 +345,23 @@ impl Follower {
     pub fn run(mut self, publisher: &StatePublisher) -> Result<(), FollowerError> {
         publisher.publish(self.state());
         publisher.set_health(self.health.clone());
-        let mut backoff = self.options.min_backoff;
+        let mut backoff = MIN_BACKOFF;
         while !publisher.is_shutting_down() {
             match self.catch_up_once() {
                 Ok(round) => {
-                    backoff = self.options.min_backoff;
+                    backoff = MIN_BACKOFF;
                     if !round.applied.is_empty() || round.snapshot_installed.is_some() {
                         publisher.publish(self.state());
                     }
                     publisher.set_health(self.health.clone());
                     if round.caught_up {
-                        pause(self.options.poll_interval, publisher);
+                        pause(POLL_INTERVAL, publisher);
                     }
                 }
                 Err(FollowerError::Link(_)) => {
                     publisher.set_health(self.health.clone());
                     pause(backoff, publisher);
-                    backoff = (backoff * 2).min(self.options.max_backoff);
+                    backoff = (backoff * 2).min(MAX_BACKOFF);
                 }
                 Err(fatal) => {
                     publisher.set_health(self.health.clone());

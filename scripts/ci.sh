@@ -81,6 +81,22 @@ echo "==> examples smoke"
 cargo run --release --offline -p disc --example quickstart >/dev/null
 cargo run --release --offline -p disc --example record_matching >/dev/null
 
+await_listen() { # OUT_FILE PID -> prints HOST:PORT
+    local out=$1 pid=$2 addr=""
+    for _ in $(seq 1 100); do
+        addr=$(sed -n 's/^listening on //p' "$out")
+        [ -n "$addr" ] && break
+        kill -0 "$pid" 2>/dev/null || {
+            echo "error: server exited before listening:" >&2
+            cat "$out" >&2
+            return 1
+        }
+        sleep 0.1
+    done
+    [ -n "$addr" ] || { echo "error: server never printed its address" >&2; return 1; }
+    printf '%s' "$addr"
+}
+
 # Server smoke: a durable `disc serve` on an ephemeral port takes a
 # concurrent burst from the bench load generator, shuts down on
 # SIGTERM, and a recovery of its store must hold exactly the
@@ -89,21 +105,13 @@ echo "==> disc serve smoke"
 SMOKE_DIR=$(mktemp -d)
 trap 'kill "$SERVE_PID" 2>/dev/null; rm -rf "$SMOKE_DIR"' EXIT
 cargo build --release --offline --quiet -p disc -p disc-bench --bin disc --bin serve_load
-target/release/disc serve --wal "$SMOKE_DIR/store" --eps 0.5 --eta 4 \
-    --shards 2 --addr 127.0.0.1:0 --max-queue 32 >"$SMOKE_DIR/serve.out" 2>&1 &
-SERVE_PID=$!
-ADDR=""
-for _ in $(seq 1 100); do
-    ADDR=$(sed -n 's/^listening on //p' "$SMOKE_DIR/serve.out")
-    [ -n "$ADDR" ] && break
-    kill -0 "$SERVE_PID" 2>/dev/null || {
-        echo "error: disc serve exited before listening:" >&2
-        cat "$SMOKE_DIR/serve.out" >&2
-        exit 1
-    }
-    sleep 0.1
-done
-[ -n "$ADDR" ] || { echo "error: disc serve never printed its address" >&2; exit 1; }
+serve_smoke_store() { # OUT_FILE; sets SERVE_PID
+    target/release/disc serve --wal "$SMOKE_DIR/store" --eps 0.5 --eta 4 \
+        --shards 2 --addr 127.0.0.1:0 --max-queue 32 >"$1" 2>&1 &
+    SERVE_PID=$!
+}
+serve_smoke_store "$SMOKE_DIR/serve.out"
+ADDR=$(await_listen "$SMOKE_DIR/serve.out" "$SERVE_PID")
 LOAD=$(target/release/serve_load --addr "$ADDR" --clients 6 --batches 10 --rows 4 --seed 11)
 echo "    $LOAD"
 ACKED_ROWS=$(printf '%s\n' "$LOAD" | sed -n 's/.*acked_rows=\([0-9]*\).*/\1/p')
@@ -123,6 +131,17 @@ if [ $((MAPS_AFTER - MAPS_BEFORE)) -ge 100 ]; then
     exit 1
 fi
 echo "    500 short connections: memory maps $MAPS_BEFORE -> $MAPS_AFTER"
+# The store lock holds across processes: a recovery from a second
+# process while the server runs must fail fast with the typed error.
+LOCKED_EXIT=0
+target/release/disc recover --wal "$SMOKE_DIR/store" >/dev/null 2>"$SMOKE_DIR/locked.err" \
+    || LOCKED_EXIT=$?
+if [ "$LOCKED_EXIT" != 4 ] || ! grep -q locked "$SMOKE_DIR/locked.err"; then
+    echo "error: disc recover on a served store exited $LOCKED_EXIT:" >&2
+    cat "$SMOKE_DIR/locked.err" >&2
+    exit 1
+fi
+echo "    recover while serving: exit 4, $(cat "$SMOKE_DIR/locked.err")"
 kill -TERM "$SERVE_PID"
 wait "$SERVE_PID" || { echo "error: disc serve exited non-zero after SIGTERM" >&2; exit 1; }
 RECOVERED=$(target/release/disc recover --wal "$SMOKE_DIR/store" \
@@ -132,6 +151,22 @@ if [ "$RECOVERED" != "$ACKED_ROWS" ]; then
     exit 1
 fi
 echo "    recovered $RECOVERED rows == acked $ACKED_ROWS (no acknowledged ingest lost)"
+# Restart on the same store, take one more burst, and kill -9 the
+# server: the kernel drops the lock with the process, so a recovery
+# needs no cleanup and holds the rows acked across both runs.
+serve_smoke_store "$SMOKE_DIR/serve2.out"
+ADDR=$(await_listen "$SMOKE_DIR/serve2.out" "$SERVE_PID")
+LOAD=$(target/release/serve_load --addr "$ADDR" --clients 2 --batches 3 --rows 4 --seed 12)
+echo "    $LOAD"
+ACKED_ROWS=$((ACKED_ROWS + $(printf '%s\n' "$LOAD" | sed -n 's/.*acked_rows=\([0-9]*\).*/\1/p')))
+{ kill -KILL "$SERVE_PID" && wait "$SERVE_PID" || true; } 2>/dev/null
+RECOVERED=$(target/release/disc recover --wal "$SMOKE_DIR/store" \
+    | sed -n 's/^engine at generation [0-9]*: \([0-9]*\) rows.*/\1/p')
+if [ "$RECOVERED" != "$ACKED_ROWS" ]; then
+    echo "error: after kill -9, recovered $RECOVERED rows but clients got $ACKED_ROWS acked" >&2
+    exit 1
+fi
+echo "    after kill -9: recovered $RECOVERED rows == acked $ACKED_ROWS across both runs"
 rm -rf "$SMOKE_DIR"
 trap - EXIT
 
@@ -145,21 +180,6 @@ REPL_DIR=$(mktemp -d)
 LEADER_PID=""
 REPLICA_PID=""
 trap 'kill ${LEADER_PID:-} ${REPLICA_PID:-} 2>/dev/null || true; rm -rf "$REPL_DIR"' EXIT
-await_listen() { # OUT_FILE PID -> prints HOST:PORT
-    local out=$1 pid=$2 addr=""
-    for _ in $(seq 1 100); do
-        addr=$(sed -n 's/^listening on //p' "$out")
-        [ -n "$addr" ] && break
-        kill -0 "$pid" 2>/dev/null || {
-            echo "error: server exited before listening:" >&2
-            cat "$out" >&2
-            return 1
-        }
-        sleep 0.1
-    done
-    [ -n "$addr" ] || { echo "error: server never printed its address" >&2; return 1; }
-    printf '%s' "$addr"
-}
 target/release/disc serve --wal "$REPL_DIR/leader" --eps 0.5 --eta 4 \
     --shards 2 --snapshot-every 8 --addr 127.0.0.1:0 >"$REPL_DIR/leader.out" 2>&1 &
 LEADER_PID=$!

@@ -480,12 +480,10 @@ fn cmd_stream(args: &Args) -> Result<(), CliError> {
                 print_batch_report(i, chunk.len(), &report);
                 degraded |= report.degraded;
             }
-            store.checkpoint().map_err(persist_err)?;
-            println!(
-                "durable store in {dir}: generation {}, checkpointed",
-                store.generation()
-            );
-            store.into_engine()
+            let generation = store.generation();
+            let engine = store.close().map_err(persist_err)?;
+            println!("durable store in {dir}: generation {generation}, checkpointed");
+            engine
         }
         None => {
             let mut engine = config
