@@ -14,7 +14,10 @@
 //!
 //! Candidate lists are narrowed incrementally: the child `X ∪ {A}` filters
 //! the parent's list by accumulating attribute `A`'s distance into the
-//! per-candidate norm accumulator, so no node rescans all of `r`.
+//! per-candidate norm accumulator, so no node rescans all of `r`. A row's
+//! full-space distance `Δ(t_o, t)` is computed when it enters a root's
+//! list and travels with it, so a κ-restricted search, whose roots are
+//! seeded from single-attribute ε-balls, never measures the rest of `r`.
 
 use std::collections::HashSet;
 
@@ -168,9 +171,11 @@ impl DiscSaver {
         let kappa = self.kappa.unwrap_or(m).min(m);
         if kappa >= m {
             // Unrestricted: root X = ∅ with all of r as candidates.
-            let cands: Vec<u32> = (0..r.len() as u32).collect();
-            let acc = vec![self.dist.norm().init(); cands.len()];
-            search.recurse(AttrSet::empty(), cands, acc);
+            let init = self.dist.norm().init();
+            let cands = (0..r.len() as u32)
+                .map(|row| search.candidate(row, init))
+                .collect();
+            search.recurse(AttrSet::empty(), cands);
         } else {
             // κ-restricted: one root per X with |X| = m − κ, seeded from the
             // smallest single-attribute ε-ball among X.
@@ -192,9 +197,9 @@ impl DiscSaver {
     /// The streaming engine's stability check: whether a new search for
     /// the old outlier `t_o` could answer differently now that `r` has
     /// grown by `added` (new inliers) and `tightened` (old inliers whose
-    /// `δ_η` fell), each given as `(original values, δ_η now)`. `cost` is
-    /// `C`, the cost of `t_o`'s current adjustment, or `None` when it
-    /// holds none (any new solution then counts).
+    /// `δ_η` fell), each given as `(original values as numbers, δ_η
+    /// now)`. `cost` is `C`, the cost of `t_o`'s current adjustment, or
+    /// `None` when it holds none (any new solution then counts).
     ///
     /// The answer is `false` only when no changed row `u` is a Prop. 5
     /// host that could tie or beat `C`: at no lattice node `X`
@@ -202,7 +207,11 @@ impl DiscSaver {
     /// `δ_η(u) ≤ ε − Δ_X(t_o,u)` and `Δ_{R∖X}(t_o,u) ≤ C + slack` hold. A
     /// pair is rejected in `O(m)` first when `δ_η(u) > ε`, or when
     /// `Δ(t_o,u) > C + ε`: by Prop. 3 anything `u` hosts costs at least
-    /// `Δ(t_o,u) − ε`. A tie at exactly `C` counts as a change.
+    /// `Δ(t_o,u) − ε`. A tie at exactly `C` counts as a change. Both run
+    /// on `f64`: `AbsoluteDiff` on finite numbers is `|x − y|` bit for
+    /// bit, and the norm accumulator only grows, so one test of the full
+    /// accumulation gives the verdict of an exit at the first prefix
+    /// past `C + ε`.
     ///
     /// Why `false` is sound (exact arithmetic):
     /// * growing `r` only adds rows and only lowers `δ_η`, so every old
@@ -229,14 +238,15 @@ impl DiscSaver {
     /// of `r`, old and added, holds only numbers: a non-number in a host
     /// lets the prunes cut the way to it, and one in a column turns that
     /// column's value-ordered ball into an id-ordered scan, which
-    /// reorders cost ties. The streaming engine keeps that fact.
+    /// reorders cost ties. The hosts' type carries half of that; the
+    /// streaming engine keeps the fact for the old rows.
     ///
     /// It answers `true` wherever that argument does not reach: an
-    /// attribute metric other than `AbsoluteDiff`, or a non-number in
-    /// `t_o`; a per-outlier candidate cap is set (new candidates advance
-    /// the work counter that stops the search); the lattice
-    /// `Σ_{k ≥ m−κ} C(m,k)` is larger than the node budget, so the budget
-    /// could bind; or `m − κ ≥ 2` and an added row lies within `ε` of
+    /// attribute metric other than `AbsoluteDiff`, or a cell of `t_o`
+    /// that is not a finite number; a per-outlier candidate cap is set
+    /// (new candidates advance the work counter that stops the search);
+    /// the lattice `Σ_{k ≥ m−κ} C(m,k)` is larger than the node budget,
+    /// so the budget could bind; or `m − κ ≥ 2` and an added row lies within `ε` of
     /// `t_o` on some attribute, since it can change which attribute seeds
     /// a root, and the seed's order breaks cost ties.
     ///
@@ -254,19 +264,21 @@ impl DiscSaver {
         &self,
         t_o: &[Value],
         cost: Option<f64>,
-        added: &[(&[Value], f64)],
-        tightened: &[(&[Value], f64)],
+        added: &[(&[f64], f64)],
+        tightened: &[(&[f64], f64)],
     ) -> bool {
         let m = self.dist.arity();
         let kappa = self.kappa.unwrap_or(m).min(m);
+        let Some(t_o) = pack_values(t_o) else {
+            return true;
+        };
         if (0..m).any(|a| !matches!(self.dist.metric(a), Metric::Absolute))
-            || t_o.iter().any(|v| v.as_num().is_none())
             || self.budget.max_candidates_per_outlier.is_some()
             || lattice_size(m, kappa) > self.node_budget as u128
         {
             return true;
         }
-        let check = HostCheck::new(self, t_o, kappa, cost);
+        let check = HostCheck::new(self, &t_o, kappa, cost);
         if m - kappa >= 2 && added.iter().any(|&(u, _)| check.near_on_some_attribute(u)) {
             return true;
         }
@@ -288,11 +300,12 @@ fn lattice_size(m: usize, kappa: usize) -> u128 {
     total
 }
 
-/// One outlier's side of [`DiscSaver::outcome_may_change`].
+/// One outlier's side of [`DiscSaver::outcome_may_change`], over `f64`:
+/// every attribute metric is `AbsoluteDiff`, which is `|x − y|` on the
+/// finite numbers `t_o` and the hosts hold.
 struct HostCheck<'a> {
-    dist: &'a disc_distance::TupleDistance,
     norm: Norm,
-    t_o: &'a [Value],
+    t_o: &'a [f64],
     m: usize,
     kappa: usize,
     eps: f64,
@@ -300,54 +313,59 @@ struct HostCheck<'a> {
     tol: f64,
     /// `C + slack`; `None` when any host counts.
     bound: Option<f64>,
+    /// Prop. 3's limit on the full accumulator: `to_acc(C + slack + ε)`,
+    /// or `∞` when any host counts.
+    limit: f64,
 }
 
 impl<'a> HostCheck<'a> {
-    fn new(saver: &'a DiscSaver, t_o: &'a [Value], kappa: usize, cost: Option<f64>) -> Self {
+    fn new(saver: &DiscSaver, t_o: &'a [f64], kappa: usize, cost: Option<f64>) -> Self {
         let m = saver.dist.arity();
         let norm = saver.dist.norm();
         let eps = saver.constraints.eps;
         let rel = (m as f64 + 1.0) * f64::EPSILON; // 2·(m+1)·u
         let scale = norm.exponent().map_or(rel, |p| rel.powf(1.0 / p));
+        let tol = 4.0 * rel * eps;
+        let bound = cost.map(|c| c + 4.0 * scale * (c + eps));
         HostCheck {
-            dist: &saver.dist,
             norm,
             t_o,
             m,
             kappa,
             eps,
-            tol: 4.0 * rel * eps,
-            bound: cost.map(|c| c + 4.0 * scale * (c + eps)),
+            tol,
+            bound,
+            limit: bound.map_or(f64::INFINITY, |bound| norm.to_acc(bound + eps + tol)),
         }
     }
 
     /// True when `u` could sit in some attribute's ε-ball around `t_o`
     /// (`RSet::attribute_ball` rounds `t_o[A] ± ε`).
-    fn near_on_some_attribute(&self, u: &[Value]) -> bool {
+    fn near_on_some_attribute(&self, u: &[f64]) -> bool {
         (0..self.m).any(|a| {
-            let scale = self.eps + self.t_o[a].as_num().map_or(0.0, f64::abs);
-            self.dist.attr_dist(a, &self.t_o[a], &u[a]) <= self.eps + 4.0 * f64::EPSILON * scale
+            let scale = self.eps + self.t_o[a].abs();
+            (self.t_o[a] - u[a]).abs() <= self.eps + 4.0 * f64::EPSILON * scale
         })
     }
 
     /// True when `u`, at `δ_η(u) = delta_eta`, is a Prop. 5 host at some
     /// lattice node at a cost within the bound.
-    fn may_host(&self, u: &[Value], delta_eta: f64) -> bool {
+    fn may_host(&self, u: &[f64], delta_eta: f64) -> bool {
         if delta_eta > self.eps + self.tol {
             return false;
         }
-        // Prop. 3, leaving as soon as the partial sum passes C + ε.
-        let limit = self.bound.map_or(f64::INFINITY, |bound| {
-            self.norm.to_acc(bound + self.eps + self.tol)
+        let attr_d = |a: usize| (self.t_o[a] - u[a]).abs();
+        // Prop. 3: the accumulator never falls, so it passes the limit
+        // at some prefix exactly when it does in full.
+        let full = (0..self.m).fold(self.norm.init(), |acc, a| {
+            self.norm.accumulate(acc, attr_d(a))
         });
+        if full > self.limit {
+            return false;
+        }
         let mut d = [0.0; AttrSet::MAX_ATTRS];
-        let mut full = self.norm.init();
         for (a, slot) in d.iter_mut().enumerate().take(self.m) {
-            *slot = self.dist.attr_dist(a, &self.t_o[a], &u[a]);
-            full = self.norm.accumulate(full, *slot);
-            if full > limit {
-                return false;
-            }
+            *slot = attr_d(a);
         }
         // X keeps only attributes within reach of `ε − δ_η(u)`; the rest
         // must be adjusted.
@@ -376,6 +394,21 @@ impl<'a> HostCheck<'a> {
     }
 }
 
+/// One row of a node's candidate list `r_ε(t_o[X])`.
+#[derive(Clone, Copy)]
+struct Cand {
+    /// Row of `r`.
+    row: u32,
+    /// Norm accumulator of `Δ(t_o[X], t[X])`.
+    acc: f64,
+    /// Norm accumulator of the full-space `Δ(t_o, t)`, in attribute
+    /// order, so `Δ(t_o[R\X], t[R\X])` is recovered by subtraction for
+    /// decomposable norms.
+    full_acc: f64,
+    /// The finished full-space distance.
+    full_d: f64,
+}
+
 /// Per-outlier search state.
 struct Search<'a> {
     r: &'a RSet,
@@ -384,12 +417,6 @@ struct Search<'a> {
     eta: usize,
     norm: Norm,
     m: usize,
-    /// Norm accumulator of the full-space distance from `t_o` to each row
-    /// of `r` (so `Δ(t_o[R\X], t[R\X])` is recovered by subtraction for
-    /// decomposable norms).
-    full_acc: Vec<f64>,
-    /// Finished full-space distances.
-    full_d: Vec<f64>,
     visited: HashSet<AttrSet>,
     nodes: usize,
     budget: usize,
@@ -426,32 +453,6 @@ impl<'a> Search<'a> {
         let packed = r
             .packed()
             .and_then(|mat| pack_values(t_o).map(|qf| (mat, qf)));
-        let mut full_acc = Vec::with_capacity(r.len());
-        let mut full_d = Vec::with_capacity(r.len());
-        for (i, row) in r.rows().iter().enumerate() {
-            let mut acc = norm.init();
-            match &packed {
-                Some((mat, qf)) => match mat.row(i) {
-                    Some(prow) => {
-                        for a in 0..dist.arity() {
-                            acc = norm.accumulate(acc, (qf[a] - prow[a]).abs());
-                        }
-                    }
-                    None => {
-                        for a in 0..dist.arity() {
-                            acc = norm.accumulate(acc, dist.attr_dist(a, &t_o[a], &row[a]));
-                        }
-                    }
-                },
-                None => {
-                    for a in 0..dist.arity() {
-                        acc = norm.accumulate(acc, dist.attr_dist(a, &t_o[a], &row[a]));
-                    }
-                }
-            }
-            full_acc.push(acc);
-            full_d.push(norm.finish(acc));
-        }
         Search {
             r,
             t_o,
@@ -459,8 +460,6 @@ impl<'a> Search<'a> {
             eta: saver.constraints.eta,
             norm,
             m: dist.arity(),
-            full_acc,
-            full_d,
             visited: HashSet::new(),
             nodes: 0,
             budget: saver.node_budget,
@@ -496,6 +495,21 @@ impl<'a> Search<'a> {
             .attr_dist(a, &self.t_o[a], &self.r.rows()[c as usize][a])
     }
 
+    /// Row `row` entering a root's list with `X`-accumulator `acc`: its
+    /// full-space distance, accumulated over the attributes in order.
+    fn candidate(&self, row: u32, acc: f64) -> Cand {
+        let mut full_acc = self.norm.init();
+        for a in 0..self.m {
+            full_acc = self.norm.accumulate(full_acc, self.attr_d(a, row));
+        }
+        Cand {
+            row,
+            acc,
+            full_acc,
+            full_d: self.norm.finish(full_acc),
+        }
+    }
+
     /// The work performed so far, as reported to the caller and the
     /// global counters.
     fn effort(&self) -> SaveEffort {
@@ -515,21 +529,19 @@ impl<'a> Search<'a> {
         self.cancelled || self.work >= self.work_cap
     }
 
-    /// `Δ(t_o[R\X], t[R\X])` for candidate row `c` whose `X`-accumulator is
-    /// `acc_x`. For `L¹`/`L²`/`L^p` the accumulator decomposes; `L^∞` needs
-    /// a direct pass over `R\X`.
-    fn remainder_dist(&self, c: u32, acc_x: f64, x: AttrSet) -> f64 {
+    /// `Δ(t_o[R\X], t[R\X])` for candidate `c` at node `X`. For
+    /// `L¹`/`L²`/`L^p` the accumulator decomposes; `L^∞` needs a direct
+    /// pass over `R\X`.
+    fn remainder_dist(&self, c: &Cand, x: AttrSet) -> f64 {
         match self.norm {
             Norm::LInf => {
                 let mut acc = self.norm.init();
                 for a in x.complement(self.m).iter() {
-                    acc = self.norm.accumulate(acc, self.attr_d(a, c));
+                    acc = self.norm.accumulate(acc, self.attr_d(a, c.row));
                 }
                 self.norm.finish(acc)
             }
-            _ => self
-                .norm
-                .finish((self.full_acc[c as usize] - acc_x).max(0.0)),
+            _ => self.norm.finish((c.full_acc - c.acc).max(0.0)),
         }
     }
 
@@ -549,7 +561,6 @@ impl<'a> Search<'a> {
             None => (0..self.r.len() as u32).collect(), // X₀ = ∅
         };
         let mut cands = Vec::with_capacity(seed.len());
-        let mut acc = Vec::with_capacity(seed.len());
         let cap = self.norm.to_acc(self.eps);
         'cand: for c in seed {
             let mut a_acc = self.norm.init();
@@ -559,14 +570,13 @@ impl<'a> Search<'a> {
                     continue 'cand;
                 }
             }
-            cands.push(c);
-            acc.push(a_acc);
+            cands.push(self.candidate(c, a_acc));
         }
-        self.recurse(x0, cands, acc);
+        self.recurse(x0, cands);
     }
 
     /// One node of Algorithm 1: bounds, incumbent update, recursion.
-    fn recurse(&mut self, x: AttrSet, cands: Vec<u32>, acc: Vec<f64>) {
+    fn recurse(&mut self, x: AttrSet, cands: Vec<Cand>) {
         // Budget exhaustion keeps the incumbent found so far; the work cap
         // is checked *before* processing, so at least the root node always
         // runs and small caps still yield a (suboptimal) answer.
@@ -592,7 +602,7 @@ impl<'a> Search<'a> {
 
         // Lower bound (Proposition 3): η-th smallest full-space distance
         // among the candidates, minus ε.
-        let mut scratch: Vec<f64> = cands.iter().map(|&c| self.full_d[c as usize]).collect();
+        let mut scratch: Vec<f64> = cands.iter().map(|c| c.full_d).collect();
         let (_, kth, _) = scratch.select_nth_unstable_by(self.eta - 1, |a, b| {
             a.partial_cmp(b).unwrap_or(std::cmp::Ordering::Equal)
         });
@@ -603,12 +613,12 @@ impl<'a> Search<'a> {
 
         // Upper bound (Proposition 5): best qualifying t₂.
         let mut best_here: Option<(u32, f64)> = None;
-        for (i, &c) in cands.iter().enumerate() {
-            let dx = self.norm.finish(acc[i]);
-            if self.r.delta_eta(c as usize) <= self.eps - dx {
-                let cost = self.remainder_dist(c, acc[i], x);
+        for c in &cands {
+            let dx = self.norm.finish(c.acc);
+            if self.r.delta_eta(c.row as usize) <= self.eps - dx {
+                let cost = self.remainder_dist(c, x);
                 if best_here.map(|(_, bc)| cost < bc).unwrap_or(true) {
-                    best_here = Some((c, cost));
+                    best_here = Some((c.row, cost));
                 }
             }
         }
@@ -628,15 +638,13 @@ impl<'a> Search<'a> {
                 continue;
             }
             let mut c_cands = Vec::new();
-            let mut c_acc = Vec::new();
-            for (i, &c) in cands.iter().enumerate() {
-                let na = self.norm.accumulate(acc[i], self.attr_d(a, c));
-                if na <= cap {
-                    c_cands.push(c);
-                    c_acc.push(na);
+            for c in &cands {
+                let acc = self.norm.accumulate(c.acc, self.attr_d(a, c.row));
+                if acc <= cap {
+                    c_cands.push(Cand { acc, ..*c });
                 }
             }
-            self.recurse(child, c_cands, c_acc);
+            self.recurse(child, c_cands);
         }
     }
 
@@ -867,11 +875,17 @@ mod tests {
         assert_eq!(Some(ok), saver.save_one(&r, &t_o));
     }
 
-    /// `(row, δ_η)` pairs as the engine passes them, read from `r`.
-    fn hosts<'r>(r: &'r RSet, ids: &[usize]) -> Vec<(&'r [Value], f64)> {
+    /// `(row, δ_η)` pairs as the engine packs them, read from `r`; a row
+    /// that is not all finite numbers cannot be offered and is left out.
+    fn hosts(r: &RSet, ids: &[usize]) -> Vec<(Vec<f64>, f64)> {
         ids.iter()
-            .map(|&i| (r.rows()[i].as_slice(), r.delta_eta(i)))
+            .filter_map(|&i| Some((pack_values(&r.rows()[i])?, r.delta_eta(i))))
             .collect()
+    }
+
+    /// The borrowed form [`DiscSaver::outcome_may_change`] takes.
+    fn view(hosts: &[(Vec<f64>, f64)]) -> Vec<(&[f64], f64)> {
+        hosts.iter().map(|(u, d)| (u.as_slice(), *d)).collect()
     }
 
     /// Rows of `after` whose `δ_η` differs from `before` (a prefix).
@@ -894,7 +908,7 @@ mod tests {
         let t_o = vec![Value::Num(0.3), Value::Num(9.0)];
         let cost = saver.save_one(&r, &t_o).map(|adj| adj.cost);
         // A far row with a tight δ_η hosts nothing near t_o: clean.
-        let far = [Value::Num(50.0), Value::Num(50.0)];
+        let far = [50.0, 50.0];
         let added = [(&far[..], 0.0)];
         assert!(!saver.outcome_may_change(&t_o, cost, &added, &[]));
 
@@ -957,7 +971,7 @@ mod tests {
         assert!(tightened(&r_old, &r_new).is_empty());
         let added = hosts(&r_new, &[3]);
         assert!(added[0].1 > 1.0, "the added row is no Prop. 5 host");
-        assert!(saver.outcome_may_change(&t_o, Some(before.cost), &added, &[]));
+        assert!(saver.outcome_may_change(&t_o, Some(before.cost), &view(&added), &[]));
     }
 
     /// A row of three cells; `NULL` (a NaN marker) becomes `Value::Null`.
@@ -978,9 +992,10 @@ mod tests {
     #[test]
     fn a_non_number_in_r_changes_saves_the_check_calls_stable() {
         // m = 3, κ = 2, ε = 1, η = 3. In both cases r gains rows that
-        // host nothing at cost ≤ C, so the check answers clean, yet the
-        // save changes: the argument needs numbers, and the engine stops
-        // asking once an inlier holds a non-number.
+        // host nothing at cost ≤ C (a host with a non-number cannot even
+        // be offered), so the check answers clean, yet the save changes:
+        // the argument needs numbers, and the engine stops asking once an
+        // inlier holds a non-number.
         let config = |norm| {
             SaverConfig::new(
                 DistanceConstraints::new(1.0, 3),
@@ -1001,7 +1016,12 @@ mod tests {
             let after = saver.save_one(&r_new, &t_o).unwrap();
             let added = hosts(&r_new, &(old.len()..all.len()).collect::<Vec<_>>());
             let tight = hosts(&r_new, &tightened(&r_old, &r_new));
-            assert!(!saver.outcome_may_change(&t_o, Some(before.cost), &added, &tight));
+            assert!(!saver.outcome_may_change(
+                &t_o,
+                Some(before.cost),
+                &view(&added),
+                &view(&tight)
+            ));
             (before, after)
         };
         // (b) u = (2, ∅, 1) turns column 1's value-ordered ε-ball into an
@@ -1053,10 +1073,10 @@ mod tests {
         assert_eq!(
             r_new
                 .distance()
-                .dist_on(AttrSet::from_indices([1]), &t_o, added[0].0),
+                .dist_on(AttrSet::from_indices([1]), &t_o, &r_new.rows()[r.len()]),
             adj.cost
         );
-        assert!(saver.outcome_may_change(&t_o, Some(adj.cost), &added, &tight));
+        assert!(saver.outcome_may_change(&t_o, Some(adj.cost), &view(&added), &view(&tight)));
     }
 
     #[test]
@@ -1075,7 +1095,7 @@ mod tests {
         let added = hosts(&r_new, &[r.len()]);
         assert!(added[0].1 <= 0.5);
         let tight = hosts(&r_new, &tightened(&r, &r_new));
-        assert!(!saver.outcome_may_change(&t_o, Some(adj.cost), &added, &tight));
+        assert!(!saver.outcome_may_change(&t_o, Some(adj.cost), &view(&added), &view(&tight)));
         assert_eq!(saver.save_one(&r_new, &t_o), Some(adj));
     }
 

@@ -10,7 +10,7 @@
 //!
 //! 1. appends the batch (each row to its hash-assigned shard) and
 //!    updates counts *incrementally* — one ε-range query per new tuple,
-//!    fanned out across shards on scoped threads and merged by summing
+//!    fanned out across shards and merged by summing
 //!    the per-shard hit counts; every old row a query lands within ε of
 //!    gets its count bumped (rows untouched by any query keep their
 //!    count: `engine.cache_hits`), and the hits' distances are kept for
@@ -39,7 +39,8 @@
 //!    default answer re-saves every outlier; `DiscSaver` keeps an
 //!    outlier clean unless a changed inlier could host it at no more
 //!    than its current cost (Prop. 3/5). The saver is asked only while
-//!    every inlier cell is a number; once an inlier holds a `Null` or
+//!    every inlier cell is a number, so the changed inliers are packed
+//!    as `f64` once per ingest; once an inlier holds a `Null` or
 //!    text cell, every old outlier is re-saved whenever r grows;
 //! 5. merges the new inliers into the engine's [`RSet`] in place, at
 //!    their rank in ascending row order, and rewrites the tightened
@@ -47,6 +48,11 @@
 //!    budgeted / parallel / panic-isolated save machinery
 //!    ([`pipeline`](crate::pipeline)) on just the dirty rows and applies
 //!    the adjustments.
+//!
+//! The shard fan-outs of steps 1 and 3, step 4 and the save loop run on
+//! the saver's worker threads only for ingests of at least
+//! `MIN_THREADED_ROWS` rows; a smaller ingest runs them all on the
+//! calling thread, where spawning threads would cost more than the work.
 //!
 //! Determinism contract: detection and saving always work on the
 //! *original* ingested values (adjustments live only in the output
@@ -73,7 +79,7 @@ use std::sync::atomic::Ordering;
 use std::time::Instant;
 
 use disc_data::{Dataset, Schema};
-use disc_distance::Value;
+use disc_distance::{pack_values, Value};
 use disc_index::{NeighborIndex, NonNumericCell};
 use disc_obs::{counters, PipelineStats, Snapshot};
 
@@ -117,6 +123,17 @@ use crate::shard::{self, shard_of, EngineShard, ShardStats};
 /// brute force under L¹, L², L^∞ and L³ with `δ_η` at ε and one ulp
 /// either side.
 const NARROW_MARGIN: f64 = 1e-9;
+
+/// Smallest ingest, in rows, whose fan-outs run on threads. An ingest
+/// below it runs its shard fan-outs, phase 4 and its save loop on the
+/// calling thread: `parallel_map` spawns fresh scoped threads per call,
+/// and at 8-row ingests the up to four spawns and joins per ingest cost
+/// more than the work they split. Measured on 2 CPUs with `disc stream`
+/// over `disc generate --n 8000 --m 3 --dirty 160 --seed 7` at
+/// `--eps 0.5 --eta 4`, always threaded against always inline (wall
+/// seconds): `--batch 8` 1.51–1.54 against 1.40–1.43, 16 and 24 within
+/// noise, 32 0.78–0.88 against 0.85–1.01, 64 0.68 against 0.83–0.92.
+const MIN_THREADED_ROWS: usize = 32;
 
 /// One new row's ε-range hits in one shard: their count, and the
 /// (global id, distance) of the old rows among them, whose distances
@@ -361,21 +378,21 @@ impl ShardedEngine {
     }
 
     /// ε-range query over all ingested rows (original values), fanned
-    /// out across shards and concatenated in shard order: `(global id,
-    /// distance)` pairs. The hit *set* equals a single-shard query's for
-    /// any shard count (shards partition the rows).
+    /// out across shards on the calling thread (one query never pays for
+    /// threads) and concatenated in shard order: `(global id, distance)`
+    /// pairs. The hit *set* equals a single-shard query's for any shard
+    /// count (shards partition the rows).
     pub fn range(&self, query: &[Value], eps: f64) -> Vec<(usize, f64)> {
-        let workers = self.saver.parallelism().workers();
-        let parts = shard::fan_out(&self.shards, workers, |shard| shard.range(query, eps));
+        let parts = shard::fan_out(&self.shards, 1, |shard| shard.range(query, eps));
         parts.into_iter().flatten().collect()
     }
 
-    /// k-NN over all ingested rows (original values): per-shard top-k,
-    /// merged by `(total_cmp distance, global id)` and truncated to `k`
-    /// — deterministic and shard-count-independent in its distances.
+    /// k-NN over all ingested rows (original values), on the calling
+    /// thread: per-shard top-k, merged by `(total_cmp distance, global
+    /// id)` and truncated to `k` — deterministic and
+    /// shard-count-independent in its distances.
     pub fn knn(&self, query: &[Value], k: usize) -> Vec<(usize, f64)> {
-        let workers = self.saver.parallelism().workers();
-        let parts = shard::fan_out(&self.shards, workers, |shard| {
+        let parts = shard::fan_out(&self.shards, 1, |shard| {
             shard
                 .full_index
                 .knn(query, k)
@@ -464,7 +481,11 @@ impl ShardedEngine {
         let mut stats = PipelineStats::default();
         let constraints = self.saver.constraints();
         let eps = constraints.eps;
-        let workers = self.saver.parallelism().workers();
+        let workers = if batch.len() < MIN_THREADED_ROWS {
+            1
+        } else {
+            self.saver.parallelism().workers()
+        };
         let first_new = self.original.len();
 
         // Phase 1: append everywhere (each row to its hash-assigned
@@ -630,7 +651,8 @@ impl ShardedEngine {
         let mut dirty: BTreeSet<usize> = std::mem::take(&mut self.pending);
         dirty.extend((first_new..n).filter(|&g| !self.satisfies(g)));
         if !new_inliers.is_empty() {
-            let unstable = self.unstable_outliers(first_new, &dirty, &new_inliers, &tightened);
+            let unstable =
+                self.unstable_outliers(first_new, &dirty, &new_inliers, &tightened, workers);
             dirty.extend(unstable);
         }
         let dirty: Vec<usize> = dirty.into_iter().collect();
@@ -738,6 +760,7 @@ impl ShardedEngine {
         dirty: &BTreeSet<usize>,
         added: &[usize],
         tightened: &[usize],
+        workers: usize,
     ) -> Vec<usize> {
         let old: Vec<usize> = (0..first_new)
             .filter(|o| !self.is_inlier(*o) && !dirty.contains(o))
@@ -745,15 +768,24 @@ impl ShardedEngine {
         if !self.numeric_inliers {
             return old;
         }
-        let host = |&g: &usize| (self.original[g].as_slice(), self.delta_eta(g));
-        let added: Vec<(&[Value], f64)> = added.iter().map(host).collect();
-        let tightened: Vec<(&[Value], f64)> = tightened.iter().map(host).collect();
+        // Every inlier cell is a finite number (`numeric_inliers`, and
+        // `validate_batch` admits no other), so the hosts pack once here.
+        let packed: Vec<(Vec<f64>, f64)> = added
+            .iter()
+            .chain(tightened)
+            .map(|&g| {
+                let row = pack_values(&self.original[g]).expect("inlier cells are finite numbers");
+                (row, self.delta_eta(g))
+            })
+            .collect();
+        let hosts: Vec<(&[f64], f64)> =
+            packed.iter().map(|(row, d)| (row.as_slice(), *d)).collect();
+        let (added, tightened) = hosts.split_at(added.len());
         let (saver, rows) = (&*self.saver, self.current.rows());
-        let workers = saver.parallelism().workers();
         let verdicts = parallel_map(&old, workers, |&o| {
             let (original, current) = (&self.original[o], &rows[o]);
             let cost = (original != current).then(|| saver.distance().dist(original, current));
-            saver.outcome_may_change(original, cost, &added, &tightened)
+            saver.outcome_may_change(original, cost, added, tightened)
         });
         old.into_iter()
             .zip(verdicts)
@@ -1080,6 +1112,52 @@ mod tests {
             busiest < single,
             "busiest shard {busiest}, one shard {single}"
         );
+    }
+
+    /// Ingests from `MIN_THREADED_ROWS` rows on fan out on the saver's
+    /// workers and smaller ones start no thread, with reports and state
+    /// equal at every worker and shard count.
+    #[test]
+    fn only_ingests_past_the_threshold_start_threads() {
+        let mut ds = disc_data::ClusterSpec::new(3000, 3, 3, 11)
+            .spread(1.0)
+            .generate();
+        disc_data::ErrorInjector::new(60, 40, 13).inject(&mut ds);
+        let (bulk, tail) = ds.rows().split_at(3000);
+        let started = || crate::parallel::THREADS_STARTED.with(std::cell::Cell::get);
+        let run = |workers: usize, shards: usize| {
+            let saver =
+                SaverConfig::new(DistanceConstraints::new(0.5, 4), TupleDistance::numeric(3))
+                    .kappa(2)
+                    .parallelism(crate::Parallelism(workers))
+                    .build_approx()
+                    .unwrap();
+            let mut eng = ShardedEngine::with_shards(Schema::numeric(3), Box::new(saver), shards);
+            let before = started();
+            let mut reports: Vec<SaveReport> = bulk
+                .chunks(4 * MIN_THREADED_ROWS)
+                .map(|batch| eng.ingest(batch.to_vec()).unwrap())
+                .collect();
+            let threads = started() - before;
+            for batch in tail.chunks(8) {
+                let before = started();
+                reports.push(eng.ingest(batch.to_vec()).unwrap());
+                assert_eq!(
+                    started(),
+                    before,
+                    "8-row ingest, {workers} workers, S={shards}"
+                );
+            }
+            (reports, eng.export_state(), threads)
+        };
+        let (reports, state, threads) = run(1, 1);
+        assert_eq!(threads, 0);
+        for (workers, shards) in [(1, 3), (2, 1), (2, 3), (4, 1), (4, 3)] {
+            let got = run(workers, shards);
+            assert!(got.0 == reports, "reports, {workers} workers, S={shards}");
+            assert!(got.1 == state, "state, {workers} workers, S={shards}");
+            assert_eq!(got.2 > 0, workers > 1, "{workers} workers, S={shards}");
+        }
     }
 
     #[test]

@@ -35,12 +35,13 @@
 //!   into [`SaveReport::skipped`] instead of hanging or aborting;
 //! * [`engine`] + [`shard`] — the incremental streaming engine
 //!   ([`ShardedEngine`]), hash-partitioning rows across shards whose
-//!   queries fan out through `parallel_map` and merge deterministically:
+//!   queries fan out through `parallel_map` (on threads only for ingests
+//!   large enough to pay for them) and merge deterministically:
 //!   results are bit-identical for every shard and worker count. Its
 //!   exported image ([`EngineState`]) answers every read of engine state
 //!   for the serve protocol, the CLI and tests;
 //! * [`config`] — the [`EngineConfig`] builder gathering every engine
-//!   knob (arity, ε, η, κ, shards, parallelism, budget), validated
+//!   knob (arity, ε, η, κ, shards), validated
 //!   once, with the durable byte encoding stores persist;
 //! * `fault` (only under `--cfg disc_fault`) — the workspace's one
 //!   deterministic test-only failpoint mechanism: save panics and delays

@@ -9,11 +9,17 @@
 //! carried by [`DiscSaver`](crate::DiscSaver) and
 //! [`ExactSaver`](crate::ExactSaver). Results come back in item order, so
 //! every parallel result is **bit-identical** to the sequential run.
+//!
+//! `parallel_map` keeps no pool: each call that fans out spawns and
+//! joins fresh scoped threads, so a caller whose items are cheap decides
+//! to run inline instead. The streaming engine does, once per ingest
+//! (`MIN_THREADED_ROWS` in [`crate::engine`]); batch `save_all`, outlier
+//! detection and `RSet` construction always fan out.
 
 use std::num::NonZeroUsize;
 use std::panic::resume_unwind;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
+use std::sync::{Mutex, OnceLock};
 
 /// Process-wide default worker count, settable by binaries (the `repro`
 /// harness exposes it as `--workers`). `0` means "no override".
@@ -33,6 +39,22 @@ pub fn global_workers() -> Option<usize> {
     }
 }
 
+/// The cores available to this process, asked of the OS once.
+/// `available_parallelism` reads the cgroup CPU quota, which took
+/// 16–25 µs per call on a 2-CPU container, and every saver build asks.
+pub(crate) fn available_cores() -> usize {
+    static CORES: OnceLock<usize> = OnceLock::new();
+    *CORES.get_or_init(|| std::thread::available_parallelism().map_or(1, NonZeroUsize::get))
+}
+
+#[cfg(test)]
+thread_local! {
+    /// Threads [`parallel_map`] started for calls made on this thread,
+    /// so a test can tell an inline fan-out from a threaded one without
+    /// seeing other tests' threads.
+    pub(crate) static THREADS_STARTED: std::cell::Cell<usize> = const { std::cell::Cell::new(0) };
+}
+
 /// Worker count for the parallel pipeline stages.
 ///
 /// `Parallelism(1)` runs the exact sequential code path (no threads are
@@ -44,11 +66,10 @@ pub struct Parallelism(pub usize);
 
 impl Parallelism {
     /// The default: the process-wide override if one was set (see
-    /// [`set_global_workers`]), else the number of available cores.
+    /// [`set_global_workers`]), else the number of available cores
+    /// (detected once per process).
     pub fn auto() -> Self {
-        let n = global_workers()
-            .unwrap_or_else(|| std::thread::available_parallelism().map_or(1, NonZeroUsize::get));
-        Parallelism(n)
+        Parallelism(global_workers().unwrap_or_else(available_cores))
     }
 
     /// The sequential path: no threads, identical to the pre-parallel
@@ -96,6 +117,8 @@ where
     if threads <= 1 {
         return items.map(f).collect();
     }
+    #[cfg(test)]
+    THREADS_STARTED.with(|started| started.set(started.get() + threads));
     let source = Mutex::new(items.enumerate());
     let mut tagged: Vec<(usize, U)> = std::thread::scope(|scope| {
         let handles: Vec<_> = (0..threads)

@@ -67,19 +67,21 @@ pub trait Saver: Send + Sync {
     /// now that `r` has grown. `cost` is the cost of the adjustment `t_o`
     /// currently holds, or `None` when it holds none. `added` lists every
     /// new inlier and `tightened` every old inlier whose `δ_η` changed,
-    /// each as `(original values, δ_η after the ingest)`.
+    /// each as `(original values, δ_η after the ingest)`, the values
+    /// packed as `f64`.
     ///
     /// The streaming engine asks only while every cell of `r` (old rows
-    /// and `added` alike) is a number, and re-saves an old outlier only
-    /// when this answers `true`. The default always does, which is sound
-    /// for any saver; [`DiscSaver`] proves most outcomes stable instead
-    /// (see [`DiscSaver::outcome_may_change`]).
+    /// and `added` alike) is a finite number, packs the hosts once per
+    /// ingest, and re-saves an old outlier only when this answers
+    /// `true`. The default always does, which is sound for any saver;
+    /// [`DiscSaver`] proves most outcomes stable instead (see
+    /// [`DiscSaver::outcome_may_change`]).
     fn outcome_may_change(
         &self,
         t_o: &[Value],
         cost: Option<f64>,
-        added: &[(&[Value], f64)],
-        tightened: &[(&[Value], f64)],
+        added: &[(&[f64], f64)],
+        tightened: &[(&[f64], f64)],
     ) -> bool {
         let _ = (t_o, cost, added, tightened);
         true
@@ -131,8 +133,8 @@ impl Saver for DiscSaver {
         &self,
         t_o: &[Value],
         cost: Option<f64>,
-        added: &[(&[Value], f64)],
-        tightened: &[(&[Value], f64)],
+        added: &[(&[f64], f64)],
+        tightened: &[(&[f64], f64)],
     ) -> bool {
         DiscSaver::outcome_may_change(self, t_o, cost, added, tightened)
     }

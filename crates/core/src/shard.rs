@@ -9,7 +9,9 @@
 //! order. Every engine fan-out goes through `fan_out`, which scatters a
 //! closure across shards with [`parallel_map`] and gathers the results
 //! *in shard order* — what makes merged query results deterministic for
-//! any worker count — and times each call.
+//! any worker count — and times each call. The caller sizes it: the
+//! engine runs a single query, and every fan-out of an ingest below
+//! `MIN_THREADED_ROWS` rows, on the calling thread.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;
@@ -54,10 +56,7 @@ pub fn default_shards() -> usize {
 /// given.
 pub fn resolve_shards(requested: usize) -> usize {
     if requested == 0 {
-        std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1)
-            .min(8)
+        crate::parallel::available_cores().min(8)
     } else {
         requested
     }

@@ -3,12 +3,12 @@
 
     python3 scripts/bench_gate.py [--perfbench PATH]
 
-Runs perfbench traced (`--trace 1 --seconds 1 --seed 1`) on `repair_batch`
-and `stream_small`, and fails if any gated work counter exceeds the value
-recorded for that workload and seed in the newest `BENCH_<n>.json` at the
-repository root (its `"traced"` object: workload -> seed -> metric ->
-value). The counters count work, not time, so they do not drift with the
-machine or with `--seconds`. Wall-clock figures, and the run's
+Runs perfbench traced (`--trace 1 --seconds 1 --seed 1`) on `repair_batch`,
+`stream_small` and `serve_durable`, and fails if any gated work counter
+exceeds the value recorded for that workload and seed in the newest
+`BENCH_<n>.json` at the repository root (its `"traced"` object: workload
+-> seed -> metric -> value). The counters count work, not time, so they
+do not drift with the machine or with `--seconds`. Wall-clock figures, and the run's
 `repo.rust_lines` next to the recorded one, are printed and never gate.
 Exits 1 on a regression, a failed run, or a missing figure.
 """
@@ -22,7 +22,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 
-WORKLOADS = ["repair_batch", "stream_small"]
+WORKLOADS = ["repair_batch", "stream_small", "serve_durable"]
 SEED = "1"
 GATED = [
     "distance.evals",
