@@ -10,7 +10,7 @@
 //! (Figure 2(b): `t₂₄` is replaced by `t₂₁` on Time, Longitude *and*
 //! Latitude).
 
-use disc_core::{detect_outliers, DistanceConstraints, RSet};
+use disc_core::{detect_outliers, DistanceConstraints, Parallelism, RSet};
 use disc_data::Dataset;
 use disc_distance::{AttrSet, TupleDistance};
 
@@ -39,12 +39,7 @@ impl Repairer for Dorc {
 
     fn repair(&self, ds: &mut Dataset) -> RepairReport {
         let split = detect_outliers(ds.rows(), &self.dist, self.constraints);
-        let inlier_rows: Vec<_> = split
-            .inliers
-            .iter()
-            .map(|&i| ds.rows()[i].clone())
-            .collect();
-        let r = RSet::new(inlier_rows, self.dist.clone(), self.constraints);
+        let r = RSet::from_split(&split, ds.rows(), &self.dist, Parallelism::auto());
         let mut report = RepairReport::default();
         for &row in &split.outliers {
             // The nearest inlier that itself satisfies the constraints

@@ -1,8 +1,56 @@
 //! Distance constraints and outlier detection (Section 2 of the paper).
+//!
+//! Detection runs one ε-range query per row. The query counts the row's
+//! ε-neighbors and, in the same pass, measures the nearest of them: the
+//! η nearest hits of every row are kept in one flat table, and once
+//! every row is classified they settle most inliers' `δ_η` (Algorithm 1,
+//! line 4) with no second search ([`OutlierSplit`], read by
+//! [`RSet::from_split`](crate::RSet::from_split)).
 
 use disc_distance::{TupleDistance, Value};
 
 use crate::parallel::parallel_map;
+
+/// Relative margin below ε under which the ε-range hits of a row settle
+/// its nearest-inlier distances. Batch detection and the streaming
+/// engine both read an inlier's `δ_η` off its range hits when its η
+/// nearest hits are inliers and the η-th lies at or below
+/// `ε·(1 − NARROW_MARGIN)`, and the engine's phase 3 lets a *narrow*
+/// inlier (`δ_η` at or below that) observe only the new inliers its
+/// range queries returned. Both are exact when no pair the queries
+/// excluded lies nearer, i.e. when every excluded pair has `d ≥ δ_η`.
+/// A range query keeps a row iff its accumulated distance `acc` passes
+/// `acc ≤ to_acc(ε)` (`disc_distance::Norm`), and reports
+/// `d = finish(acc)`, bit-identical to `TupleDistance::dist` (every
+/// attribute metric is symmetric bit for bit, so the query's direction
+/// does not matter). So an excluded pair has `acc > to_acc(ε)`:
+///
+/// * under L¹ and L^∞, `to_acc` and `finish` are the identity: `d > ε`;
+/// * under L², `to_acc(ε) = ε·ε` rounds by at most `u = 2⁻⁵³` relative
+///   (a subnormal `ε²` by half its ulp, after which `acc ≥ ε²` exactly)
+///   and `sqrt` by another `u`: `d ≥ ε·(1 − 2u)`;
+/// * under L^p, both steps call `powf`, which is not correctly rounded.
+///   With `e` its relative error, and `1/p` itself rounded (which moves
+///   `acc^{1/p}` by at most `u·|ln acc| ≤ 745u`),
+///   `d ≥ ε·(1 − 2e − 746u)`.
+///
+/// `1e-9` exceeds these bounds by three orders of magnitude even for a
+/// `powf` a thousand ulps off, so every excluded pair has
+/// `d > ε·(1 − NARROW_MARGIN)`. (The grid backend's cell window reaches
+/// `ε·(1 + 2⁻³⁰)` from the query in every coordinate, a margin the same
+/// rounding argument covers, so its cell arithmetic never drops a pair
+/// the comparison keeps; see `REACH_MARGIN` in `disc_index::grid`.) A
+/// row the margin leaves out costs only the search it did before: a
+/// k-NN query, or the engine's direct distance loop. The engine's
+/// `delta_eta_lists_match_brute_force` and the `rset` module's
+/// `hit_settled_delta_eta_matches_rset_new` pin the rule under L¹, L²,
+/// L^∞ and L³ with distances at ε and one ulp either side.
+pub(crate) const NARROW_MARGIN: f64 = 1e-9;
+
+/// Rows per detection task: each task returns its rows' counts and
+/// nearest hits as flat vectors, so the table allocates per block, not
+/// per row.
+const ROWS_PER_TASK: usize = 64;
 
 /// The distance constraints `(ε, η)` of Definition 1: a tuple belongs to a
 /// cluster (with high probability) iff it has at least `η` ε-neighbors.
@@ -62,6 +110,32 @@ pub struct OutlierSplit {
     pub outliers: Vec<usize>,
     /// Per-row ε-neighbor counts (self-inclusive).
     pub counts: Vec<usize>,
+    /// The constraints the rows were classified under.
+    pub(crate) constraints: DistanceConstraints,
+    /// The ids of every row's η nearest ε-range hits by `(total_cmp
+    /// distance, id)`, unordered, η slots per row; a row with fewer than
+    /// η hits (an outlier) leaves its slots unused.
+    nearest_ids: Vec<u32>,
+    /// Per row, the distance of its η-th nearest hit, or `∞` with fewer
+    /// than η hits.
+    kth_hit: Vec<f64>,
+}
+
+impl OutlierSplit {
+    /// `δ_η` of inlier `row` read off its ε-range hits, or `None` when
+    /// they do not settle it. They do when the row's η nearest hits are
+    /// all inliers and the η-th lies at or below `ε·(1 − NARROW_MARGIN)`:
+    /// every inlier the range query excluded lies farther (see
+    /// [`NARROW_MARGIN`]), so the η-th hit is the η-th nearest inlier.
+    pub(crate) fn settled_delta_eta(&self, row: usize) -> Option<f64> {
+        let DistanceConstraints { eps, eta } = self.constraints;
+        let kth = self.kth_hit[row];
+        let settled = kth <= eps * (1.0 - NARROW_MARGIN)
+            && self.nearest_ids[row * eta..][..eta]
+                .iter()
+                .all(|&h| self.counts[h as usize] >= eta);
+        settled.then_some(kth)
+    }
 }
 
 /// Chooses a neighbor-search backend by data shape and runs `f` with it.
@@ -77,33 +151,63 @@ pub fn detect_outliers(
     detect_outliers_parallel(rows, dist, constraints, 1)
 }
 
-/// [`detect_outliers`] with the per-row neighbor counting fanned out over
+/// [`detect_outliers`] with the per-row range queries fanned out over
 /// `workers` scoped threads. The split is identical for every worker
-/// count (counts are collected in row order against a shared read-only
-/// index).
+/// count (each block of rows is queried against a shared read-only
+/// index, and the blocks are collected in row order). Besides the
+/// counts, each row keeps the ids of its η nearest hits and the η-th
+/// one's distance, from which [`RSet::from_split`](crate::RSet::from_split)
+/// reads most `δ_η`.
 pub fn detect_outliers_parallel(
     rows: &[Vec<Value>],
     dist: &TupleDistance,
     constraints: DistanceConstraints,
     workers: usize,
 ) -> OutlierSplit {
-    let counts: Vec<usize> = with_index(rows, dist, constraints.eps, |idx| {
-        parallel_map(rows, workers, |q| idx.count_within(q, constraints.eps))
+    let DistanceConstraints { eps, eta } = constraints;
+    let blocks = with_index(rows, dist, eps, |idx| {
+        parallel_map(rows.chunks(ROWS_PER_TASK), workers, |block| {
+            let mut counts = Vec::with_capacity(block.len());
+            let mut ids = Vec::with_capacity(block.len() * eta);
+            let mut kth = Vec::with_capacity(block.len());
+            for q in block {
+                let mut hits = idx.range(q, eps);
+                counts.push(hits.len());
+                if hits.len() < eta {
+                    ids.resize(ids.len() + eta, u32::MAX);
+                    kth.push(f64::INFINITY);
+                    continue;
+                }
+                hits.select_nth_unstable_by(eta - 1, |a, b| {
+                    a.1.total_cmp(&b.1).then(a.0.cmp(&b.0))
+                });
+                ids.extend(hits[..eta].iter().map(|&(id, _)| id));
+                kth.push(hits[eta - 1].1);
+            }
+            (counts, ids, kth)
+        })
     });
-    let mut inliers = Vec::new();
-    let mut outliers = Vec::new();
-    for (i, &c) in counts.iter().enumerate() {
-        if c >= constraints.eta {
-            inliers.push(i);
+    let mut split = OutlierSplit {
+        inliers: Vec::new(),
+        outliers: Vec::new(),
+        counts: Vec::with_capacity(rows.len()),
+        constraints,
+        nearest_ids: Vec::with_capacity(rows.len() * eta),
+        kth_hit: Vec::with_capacity(rows.len()),
+    };
+    for (counts, ids, kth) in blocks {
+        split.counts.extend(counts);
+        split.nearest_ids.extend(ids);
+        split.kth_hit.extend(kth);
+    }
+    for (i, &c) in split.counts.iter().enumerate() {
+        if c >= eta {
+            split.inliers.push(i);
         } else {
-            outliers.push(i);
+            split.outliers.push(i);
         }
     }
-    OutlierSplit {
-        inliers,
-        outliers,
-        counts,
-    }
+    split
 }
 
 #[cfg(test)]

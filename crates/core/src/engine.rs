@@ -13,8 +13,7 @@
 //!    fanned out across shards and merged by summing
 //!    the per-shard hit counts; every old row a query lands within ε of
 //!    gets its count bumped (rows untouched by any query keep their
-//!    count: `engine.cache_hits`), and the hits' distances are kept for
-//!    step 3;
+//!    count: `engine.cache_hits`), and the hits are kept for step 3;
 //! 2. re-classifies only rows whose count changed — because counts never
 //!    decrease, inliers stay inliers and the only transitions are new
 //!    rows settling and old outliers being *promoted* (their adjusted
@@ -27,9 +26,14 @@
 //!    distances come from step 1's hits, and each promoted row gets one
 //!    ε-range query per shard. A *wide* inlier (larger `δ_η`, or fewer
 //!    than η inliers listed) observes every new inlier directly
-//!    (`engine.delta_eta_evals`). New inliers get a fresh η-NN query
-//!    fanned out over the per-shard inlier indexes, merged by
-//!    `(total_cmp distance, global id)` and truncated to η;
+//!    (`engine.delta_eta_evals`). A new inlier takes its own list from
+//!    its ε-range hits (step 1's for a fresh row, its step-3 query for
+//!    a promoted one), counting every inlier among them, rows of the
+//!    same ingest and promoted rows included, when the η nearest lie
+//!    within ε·(1 − `NARROW_MARGIN`): every inlier outside ε is farther.
+//!    Only the rest get an η-NN query, fanned out over the per-shard
+//!    inlier indexes, merged by `(total_cmp distance, global id)` and
+//!    truncated to η;
 //! 4. computes the *dirty set* — the outliers whose save outcome could
 //!    have changed: the new outliers, any previously skipped/failed
 //!    rows, and, when the inlier set grew, every old outlier the saver
@@ -84,45 +88,13 @@ use disc_index::{NeighborIndex, NonNumericCell};
 use disc_obs::{counters, PipelineStats, Snapshot};
 
 use crate::cache::NearestTable;
+use crate::constraints::NARROW_MARGIN;
 use crate::error::Error;
 use crate::parallel::parallel_map;
 use crate::pipeline::{save_outlier_rows, SaveReport};
 use crate::rset::RSet;
 use crate::saver::Saver;
 use crate::shard::{self, shard_of, EngineShard, ShardStats};
-
-/// Relative margin of phase 3's narrow-row rule. A pre-existing inlier
-/// whose `δ_η ≤ ε·(1 − NARROW_MARGIN)` is *narrow*: it observes only
-/// the new inliers the ingest's ε-range queries returned, with the
-/// distances those queries computed. That is exact when no pair the
-/// queries excluded could tighten the row, i.e. when every excluded pair
-/// has `d ≥ δ_η`. A range query keeps a row iff its accumulated
-/// distance `acc` passes `acc ≤ to_acc(ε)` (`disc_distance::Norm`), and
-/// reports `d = finish(acc)`, bit-identical to `TupleDistance::dist`
-/// (every attribute metric is symmetric bit for bit, so the query's
-/// direction does not matter). So an excluded pair has `acc > to_acc(ε)`:
-///
-/// * under L¹ and L^∞, `to_acc` and `finish` are the identity: `d > ε`;
-/// * under L², `to_acc(ε) = ε·ε` rounds by at most `u = 2⁻⁵³` relative
-///   (a subnormal `ε²` by half its ulp, after which `acc ≥ ε²` exactly)
-///   and `sqrt` by another `u`: `d ≥ ε·(1 − 2u)`;
-/// * under L^p, both steps call `powf`, which is not correctly rounded.
-///   With `e` its relative error, and `1/p` itself rounded (which moves
-///   `acc^{1/p}` by at most `u·|ln acc| ≤ 745u`),
-///   `d ≥ ε·(1 − 2e − 746u)`.
-///
-/// `1e-9` exceeds these bounds by three orders of magnitude even for a
-/// `powf` a thousand ulps off, so every excluded pair has
-/// `d > ε·(1 − NARROW_MARGIN) ≥ δ_η` of a narrow row. (The grid
-/// backend's cell window reaches `ε·(1 + 2⁻³⁰)` from the query in every
-/// coordinate, a margin the same rounding argument covers, so its cell
-/// arithmetic never drops a pair the comparison keeps; see
-/// `REACH_MARGIN` in `disc_index::grid`.) A row the margin
-/// leaves wide costs only the direct distance loop. The
-/// `delta_eta_lists_match_brute_force` test pins the rule against
-/// brute force under L¹, L², L^∞ and L³ with `δ_η` at ε and one ulp
-/// either side.
-const NARROW_MARGIN: f64 = 1e-9;
 
 /// Smallest ingest, in rows, whose fan-outs run on threads. An ingest
 /// below it runs its shard fan-outs, phase 4 and its save loop on the
@@ -135,10 +107,14 @@ const NARROW_MARGIN: f64 = 1e-9;
 /// noise, 32 0.78–0.88 against 0.85–1.01, 64 0.68 against 0.83–0.92.
 const MIN_THREADED_ROWS: usize = 32;
 
-/// One new row's ε-range hits in one shard: their count, and the
-/// (global id, distance) of the old rows among them, whose distances
-/// phase 3 reuses.
-type ShardHits = (usize, Vec<(usize, f64)>);
+/// A row's ε-range hits in one shard, as (global id, distance).
+type Hits = Vec<(usize, f64)>;
+
+/// The order of merged neighbour lists: `total_cmp` distance, then
+/// global id.
+fn by_distance(a: &(f64, usize), b: &(f64, usize)) -> std::cmp::Ordering {
+    a.0.total_cmp(&b.0).then(a.1.cmp(&b.1))
+}
 
 /// A long-lived incremental DISC engine; see the [module docs](self).
 pub struct ShardedEngine {
@@ -377,35 +353,6 @@ impl ShardedEngine {
         self.generation
     }
 
-    /// ε-range query over all ingested rows (original values), fanned
-    /// out across shards on the calling thread (one query never pays for
-    /// threads) and concatenated in shard order: `(global id, distance)`
-    /// pairs. The hit *set* equals a single-shard query's for any shard
-    /// count (shards partition the rows).
-    pub fn range(&self, query: &[Value], eps: f64) -> Vec<(usize, f64)> {
-        let parts = shard::fan_out(&self.shards, 1, |shard| shard.range(query, eps));
-        parts.into_iter().flatten().collect()
-    }
-
-    /// k-NN over all ingested rows (original values), on the calling
-    /// thread: per-shard top-k, merged by `(total_cmp distance, global
-    /// id)` and truncated to `k` — deterministic and
-    /// shard-count-independent in its distances.
-    pub fn knn(&self, query: &[Value], k: usize) -> Vec<(usize, f64)> {
-        let parts = shard::fan_out(&self.shards, 1, |shard| {
-            shard
-                .full_index
-                .knn(query, k)
-                .into_iter()
-                .map(|(l, d)| (shard.globals[l as usize], d))
-                .collect::<Vec<_>>()
-        });
-        let mut merged: Vec<(usize, f64)> = parts.into_iter().flatten().collect();
-        merged.sort_unstable_by(|a, b| a.1.total_cmp(&b.1).then(a.0.cmp(&b.0)));
-        merged.truncate(k);
-        merged
-    }
-
     /// Per-shard balance and effort accounting (rows owned, logical
     /// range queries, candidate rows visited, index rebuilds).
     pub fn shard_stats(&self) -> Vec<ShardStats> {
@@ -503,17 +450,14 @@ impl ShardedEngine {
             self.nearest.push(None);
         }
         let n = self.original.len();
-        // per_shard[s][i] = new row first_new+i's hits in shard s.
-        let per_shard: Vec<Vec<ShardHits>> = if n > first_new {
+        // per_shard[s][i] = new row first_new+i's hits in shard s, kept
+        // whole: phase 3 reuses the old rows' distances, and a fresh
+        // inlier's list usually comes from its hits.
+        let per_shard: Vec<Vec<Hits>> = if n > first_new {
             let original = &self.original;
             shard::fan_out(&self.shards, workers, |shard| {
                 (first_new..n)
-                    .map(|g| {
-                        let hits = shard.range(&original[g], eps);
-                        let count = hits.len();
-                        let old = hits.into_iter().filter(|&(h, _)| h < first_new).collect();
-                        (count, old)
-                    })
+                    .map(|g| shard.range(&original[g], eps))
                     .collect()
             })
         } else {
@@ -522,11 +466,11 @@ impl ShardedEngine {
         // Self-inclusive: the query row is in exactly one shard's index,
         // at distance 0, so the sum counts it once.
         self.counts.extend(
-            (0..n - first_new).map(|i| per_shard.iter().map(|rows| rows[i].0).sum::<usize>()),
+            (0..n - first_new).map(|i| per_shard.iter().map(|rows| rows[i].len()).sum::<usize>()),
         );
         let mut bumped: BTreeSet<usize> = BTreeSet::new();
-        for (_, old) in per_shard.iter().flatten() {
-            for &(g, _) in old {
+        for hits in per_shard.iter().flatten() {
+            for &(g, _) in hits.iter().filter(|&&(g, _)| g < first_new) {
                 self.counts[g] += 1;
                 bumped.insert(g);
             }
@@ -548,8 +492,7 @@ impl ShardedEngine {
             }
         }
         let promoted = new_inliers.len();
-        let fresh_inlier: Vec<bool> = (first_new..n).map(|g| self.satisfies(g)).collect();
-        new_inliers.extend((first_new..n).filter(|g| fresh_inlier[g - first_new]));
+        new_inliers.extend((first_new..n).filter(|&g| self.satisfies(g)));
 
         // Phase 3: maintain the δ_η lists, noting which old inliers' δ_η
         // fell (phase 4 checks them as possible new hosts).
@@ -561,20 +504,35 @@ impl ShardedEngine {
                 self.numeric_inliers &= all_numeric(&row);
                 self.shards[shard_of(i, shards)].push_inlier(i, row);
             }
-            // The old rows within ε of a new inlier, with their distance:
-            // the fresh ones' phase-1 hits plus one ε-range query per
-            // promoted row and shard, ordered by row.
-            let mut near: Vec<(usize, f64)> = Vec::new();
-            for rows in &per_shard {
-                for ((_, old), _) in rows.iter().zip(&fresh_inlier).filter(|(_, fresh)| **fresh) {
-                    near.extend_from_slice(old);
-                }
-            }
-            for &p in &new_inliers[..promoted] {
-                for shard in &self.shards {
-                    near.extend(shard.range(&self.original[p], eps));
-                }
-            }
+            // Each new inlier's ε-range hits over every row, one list
+            // per shard: a fresh row's from phase 1, a promoted row's
+            // from one query per shard here.
+            let promoted_hits: Vec<Vec<Hits>> = new_inliers[..promoted]
+                .iter()
+                .map(|&p| {
+                    let row = &self.original[p];
+                    self.shards
+                        .iter()
+                        .map(|shard| shard.range(row, eps))
+                        .collect()
+                })
+                .collect();
+            let new_hits: Vec<Vec<&Hits>> = new_inliers
+                .iter()
+                .enumerate()
+                .map(|(k, &i)| match promoted_hits.get(k) {
+                    Some(hits) => hits.iter().collect(),
+                    None => per_shard.iter().map(|rows| &rows[i - first_new]).collect(),
+                })
+                .collect();
+            // The old rows within ε of a new inlier, with their distance,
+            // ordered by row.
+            let mut near: Vec<(usize, f64)> = new_hits
+                .iter()
+                .flatten()
+                .flat_map(|hits| hits.iter().filter(|&&(g, _)| g < first_new))
+                .copied()
+                .collect();
             near.sort_unstable_by_key(|&(g, _)| g);
             // Each pre-existing inlier observes its distance to the new
             // inliers. A narrow row (see `NARROW_MARGIN`) observes only
@@ -610,35 +568,63 @@ impl ShardedEngine {
                 }
             }
             counters::ENGINE_DELTA_ETA_EVALS.add(evals);
-            // η-NN per new inlier: per-shard top-η against the inlier
-            // indexes, merged by (total_cmp distance, global id). Each
-            // shard's members of the global top-η are that shard's
+            // A new inlier whose η nearest inlier hits lie within
+            // ε·(1 − NARROW_MARGIN) takes its list from them: every
+            // inlier the range queries excluded lies farther (see
+            // `NARROW_MARGIN`). Every count is final here, so
+            // `satisfies` marks exactly this ingest's inliers, the
+            // batch's own rows and promoted rows included.
+            let mut unsettled: Vec<usize> = Vec::new();
+            for (&i, hits) in new_inliers.iter().zip(&new_hits) {
+                let mut inliers: Vec<(f64, usize)> = hits
+                    .iter()
+                    .flat_map(|hits| hits.iter())
+                    .filter(|&&(g, _)| self.satisfies(g))
+                    .map(|&(g, d)| (d, g))
+                    .collect();
+                if inliers.len() >= eta {
+                    inliers.select_nth_unstable_by(eta - 1, by_distance);
+                    if inliers[eta - 1].0 <= narrow {
+                        let nearest = &mut inliers[..eta];
+                        nearest.sort_unstable_by(by_distance);
+                        let list: Vec<f64> = nearest.iter().map(|&(d, _)| d).collect();
+                        self.nearest.set(i, Some(&list));
+                        continue;
+                    }
+                }
+                unsettled.push(i);
+            }
+            // The rest get an η-NN query: per-shard top-η against the
+            // inlier indexes, merged by (total_cmp distance, global id).
+            // Each shard's members of the global top-η are that shard's
             // closest, hence inside its local top-η — so the merged
             // distance multiset equals a single-shard query's.
-            let (original, new_list) = (&self.original, &new_inliers);
-            let knn_parts: Vec<Vec<Vec<(f64, usize)>>> =
-                shard::fan_out(&self.shards, workers, |shard| {
-                    new_list
-                        .iter()
-                        .map(|&i| {
-                            shard
-                                .inlier_index
-                                .knn(&original[i], eta)
-                                .into_iter()
-                                .map(|(id, d)| (d, shard.inlier_globals[id as usize]))
-                                .collect::<Vec<(f64, usize)>>()
-                        })
-                        .collect()
-                });
-            for (offset, &i) in new_inliers.iter().enumerate() {
-                let mut candidates: Vec<(f64, usize)> = Vec::new();
-                for part in &knn_parts {
-                    candidates.extend_from_slice(&part[offset]);
+            if !unsettled.is_empty() {
+                let (original, unsettled) = (&self.original, &unsettled);
+                let knn_parts: Vec<Vec<Vec<(f64, usize)>>> =
+                    shard::fan_out(&self.shards, workers, |shard| {
+                        unsettled
+                            .iter()
+                            .map(|&i| {
+                                shard
+                                    .inlier_index
+                                    .knn(&original[i], eta)
+                                    .into_iter()
+                                    .map(|(id, d)| (d, shard.inlier_globals[id as usize]))
+                                    .collect::<Vec<(f64, usize)>>()
+                            })
+                            .collect()
+                    });
+                for (offset, &i) in unsettled.iter().enumerate() {
+                    let mut candidates: Vec<(f64, usize)> = Vec::new();
+                    for part in &knn_parts {
+                        candidates.extend_from_slice(&part[offset]);
+                    }
+                    candidates.sort_unstable_by(by_distance);
+                    candidates.truncate(eta);
+                    let list: Vec<f64> = candidates.into_iter().map(|(d, _)| d).collect();
+                    self.nearest.set(i, Some(&list));
                 }
-                candidates.sort_unstable_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
-                candidates.truncate(eta);
-                let list: Vec<f64> = candidates.into_iter().map(|(d, _)| d).collect();
-                self.nearest.set(i, Some(&list));
             }
         }
         // All index mutations for this ingest are done; attribute their
@@ -1039,28 +1025,6 @@ mod tests {
     }
 
     #[test]
-    fn fanout_queries_merge_deterministically() {
-        let mut rows = grid_rows();
-        rows.push(vec![Value::Num(0.5), Value::Num(30.0)]);
-        let mut reference = engine_sharded(0.5, 4, 1);
-        reference.ingest(rows.clone()).unwrap();
-        let probe = vec![Value::Num(0.5), Value::Num(0.5)];
-        let mut expected_range = reference.range(&probe, 0.7);
-        expected_range.sort_by_key(|hit| hit.0);
-        let expected_knn = reference.knn(&probe, 5);
-        for shards in [2, 3, 7] {
-            let mut eng = engine_sharded(0.5, 4, shards);
-            eng.ingest(rows.clone()).unwrap();
-            // Range hits arrive in shard order; the *set* is what's
-            // contractual, so compare sorted.
-            let mut hits = eng.range(&probe, 0.7);
-            hits.sort_by_key(|hit| hit.0);
-            assert_eq!(hits, expected_range, "S={shards}");
-            assert_eq!(eng.knn(&probe, 5), expected_knn, "S={shards}");
-        }
-    }
-
-    #[test]
     fn shard_stats_cover_all_rows() {
         let mut eng = engine_sharded(0.5, 4, 3);
         eng.ingest(grid_rows()).unwrap();
@@ -1092,7 +1056,9 @@ mod tests {
             eng.ingest(ds.rows().to_vec()).unwrap();
             let before = eng.shard_stats();
             for row in &ds.rows()[..200] {
-                eng.range(row, 2.5);
+                for shard in &eng.shards {
+                    shard.range(row, 2.5);
+                }
             }
             let after = eng.shard_stats();
             let rows = after.iter().map(|s| s.rows as u64).collect();

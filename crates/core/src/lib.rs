@@ -8,9 +8,10 @@
 //! crate implements the paper's bound-guided approximation:
 //!
 //! * [`constraints`] — the `(ε, η)` model, violation detection and the
-//!   inlier/outlier split;
-//! * [`rset`] — the preprocessed inlier context (`δ_η` thresholds, sorted
-//!   attribute projections) shared by all savers;
+//!   inlier/outlier split, which keeps each row's η nearest ε-range hits;
+//! * [`rset`] — the preprocessed inlier context (`δ_η` thresholds, most
+//!   read off those hits, and sorted attribute projections) shared by all
+//!   savers;
 //! * [`bounds`] — the lower bound of Lemma 2 / Proposition 3 and the upper
 //!   bound of Lemma 4 / Proposition 5;
 //! * [`approx`] — Algorithm 1: recursive enumeration of unadjusted

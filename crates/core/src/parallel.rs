@@ -3,9 +3,11 @@
 //! DISC saves every outlier against the *original* inlier set `r` (saved
 //! tuples never become neighbors within a pass — see [`crate::pipeline`]),
 //! so every parallel stage is one ordered map over independent items:
-//! neighbor counting, the `δ_η` pass, per-outlier saves, and per-shard
-//! sub-queries. [`parallel_map`] is that map, the only place threads are
-//! spawned; [`Parallelism`] is the worker-count knob that sizes it,
+//! neighbor counting (whose range queries also keep each row's nearest
+//! hits), the η-NN queries for the `δ_η` those hits leave unsettled,
+//! per-outlier saves, and per-shard sub-queries. [`parallel_map`] is
+//! that map, the only place threads are spawned; [`Parallelism`] is
+//! the worker-count knob that sizes it,
 //! carried by [`DiscSaver`](crate::DiscSaver) and
 //! [`ExactSaver`](crate::ExactSaver). Results come back in item order, so
 //! every parallel result is **bit-identical** to the sequential run.

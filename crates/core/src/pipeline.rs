@@ -4,6 +4,11 @@
 //! outliers. The non-outlying r satisfying the distance constraints are
 //! employed to save the outliers (violation tuples) in s one by one."
 //!
+//! The split and r come from one neighbour pass: detection's ε-range
+//! queries count each row's neighbours and keep its nearest ones, which
+//! settle most inliers' `δ_η`; only the rest get an η-NN query
+//! ([`RSet::from_split`]).
+//!
 //! The pipeline additionally separates dirty from natural outliers
 //! (Section 1.2): an outlier is saved only when a feasible adjustment
 //! within the κ-attribute budget exists; otherwise it is left unchanged
@@ -247,7 +252,8 @@ pub(crate) fn save_outlier_rows<S: Saver + ?Sized>(
 }
 
 /// The batch pipeline behind [`Saver::save_all`]: detect violations,
-/// build the inlier context, save every outlier, apply the adjustments.
+/// build the inlier context from detection's range hits
+/// ([`RSet::from_split`]), save every outlier, apply the adjustments.
 pub(crate) fn run_saver_pipeline<S: Saver + ?Sized>(saver: &S, ds: &mut Dataset) -> SaveReport {
     let t_run = Instant::now();
     let counters_before = Snapshot::take();
@@ -277,12 +283,7 @@ pub(crate) fn run_saver_pipeline<S: Saver + ?Sized>(saver: &S, ds: &mut Dataset)
         return report;
     }
     let t_rset = Instant::now();
-    let inlier_rows: Vec<Vec<Value>> = split
-        .inliers
-        .iter()
-        .map(|&i| ds.rows()[i].clone())
-        .collect();
-    let r = saver.build_rset(inlier_rows);
+    let r = RSet::from_split(&split, ds.rows(), saver.distance(), saver.parallelism());
     stats.stages.rset_build = t_rset.elapsed();
     // Save every outlier against the immutable r; only *completed* saves
     // produce adjustments, so neither a panic nor a cancellation can

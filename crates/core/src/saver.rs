@@ -50,9 +50,6 @@ pub trait Saver: Send + Sync {
     /// The execution budget (deadline + per-outlier candidate cap).
     fn budget(&self) -> Budget;
 
-    /// Builds the preprocessed inlier context for this saver.
-    fn build_rset(&self, inlier_rows: Vec<Vec<Value>>) -> RSet;
-
     /// Saves one outlier against `r` under cooperative cancellation,
     /// returning the adjustment (or `None` when infeasible) plus the
     /// search-work accounting.
@@ -116,10 +113,6 @@ impl Saver for DiscSaver {
         DiscSaver::budget(self)
     }
 
-    fn build_rset(&self, inlier_rows: Vec<Vec<Value>>) -> RSet {
-        DiscSaver::build_rset(self, inlier_rows)
-    }
-
     fn save_one_with_effort(
         &self,
         r: &RSet,
@@ -159,10 +152,6 @@ impl Saver for ExactSaver {
 
     fn budget(&self) -> Budget {
         ExactSaver::budget(self)
-    }
-
-    fn build_rset(&self, inlier_rows: Vec<Vec<Value>>) -> RSet {
-        ExactSaver::build_rset(self, inlier_rows)
     }
 
     fn save_one_with_effort(

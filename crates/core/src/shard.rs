@@ -10,8 +10,8 @@
 //! closure across shards with [`parallel_map`] and gathers the results
 //! *in shard order* — what makes merged query results deterministic for
 //! any worker count — and times each call. The caller sizes it: the
-//! engine runs a single query, and every fan-out of an ingest below
-//! `MIN_THREADED_ROWS` rows, on the calling thread.
+//! engine runs every fan-out of an ingest below `MIN_THREADED_ROWS` rows
+//! on the calling thread.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;
@@ -66,14 +66,16 @@ pub fn resolve_shards(requested: usize) -> usize {
 /// two ways. Index ids are local; `globals` and `inlier_globals` map
 /// them back to global row ids.
 pub(crate) struct EngineShard {
-    /// This shard's rows, original values — answers the per-new-tuple
-    /// ε-range sub-queries of the count update.
+    /// This shard's rows, original values — answers the ε-range
+    /// sub-queries of each new row (the count update) and of each
+    /// promoted row.
     pub(crate) full_index: DynamicIndex,
     /// `globals[full_index id] = global id` (ascending, because rows
     /// arrive in global order).
     pub(crate) globals: Vec<usize>,
     /// This shard's inlier rows only — answers the η-NN sub-queries that
-    /// seed a new inlier's `δ_η` list.
+    /// seed the `δ_η` list of a new inlier its ε-range hits leave
+    /// unsettled.
     pub(crate) inlier_index: DynamicIndex,
     /// `inlier_globals[inlier_index id] = global id` (insertion order).
     pub(crate) inlier_globals: Vec<usize>,

@@ -423,6 +423,55 @@ proptest! {
     }
 }
 
+/// Rows on attribute 0 at `xs`, the other two attributes 0.
+fn on_a_line(xs: &[f64]) -> Vec<Vec<Value>> {
+    xs.iter()
+        .map(|&x| vec![Value::Num(x), Value::Num(0.0), Value::Num(0.0)])
+        .collect()
+}
+
+/// A new inlier's list read off its ε-range hits must count the rows of
+/// its own ingest and the rows that ingest promotes. The first 8-row
+/// ingest holds inliers C at 0.6–0.75 and an outlier P at −0.5 (ε = 1,
+/// η = 3); the second brings Q at −0.4 to −0.1, which promote P. Each Q
+/// also hits the C rows, pre-existing inliers within ε, but its three
+/// nearest inliers are itself and rows among P and the other Qs.
+#[test]
+fn new_lists_count_rows_of_the_same_ingest_and_promoted_rows() {
+    let rows = on_a_line(&[
+        0.6, 0.65, 0.7, 0.75, -0.5, 5.0, 7.0, 9.0, // C, P, far outliers
+        -0.4, -0.3, -0.2, -0.1, 15.0, 17.0, 19.0, 21.0, // Q, far outliers
+    ]);
+    for norm in [Norm::L1, Norm::L2, Norm::LInf, Norm::Lp(3.0)] {
+        let dist = TupleDistance::new(vec![Metric::Absolute; 3], norm);
+        for shards in [1, 3] {
+            lists_match_brute_force(&rows, &dist, DistanceConstraints::new(1.0, 3), 8, shards);
+        }
+    }
+}
+
+/// A new inlier whose nearest ε-range hits include an outlier must skip
+/// it: X at 0 hits an outlier O at −0.45 (X is O's only neighbour) and
+/// inliers C at 0.6–0.7 (ε = 1, η = 3), so X lists 0, 0.6, 0.65.
+#[test]
+fn new_lists_skip_outliers_among_the_hits() {
+    let rows = on_a_line(&[0.6, 0.65, 0.7, -0.45, 5.0, 7.0, 9.0, 11.0, 0.0]);
+    for norm in [Norm::L1, Norm::L2, Norm::LInf, Norm::Lp(3.0)] {
+        let dist = TupleDistance::new(vec![Metric::Absolute; 3], norm);
+        for batch in [1, 8] {
+            for shards in [1, 3] {
+                lists_match_brute_force(
+                    &rows,
+                    &dist,
+                    DistanceConstraints::new(1.0, 3),
+                    batch,
+                    shards,
+                );
+            }
+        }
+    }
+}
+
 /// A pinned case for the narrow-row margin. Under L³ at ε = 2⁴⁰ the
 /// rounded `1/3` exponent reports a pair a hair beyond ε a few ulps
 /// *below* ε: row j's third-nearest inlier q (two ulps beyond ε away)

@@ -214,30 +214,34 @@ echo "    leader and replica both recovered: $LEADER_REC ($ACKED_ROWS acked rows
 rm -rf "$REPL_DIR"
 trap - EXIT
 
-# Benchmark correctness: one short run of each workload. The batch run
-# checks that a repeat reproduces it bit for bit; the stream and serve
-# runs check their output against a batch save_all (streamed, served,
-# follower and reopened stores alike). perfbench exits 0 either way, so
-# the step reads its verdict. --locked keeps cargo from rewriting the
-# benchmark's lockfile.
-echo "==> perfbench correctness (repair_batch, stream_small, serve_durable)"
+# Benchmark correctness: one short run of each workload at both seeds
+# the benchmark's claims must hold on (BENCHMARK.json names 9001 beside
+# 1). The batch run checks that a repeat reproduces it bit for bit; the
+# stream and serve runs check their output against a batch save_all
+# (streamed, served, follower and reopened stores alike). perfbench
+# exits 0 either way, so the step reads its verdict. --locked keeps
+# cargo from rewriting the benchmark's lockfile.
+echo "==> perfbench correctness (repair_batch, stream_small, serve_durable; seeds 1, 9001)"
 cargo build --release --offline --locked --quiet --manifest-path perfbench/Cargo.toml
-for workload in repair_batch stream_small serve_durable; do
-    OUT=$(perfbench/target/release/perfbench --workload "$workload" --seed 1 --seconds 1 --trace 0)
-    if ! printf '%s\n' "$OUT" | grep -q '"correct":true' || printf '%s\n' "$OUT" | grep -q 'CHECK FAILED'; then
-        printf '%s\n' "$OUT" >&2
-        echo "error: perfbench $workload failed its correctness checks" >&2
-        exit 1
-    fi
-    echo "    $workload: correct"
+for seed in 1 9001; do
+    for workload in repair_batch stream_small serve_durable; do
+        OUT=$(perfbench/target/release/perfbench --workload "$workload" --seed "$seed" --seconds 1 --trace 0)
+        if ! printf '%s\n' "$OUT" | grep -q '"correct":true' || printf '%s\n' "$OUT" | grep -q 'CHECK FAILED'; then
+            printf '%s\n' "$OUT" >&2
+            echo "error: perfbench $workload failed its correctness checks at seed $seed" >&2
+            exit 1
+        fi
+        echo "    $workload seed $seed: correct"
+    done
 done
 git diff --exit-code perfbench/Cargo.lock
 
-# Work-counter gate: traced repair_batch and stream_small at seed 1 must
-# do no more work (distance evaluations, index queries and rows visited,
-# saves, candidates, engine dirty rows, resaves and promotions) than the
-# newest committed BENCH_<n>.json records. The counters are
-# deterministic; wall-clock figures are printed and never gate.
+# Work-counter gate: traced repair_batch, stream_small and serve_durable
+# at seed 1 must do no more work (distance evaluations, index queries
+# and rows visited, saves, candidates, engine dirty rows, resaves and
+# promotions) than the newest committed BENCH_<n>.json records. The
+# counters are deterministic; wall-clock figures are printed and never
+# gate.
 echo "==> perfbench work-counter gate (newest BENCH_<n>.json)"
 python3 scripts/bench_gate.py
 
