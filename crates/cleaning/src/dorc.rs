@@ -10,7 +10,7 @@
 //! (Figure 2(b): `t₂₄` is replaced by `t₂₁` on Time, Longitude *and*
 //! Latitude).
 
-use disc_core::{detect_outliers, DistanceConstraints, Parallelism, RSet};
+use disc_core::{detect_outliers_parallel, DistanceConstraints, Parallelism, RSet};
 use disc_data::Dataset;
 use disc_distance::{AttrSet, TupleDistance};
 
@@ -38,8 +38,8 @@ impl Repairer for Dorc {
     }
 
     fn repair(&self, ds: &mut Dataset) -> RepairReport {
-        let split = detect_outliers(ds.rows(), &self.dist, self.constraints);
-        let r = RSet::from_split(&split, ds.rows(), &self.dist, Parallelism::auto());
+        let (split, index) = detect_outliers_parallel(ds.rows(), &self.dist, self.constraints, 1);
+        let r = RSet::from_split(&split, index, Parallelism::auto());
         let mut report = RepairReport::default();
         for &row in &split.outliers {
             // The nearest inlier that itself satisfies the constraints
@@ -126,7 +126,7 @@ mod tests {
         let c = DistanceConstraints::new(2.5, 5);
         let dist = TupleDistance::numeric(3);
         Dorc::new(c, dist.clone()).repair(&mut ds);
-        let split = detect_outliers(ds.rows(), &dist, c);
+        let split = disc_core::detect_outliers(ds.rows(), &dist, c);
         assert!(
             split.outliers.is_empty(),
             "violations left: {:?}",

@@ -1,13 +1,15 @@
 //! Distance constraints and outlier detection (Section 2 of the paper).
 //!
-//! Detection runs one ε-range query per row. The query counts the row's
-//! ε-neighbors and, in the same pass, measures the nearest of them: the
-//! η nearest hits of every row are kept in one flat table, and once
-//! every row is classified they settle most inliers' `δ_η` (Algorithm 1,
-//! line 4) with no second search ([`OutlierSplit`], read by
-//! [`RSet::from_split`](crate::RSet::from_split)).
+//! Detection runs one ε-range query per row against an [`Index`] over
+//! the dataset. The query counts the row's ε-neighbors and, in the same
+//! pass, measures the nearest of them: the η nearest hits of every row
+//! are kept in one flat table, and once every row is classified they
+//! settle most inliers' `δ_η` (Algorithm 1, line 4) with no second search
+//! ([`OutlierSplit`], read by [`RSet::from_split`](crate::RSet::from_split),
+//! which asks the same index for the rest).
 
 use disc_distance::{TupleDistance, Value};
+use disc_index::{Index, NeighborIndex};
 
 use crate::parallel::parallel_map;
 
@@ -138,9 +140,6 @@ impl OutlierSplit {
     }
 }
 
-/// Chooses a neighbor-search backend by data shape and runs `f` with it.
-pub(crate) use disc_index::with_auto_index as with_index;
-
 /// Detects the tuples violating the distance constraints, counting
 /// neighbors against the *whole* dataset (each tuple counts itself).
 pub fn detect_outliers(
@@ -148,44 +147,42 @@ pub fn detect_outliers(
     dist: &TupleDistance,
     constraints: DistanceConstraints,
 ) -> OutlierSplit {
-    detect_outliers_parallel(rows, dist, constraints, 1)
+    detect_outliers_parallel(rows, dist, constraints, 1).0
 }
 
 /// [`detect_outliers`] with the per-row range queries fanned out over
 /// `workers` scoped threads. The split is identical for every worker
-/// count (each block of rows is queried against a shared read-only
+/// count (each block of rows is queried against the shared read-only
 /// index, and the blocks are collected in row order). Besides the
 /// counts, each row keeps the ids of its η nearest hits and the η-th
-/// one's distance, from which [`RSet::from_split`](crate::RSet::from_split)
-/// reads most `δ_η`.
-pub fn detect_outliers_parallel(
-    rows: &[Vec<Value>],
+/// one's distance. The index the queries ran on comes back with the
+/// split: [`RSet::from_split`](crate::RSet::from_split) takes both, reads
+/// most `δ_η` off the hits and asks that index for the rest.
+pub fn detect_outliers_parallel<'a>(
+    rows: &'a [Vec<Value>],
     dist: &TupleDistance,
     constraints: DistanceConstraints,
     workers: usize,
-) -> OutlierSplit {
+) -> (OutlierSplit, Index<&'a [Vec<Value>]>) {
     let DistanceConstraints { eps, eta } = constraints;
-    let blocks = with_index(rows, dist, eps, |idx| {
-        parallel_map(rows.chunks(ROWS_PER_TASK), workers, |block| {
-            let mut counts = Vec::with_capacity(block.len());
-            let mut ids = Vec::with_capacity(block.len() * eta);
-            let mut kth = Vec::with_capacity(block.len());
-            for q in block {
-                let mut hits = idx.range(q, eps);
-                counts.push(hits.len());
-                if hits.len() < eta {
-                    ids.resize(ids.len() + eta, u32::MAX);
-                    kth.push(f64::INFINITY);
-                    continue;
-                }
-                hits.select_nth_unstable_by(eta - 1, |a, b| {
-                    a.1.total_cmp(&b.1).then(a.0.cmp(&b.0))
-                });
-                ids.extend(hits[..eta].iter().map(|&(id, _)| id));
-                kth.push(hits[eta - 1].1);
+    let index = Index::auto(rows, dist.clone(), eps);
+    let blocks = parallel_map(rows.chunks(ROWS_PER_TASK), workers, |block| {
+        let mut counts = Vec::with_capacity(block.len());
+        let mut ids = Vec::with_capacity(block.len() * eta);
+        let mut kth = Vec::with_capacity(block.len());
+        for q in block {
+            let mut hits = index.range(q, eps);
+            counts.push(hits.len());
+            if hits.len() < eta {
+                ids.resize(ids.len() + eta, u32::MAX);
+                kth.push(f64::INFINITY);
+                continue;
             }
-            (counts, ids, kth)
-        })
+            hits.select_nth_unstable_by(eta - 1, |a, b| a.1.total_cmp(&b.1).then(a.0.cmp(&b.0)));
+            ids.extend(hits[..eta].iter().map(|&(id, _)| id));
+            kth.push(hits[eta - 1].1);
+        }
+        (counts, ids, kth)
     });
     let mut split = OutlierSplit {
         inliers: Vec::new(),
@@ -207,7 +204,7 @@ pub fn detect_outliers_parallel(
             split.outliers.push(i);
         }
     }
-    split
+    (split, index)
 }
 
 #[cfg(test)]

@@ -2,10 +2,10 @@
 //! what changed — with rows hash-partitioned across shards.
 //!
 //! [`ShardedEngine`] owns the dataset and hash-partitions its rows
-//! across `S` shards ([`crate::shard`]); each shard owns its own
-//! [`DynamicIndex`](disc_index::DynamicIndex) pair, and the engine keeps
-//! every row's ε-neighbor count and `δ_η` list once, in global row
-//! order (a `Vec` and a [`NearestTable`]). Each
+//! across `S` shards ([`crate::shard`]); each shard owns one
+//! [`DynamicIndex`](disc_index::DynamicIndex) over its rows, and the
+//! engine keeps every row's ε-neighbor count and `δ_η` list once, in
+//! global row order (a `Vec` and a [`NearestTable`]). Each
 //! [`ShardedEngine::ingest`] call:
 //!
 //! 1. appends the batch (each row to its hash-assigned shard) and
@@ -31,9 +31,10 @@
 //!    a promoted one), counting every inlier among them, rows of the
 //!    same ingest and promoted rows included, when the η nearest lie
 //!    within ε·(1 − `NARROW_MARGIN`): every inlier outside ε is farther.
-//!    Only the rest get an η-NN query, fanned out over the per-shard
-//!    inlier indexes, merged by `(total_cmp distance, global id)` and
-//!    truncated to η;
+//!    Only the rest get an η-NN query, fanned out over the shard
+//!    indexes, each restricted to the inliers (the rows whose count
+//!    reaches η, this ingest's included), merged by `(total_cmp
+//!    distance, global id)` and truncated to η;
 //! 4. computes the *dirty set* — the outliers whose save outcome could
 //!    have changed: the new outliers, any previously skipped/failed
 //!    rows, and, when the inlier set grew, every old outlier the saver
@@ -79,12 +80,11 @@
 //! `engine_equivalence` and `sharded_equivalence` proptests).
 
 use std::collections::BTreeSet;
-use std::sync::atomic::Ordering;
 use std::time::Instant;
 
 use disc_data::{Dataset, Schema};
 use disc_distance::{pack_values, Value};
-use disc_index::{NeighborIndex, NonNumericCell};
+use disc_index::NonNumericCell;
 use disc_obs::{counters, PipelineStats, Snapshot};
 
 use crate::cache::NearestTable;
@@ -94,7 +94,7 @@ use crate::parallel::parallel_map;
 use crate::pipeline::{save_outlier_rows, SaveReport};
 use crate::rset::RSet;
 use crate::saver::Saver;
-use crate::shard::{self, shard_of, EngineShard, ShardStats};
+use crate::shard::{self, shard_of, EngineShard};
 
 /// Smallest ingest, in rows, whose fan-outs run on threads. An ingest
 /// below it runs its shard fan-outs, phase 4 and its save loop on the
@@ -133,7 +133,7 @@ pub struct ShardedEngine {
     /// no list is an outlier. A list shorter than η means fewer than η
     /// inliers exist and `δ_η` is unbounded.
     nearest: NearestTable,
-    /// The partitions: per-shard index pair.
+    /// The partitions: one index per shard.
     shards: Vec<EngineShard>,
     /// True while every cell of every inlier is a number. Inliers never
     /// leave r, so once false it stays false; phase 4 asks the saver to
@@ -163,7 +163,7 @@ pub type DiscEngine = ShardedEngine;
 
 /// A complete, self-contained image of a [`ShardedEngine`]'s logical
 /// state, produced by [`ShardedEngine::export_state`] and accepted by
-/// [`ShardedEngine::restore`].
+/// [`ShardedEngine::restore_with_shards`].
 ///
 /// The image holds everything that cannot be recomputed cheaply and
 /// deterministically: the as-ingested rows, the output rows (original
@@ -311,21 +311,6 @@ impl ShardedEngine {
         &self.current
     }
 
-    /// Consumes the engine, returning the output dataset.
-    pub fn into_dataset(self) -> Dataset {
-        self.current
-    }
-
-    /// The original (as-ingested) values of `row`.
-    pub fn original_row(&self, row: usize) -> &[Value] {
-        &self.original[row]
-    }
-
-    /// The ε-neighbor count of `row` (self-inclusive).
-    pub fn neighbor_count(&self, row: usize) -> usize {
-        self.counts[row]
-    }
-
     /// True when `row` currently satisfies the distance constraints.
     pub fn is_inlier(&self, row: usize) -> bool {
         self.nearest.get(row).is_some()
@@ -351,35 +336,6 @@ impl ShardedEngine {
     /// Rejected batches do not advance it.
     pub fn generation(&self) -> u64 {
         self.generation
-    }
-
-    /// Per-shard balance and effort accounting (rows owned, logical
-    /// range queries, candidate rows visited, index rebuilds).
-    pub fn shard_stats(&self) -> Vec<ShardStats> {
-        self.shards
-            .iter()
-            .enumerate()
-            .map(|(s, shard)| {
-                let activity = shard.activity();
-                ShardStats {
-                    shard: s,
-                    rows: shard.globals.len(),
-                    range_queries: shard.range_queries.load(Ordering::Relaxed),
-                    rows_visited: activity.rows_visited,
-                    rebuilds: activity.rebuilds,
-                }
-            })
-            .collect()
-    }
-
-    /// Flushes each shard's index-rebuild delta to `shard.rebuilds`.
-    /// Called once per ingest, after the last index mutation.
-    fn flush_shard_rebuilds(&mut self) {
-        for shard in &mut self.shards {
-            let total = shard.activity().rebuilds;
-            counters::SHARD_REBUILDS.add(total - shard.reported_rebuilds);
-            shard.reported_rebuilds = total;
-        }
     }
 
     /// Validates a batch without mutating anything — exactly the check
@@ -500,9 +456,7 @@ impl ShardedEngine {
         if !new_inliers.is_empty() {
             let eta = constraints.eta;
             for &i in &new_inliers {
-                let row = self.original[i].clone();
-                self.numeric_inliers &= all_numeric(&row);
-                self.shards[shard_of(i, shards)].push_inlier(i, row);
+                self.numeric_inliers &= all_numeric(&self.original[i]);
             }
             // Each new inlier's ε-range hits over every row, one list
             // per shard: a fresh row's from phase 1, a promoted row's
@@ -594,23 +548,24 @@ impl ShardedEngine {
                 }
                 unsettled.push(i);
             }
-            // The rest get an η-NN query: per-shard top-η against the
-            // inlier indexes, merged by (total_cmp distance, global id).
-            // Each shard's members of the global top-η are that shard's
-            // closest, hence inside its local top-η — so the merged
-            // distance multiset equals a single-shard query's.
+            // The rest get an η-NN query: per-shard top-η among the rows
+            // with `counts ≥ η` (every count is final, so exactly r),
+            // merged by (total_cmp distance, global id). Each shard's
+            // members of the global top-η are inside its local top-η,
+            // so the merged distances equal a single-shard query's.
             if !unsettled.is_empty() {
-                let (original, unsettled) = (&self.original, &unsettled);
+                let (original, counts, unsettled) = (&self.original, &self.counts, &unsettled);
                 let knn_parts: Vec<Vec<Vec<(f64, usize)>>> =
                     shard::fan_out(&self.shards, workers, |shard| {
+                        let global = |local: u32| shard.globals[local as usize];
                         unsettled
                             .iter()
                             .map(|&i| {
                                 shard
-                                    .inlier_index
-                                    .knn(&original[i], eta)
+                                    .index
+                                    .knn_where(&original[i], eta, |l| counts[global(l)] >= eta)
                                     .into_iter()
-                                    .map(|(id, d)| (d, shard.inlier_globals[id as usize]))
+                                    .map(|(l, d)| (d, global(l)))
                                     .collect::<Vec<(f64, usize)>>()
                             })
                             .collect()
@@ -627,9 +582,6 @@ impl ShardedEngine {
                 }
             }
         }
-        // All index mutations for this ingest are done; attribute their
-        // rebuilds to the shard counters.
-        self.flush_shard_rebuilds();
 
         // Phase 4: the dirty set — pending retries, new outliers, and the
         // old outliers whose outcome the saver cannot prove stable under
@@ -782,8 +734,8 @@ impl ShardedEngine {
     /// Captures the engine's complete logical state; see [`EngineState`].
     /// Exported at ingest boundaries only (the engine is never observable
     /// mid-ingest), so every image satisfies the classification
-    /// invariants [`ShardedEngine::restore`] checks. The image is in
-    /// global id order — independent of the shard count.
+    /// invariants [`ShardedEngine::restore_with_shards`] checks. The
+    /// image is in global id order — independent of the shard count.
     pub fn export_state(&self) -> EngineState {
         EngineState {
             generation: self.generation,
@@ -795,35 +747,11 @@ impl ShardedEngine {
         }
     }
 
-    /// Rebuilds an engine from an exported [`EngineState`] across
-    /// [`shard::default_shards`] shards; see
-    /// [`ShardedEngine::restore_with_shards`].
-    ///
-    /// # Errors
-    /// [`Error::State`] when the image is internally inconsistent: table
-    /// lengths disagree, a row has the wrong arity or a non-finite
-    /// numeric cell, a `δ_η` list is over-long or unsorted, the
-    /// inlier marking contradicts the cached counts, or the pending set
-    /// references inliers or out-of-range rows.
-    ///
-    /// # Panics
-    /// Panics if the schema arity differs from the saver's metric arity
-    /// (same contract as [`ShardedEngine::new`]).
-    pub fn restore(
-        schema: Schema,
-        saver: Box<dyn Saver>,
-        state: EngineState,
-    ) -> Result<ShardedEngine, Error> {
-        Self::restore_with_shards(schema, saver, state, shard::default_shards())
-    }
-
     /// Rebuilds an engine from an exported [`EngineState`], partitioned
     /// across exactly `shards` shards — the image itself is
     /// shard-agnostic, so any count works and produces behaviorally
-    /// identical results. Per-shard indexes are recomputed from the
-    /// stored rows (full index in global row order, inlier index in
-    /// ascending row order — insertion order only affects index
-    /// internals, never query results), and the `RSet` is built by
+    /// identical results. Each shard's index is recomputed from the
+    /// stored rows in global row order, and the `RSet` is built by
     /// merging every inlier, with the `δ_η` its list gives, into an
     /// empty one.
     ///
@@ -837,11 +765,16 @@ impl ShardedEngine {
     /// counts and `δ_η` lists are trusted, not re-derived.
     ///
     /// # Errors
-    /// Same contract as [`ShardedEngine::restore`].
+    /// [`Error::State`] when the image is internally inconsistent: table
+    /// lengths disagree, a row has the wrong arity or a non-finite
+    /// numeric cell, a `δ_η` list is over-long or unsorted, the
+    /// inlier marking contradicts the cached counts, or the pending set
+    /// references inliers or out-of-range rows.
     ///
     /// # Panics
     /// Panics if `shards` is zero or if the schema arity differs from
-    /// the saver's metric arity.
+    /// the saver's metric arity (same contract as
+    /// [`ShardedEngine::with_shards`]).
     pub fn restore_with_shards(
         schema: Schema,
         saver: Box<dyn Saver>,
@@ -907,10 +840,8 @@ impl ShardedEngine {
         let mut inliers = Vec::new();
         for (i, row) in state.original.iter().enumerate() {
             counters::SHARD_ROWS.incr();
-            let shard = &mut engine.shards[shard_of(i, shards)];
-            shard.push(i, row.clone());
+            engine.shards[shard_of(i, shards)].push(i, row.clone());
             if state.nearest.get(i).is_some() {
-                shard.push_inlier(i, row.clone());
                 engine.numeric_inliers &= all_numeric(row);
                 inliers.push(i);
             }
@@ -927,7 +858,6 @@ impl ShardedEngine {
         }
         engine.pending = state.pending.into_iter().collect();
         engine.generation = state.generation;
-        engine.flush_shard_rebuilds();
         Ok(engine)
     }
 }
@@ -1025,16 +955,21 @@ mod tests {
     }
 
     #[test]
-    fn shard_stats_cover_all_rows() {
+    fn shards_cover_all_rows() {
         let mut eng = engine_sharded(0.5, 4, 3);
         eng.ingest(grid_rows()).unwrap();
-        let stats = eng.shard_stats();
-        assert_eq!(stats.len(), 3);
-        assert_eq!(stats.iter().map(|s| s.rows).sum::<usize>(), 36);
-        assert!(stats.iter().all(|s| s.rows > 0), "{stats:?}");
-        // Every shard answered the per-new-row range sub-queries.
-        assert!(stats.iter().all(|s| s.range_queries == 36), "{stats:?}");
-        assert!(stats.iter().all(|s| s.rows_visited > 0), "{stats:?}");
+        let rows: Vec<usize> = eng.shards.iter().map(|s| s.globals.len()).collect();
+        assert_eq!(rows.len(), 3);
+        assert_eq!(rows.iter().sum::<usize>(), 36);
+        assert!(rows.iter().all(|&r| r > 0), "{rows:?}");
+        // Every shard answered the 36 per-new-row range sub-queries and
+        // nothing else: every new inlier's hits settle its list, so no
+        // η-NN fallback fires.
+        for shard in &eng.shards {
+            let activity = shard.index.activity();
+            assert_eq!(activity.queries, 36, "{activity:?}");
+            assert!(activity.rows_visited > 0, "{activity:?}");
+        }
     }
 
     /// The hash partition balances rows and query work across shards,
@@ -1054,19 +989,19 @@ mod tests {
                     .unwrap();
             let mut eng = ShardedEngine::with_shards(Schema::numeric(3), Box::new(saver), shards);
             eng.ingest(ds.rows().to_vec()).unwrap();
-            let before = eng.shard_stats();
+            let visited = |eng: &ShardedEngine| -> Vec<u64> {
+                let activity = eng.shards.iter().map(|s| s.index.activity());
+                activity.map(|a| a.rows_visited).collect()
+            };
+            let before = visited(&eng);
             for row in &ds.rows()[..200] {
                 for shard in &eng.shards {
                     shard.range(row, 2.5);
                 }
             }
-            let after = eng.shard_stats();
-            let rows = after.iter().map(|s| s.rows as u64).collect();
-            let visited = after
-                .iter()
-                .zip(before)
-                .map(|(a, b)| a.rows_visited - b.rows_visited);
-            (rows, visited.collect())
+            let rows = eng.shards.iter().map(|s| s.globals.len() as u64);
+            let after = visited(&eng).into_iter().zip(before);
+            (rows.collect(), after.map(|(a, b)| a - b).collect())
         };
         let spread =
             |xs: &[u64]| *xs.iter().max().unwrap() as f64 / *xs.iter().min().unwrap() as f64;
@@ -1130,10 +1065,10 @@ mod tests {
     fn counts_update_incrementally() {
         let mut eng = engine(1.0, 3);
         eng.ingest(num(&[[0.0, 0.0], [0.5, 0.0]])).unwrap();
-        assert_eq!(eng.neighbor_count(0), 2);
+        assert_eq!(eng.counts[0], 2);
         assert!(!eng.is_inlier(0));
         eng.ingest(num(&[[0.0, 0.5]])).unwrap();
-        assert_eq!(eng.neighbor_count(0), 3);
+        assert_eq!(eng.counts[0], 3);
         assert!(eng.is_inlier(0));
         assert!(eng.is_inlier(2));
     }
@@ -1149,15 +1084,11 @@ mod tests {
         eng.ingest(rows).unwrap();
         assert!(!eng.is_inlier(36));
         let adjusted = eng.dataset().row(36).to_vec();
-        assert_ne!(
-            adjusted,
-            eng.original_row(36),
-            "outlier should have been saved"
-        );
+        assert_ne!(adjusted, eng.original[36], "outlier should have been saved");
         eng.ingest(num(&[[5.1, 5.0], [4.9, 5.0], [5.0, 5.1]]))
             .unwrap();
         assert!(eng.is_inlier(36), "new neighbors promote the old outlier");
-        assert_eq!(eng.dataset().row(36), eng.original_row(36));
+        assert_eq!(eng.dataset().row(36), eng.original[36]);
     }
 
     #[test]
@@ -1195,12 +1126,15 @@ mod tests {
     fn clean_second_batch_is_all_cache_hits() {
         let mut eng = engine(0.5, 4);
         eng.ingest(grid_rows()).unwrap();
-        let counts: Vec<usize> = (0..36).map(|row| eng.neighbor_count(row)).collect();
+        let counts = eng.counts.clone();
         // A second batch far from the grid: no old count changes.
         let report = eng.ingest(num(&[[100.0, 100.0]])).unwrap();
         assert_eq!(report.outliers, vec![36]);
-        let after: Vec<usize> = (0..36).map(|row| eng.neighbor_count(row)).collect();
-        assert_eq!(after, counts, "untouched rows keep cached counts");
+        assert_eq!(
+            eng.counts[..36],
+            counts,
+            "untouched rows keep cached counts"
+        );
         // The counter is process-global and other tests ingest
         // concurrently, so the delta is exact only in isolation; all 36
         // untouched rows must be in it regardless.
@@ -1247,8 +1181,14 @@ mod tests {
         let saver = SaverConfig::new(DistanceConstraints::new(0.5, 4), TupleDistance::numeric(2))
             .build_approx()
             .unwrap();
-        let mut restored =
-            ShardedEngine::restore(Schema::numeric(2), Box::new(saver), state.clone()).unwrap();
+        let shards = shard::default_shards();
+        let mut restored = ShardedEngine::restore_with_shards(
+            Schema::numeric(2),
+            Box::new(saver),
+            state.clone(),
+            shards,
+        )
+        .unwrap();
         assert_eq!(restored.generation(), 1);
         assert_eq!(restored.export_state(), state, "export ∘ restore = id");
         let report = restored.ingest(rows[20..].to_vec()).unwrap();
@@ -1446,44 +1386,28 @@ mod tests {
         rows.push(vec![Value::Num(0.5), Value::Num(30.0)]);
         eng.ingest(rows).unwrap();
         let good = eng.export_state();
-        let fresh_saver = || {
+        let restore = |state: EngineState| {
             let s = SaverConfig::new(DistanceConstraints::new(0.5, 4), TupleDistance::numeric(2))
                 .build_approx()
                 .unwrap();
-            Box::new(s) as Box<dyn Saver>
+            let shards = shard::default_shards();
+            ShardedEngine::restore_with_shards(Schema::numeric(2), Box::new(s), state, shards)
+                .map(|_| ())
         };
 
-        let mut broken = good.clone();
-        broken.counts.pop();
-        let err = ShardedEngine::restore(Schema::numeric(2), fresh_saver(), broken)
-            .map(|_| ())
-            .unwrap_err();
-        assert!(matches!(err, Error::State { .. }), "{err}");
-
-        let mut broken = good.clone();
-        broken.nearest.set(0, None); // contradicts its ≥ η count
-        let err = ShardedEngine::restore(Schema::numeric(2), fresh_saver(), broken)
-            .map(|_| ())
-            .unwrap_err();
-        assert!(matches!(err, Error::State { .. }), "{err}");
-
-        let mut broken = good.clone();
-        broken.pending = vec![good.original.len() + 7];
-        let err = ShardedEngine::restore(Schema::numeric(2), fresh_saver(), broken)
-            .map(|_| ())
-            .unwrap_err();
-        assert!(matches!(err, Error::State { .. }), "{err}");
-
-        let mut broken = good.clone();
+        let mut broken = vec![good.clone(); 4];
+        broken[0].counts.pop();
+        broken[1].nearest.set(0, None); // contradicts its ≥ η count
+        broken[2].pending = vec![good.original.len() + 7];
         let mut list = good.nearest.get(0).unwrap().to_vec();
         list.reverse(); // no longer ascending
-        broken.nearest.set(0, Some(&list));
-        let err = ShardedEngine::restore(Schema::numeric(2), fresh_saver(), broken)
-            .map(|_| ())
-            .unwrap_err();
-        assert!(matches!(err, Error::State { .. }), "{err}");
+        broken[3].nearest.set(0, Some(&list));
+        for (k, broken) in broken.into_iter().enumerate() {
+            let err = restore(broken).unwrap_err();
+            assert!(matches!(err, Error::State { .. }), "image {k}: {err}");
+        }
 
         // The untouched image restores cleanly.
-        assert!(ShardedEngine::restore(Schema::numeric(2), fresh_saver(), good).is_ok());
+        assert!(restore(good).is_ok());
     }
 }

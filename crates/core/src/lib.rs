@@ -84,7 +84,7 @@ pub use params::{
 pub use pipeline::{FailedSave, PipelineError, SaveReport, SavedOutlier};
 pub use rset::RSet;
 pub use saver::{Saver, SaverConfig};
-pub use shard::{default_shards, resolve_shards, shard_of, ShardStats};
+pub use shard::{default_shards, resolve_shards, shard_of};
 
 // Observability: per-run statistics attached to `SaveReport::stats`, plus
 // the effort type returned by the savers' `*_with_effort` entry points.

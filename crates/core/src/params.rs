@@ -17,8 +17,7 @@
 use std::time::Instant;
 
 use disc_distance::{TupleDistance, Value};
-
-use crate::constraints::with_index;
+use disc_index::with_auto_index;
 
 /// Configuration for parameter determination.
 #[derive(Debug, Clone)]
@@ -138,7 +137,7 @@ pub fn neighbor_counts(
     eps: f64,
     sample: &[usize],
 ) -> Vec<usize> {
-    with_index(rows, dist, eps, |idx| {
+    with_auto_index(rows, dist, eps, |idx| {
         sample
             .iter()
             .map(|&i| idx.count_within(&rows[i], eps))

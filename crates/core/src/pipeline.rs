@@ -4,10 +4,11 @@
 //! outliers. The non-outlying r satisfying the distance constraints are
 //! employed to save the outliers (violation tuples) in s one by one."
 //!
-//! The split and r come from one neighbour pass: detection's ε-range
-//! queries count each row's neighbours and keep its nearest ones, which
-//! settle most inliers' `δ_η`; only the rest get an η-NN query
-//! ([`RSet::from_split`]).
+//! The split and r come from one neighbour index over the dataset:
+//! detection's ε-range queries count each row's neighbours and keep its
+//! nearest ones, which settle most inliers' `δ_η`; only the rest get an
+//! η-NN query, over the same index restricted to inliers
+//! ([`RSet::from_split`]), which then drops it.
 //!
 //! The pipeline additionally separates dirty from natural outliers
 //! (Section 1.2): an outlier is saved only when a feasible adjustment
@@ -251,9 +252,10 @@ pub(crate) fn save_outlier_rows<S: Saver + ?Sized>(
     apply
 }
 
-/// The batch pipeline behind [`Saver::save_all`]: detect violations,
-/// build the inlier context from detection's range hits
-/// ([`RSet::from_split`]), save every outlier, apply the adjustments.
+/// The batch pipeline behind [`Saver::save_all`]: index the dataset once,
+/// detect violations, build the inlier context from detection's range
+/// hits and that index ([`RSet::from_split`]), save every outlier, apply
+/// the adjustments.
 pub(crate) fn run_saver_pipeline<S: Saver + ?Sized>(saver: &S, ds: &mut Dataset) -> SaveReport {
     let t_run = Instant::now();
     let counters_before = Snapshot::take();
@@ -261,7 +263,8 @@ pub(crate) fn run_saver_pipeline<S: Saver + ?Sized>(saver: &S, ds: &mut Dataset)
     let mut stats = PipelineStats::default();
     let workers = saver.parallelism().workers();
     let t_detect = Instant::now();
-    let split = detect_outliers_parallel(ds.rows(), saver.distance(), saver.constraints(), workers);
+    let (split, index) =
+        detect_outliers_parallel(ds.rows(), saver.distance(), saver.constraints(), workers);
     stats.stages.detect = t_detect.elapsed();
     counters::OUTLIERS_DETECTED.add(split.outliers.len() as u64);
     let mut report = SaveReport {
@@ -283,7 +286,7 @@ pub(crate) fn run_saver_pipeline<S: Saver + ?Sized>(saver: &S, ds: &mut Dataset)
         return report;
     }
     let t_rset = Instant::now();
-    let r = RSet::from_split(&split, ds.rows(), saver.distance(), saver.parallelism());
+    let r = RSet::from_split(&split, index, saver.parallelism());
     stats.stages.rset_build = t_rset.elapsed();
     // Save every outlier against the immutable r; only *completed* saves
     // produce adjustments, so neither a panic nor a cancellation can

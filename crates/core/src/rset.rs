@@ -2,14 +2,14 @@
 //!
 //! Every way of building one ends in the same assembly from rows and
 //! their `δ_η`: [`RSet::from_split`] reads most `δ_η` off detection's
-//! range hits and queries only the rest, [`RSet::new`] queries every row,
-//! and the streaming engine supplies its maintained values to
-//! [`RSet::merge`].
+//! range hits and asks detection's index, restricted to inliers, for the
+//! rest; [`RSet::new`] queries every row; and the streaming engine
+//! supplies its maintained values to [`RSet::merge`].
 
 use disc_distance::{PackedMatrix, PackedScan, TupleDistance, Value};
-use disc_index::SortedColumn;
+use disc_index::{Index, NeighborIndex, SortedColumn};
 
-use crate::constraints::{with_index, DistanceConstraints, OutlierSplit};
+use crate::constraints::{DistanceConstraints, OutlierSplit};
 use crate::parallel::{parallel_map, Parallelism};
 
 /// The set `r` of non-outlying tuples, preprocessed for repeated outlier
@@ -59,27 +59,34 @@ impl RSet {
         constraints: DistanceConstraints,
         parallelism: Parallelism,
     ) -> Self {
-        let all: Vec<usize> = (0..rows.len()).collect();
-        let delta_eta = knn_delta_eta(&rows, &dist, constraints, &all, parallelism.workers());
+        let index = Index::auto(&rows[..], dist.clone(), constraints.eps);
+        let delta_eta = parallel_map(&rows, parallelism.workers(), |row| {
+            index
+                .kth_distance(row, constraints.eta)
+                .unwrap_or(f64::INFINITY)
+        });
+        drop(index);
         Self::assemble(rows, delta_eta, dist, constraints)
     }
 
     /// The context over the inliers of `split`, which
     /// [`detect_outliers_parallel`](crate::detect_outliers_parallel)
-    /// returned for `rows` under `dist`, equal to [`RSet::new`] over the
+    /// returned together with `index`, equal to [`RSet::new`] over the
     /// same inliers bit for bit. An inlier whose detection hits settle
     /// its `δ_η` takes it from them; the rest (169 of 7,245 inliers on
     /// `disc generate --n 8000 --m 3 --dirty 160 --seed 7` at ε = 0.5,
-    /// η = 4) get one η-NN query each, over an inlier index built only
-    /// when such a row exists, fanned out over `parallelism` workers.
+    /// η = 4) get one η-NN query each over `index`, restricted to the
+    /// inliers ([`Index::knn_where`]), fanned out over `parallelism`
+    /// workers. Restricting a search over every row to the inliers
+    /// returns the distances a search over the inliers alone would. The
+    /// index is dropped before r's own structures are built.
     pub fn from_split(
         split: &OutlierSplit,
-        rows: &[Vec<Value>],
-        dist: &TupleDistance,
+        index: Index<&[Vec<Value>]>,
         parallelism: Parallelism,
     ) -> Self {
-        let constraints = split.constraints;
-        let inlier_rows: Vec<Vec<Value>> = split.inliers.iter().map(|&i| rows[i].clone()).collect();
+        let (constraints, eta) = (split.constraints, split.constraints.eta);
+        let rows = index.rows();
         let settled: Vec<Option<f64>> = split
             .inliers
             .iter()
@@ -88,14 +95,15 @@ impl RSet {
         let unsettled: Vec<usize> = (0..settled.len())
             .filter(|&k| settled[k].is_none())
             .collect();
-        let mut queried = knn_delta_eta(
-            &inlier_rows,
-            dist,
-            constraints,
-            &unsettled,
-            parallelism.workers(),
-        )
-        .into_iter();
+        let queried = parallel_map(&unsettled, parallelism.workers(), |&k| {
+            let row = &rows[split.inliers[k]];
+            let nearest = index.knn_where(row, eta, |id| split.counts[id as usize] >= eta);
+            nearest.get(eta - 1).map_or(f64::INFINITY, |&(_, d)| d)
+        });
+        let inlier_rows: Vec<Vec<Value>> = split.inliers.iter().map(|&i| rows[i].clone()).collect();
+        let dist = index.distance().clone();
+        drop(index);
+        let mut queried = queried.into_iter();
         let delta_eta = settled
             .into_iter()
             .map(|d| {
@@ -103,7 +111,7 @@ impl RSet {
                     .expect("one query per unsettled row")
             })
             .collect();
-        Self::assemble(inlier_rows, delta_eta, dist.clone(), constraints)
+        Self::assemble(inlier_rows, delta_eta, dist, constraints)
     }
 
     /// The context over `rows` with their `δ_η` given.
@@ -245,27 +253,6 @@ impl RSet {
         }
         false
     }
-}
-
-/// `δ_η` of `rows[i]` for each `i` in `which`, in that order: one η-NN
-/// query each against an index over `rows`, fanned out over `workers`.
-/// Builds no index when `which` is empty.
-fn knn_delta_eta(
-    rows: &[Vec<Value>],
-    dist: &TupleDistance,
-    constraints: DistanceConstraints,
-    which: &[usize],
-    workers: usize,
-) -> Vec<f64> {
-    if which.is_empty() {
-        return Vec::new();
-    }
-    with_index(rows, dist, constraints.eps, |idx| {
-        parallel_map(which, workers, |&i| {
-            idx.kth_distance(&rows[i], constraints.eta)
-                .unwrap_or(f64::INFINITY)
-        })
-    })
 }
 
 #[cfg(test)]
@@ -423,8 +410,8 @@ mod tests {
                         let dist = TupleDistance::new(vec![Metric::Absolute; m], norm);
                         let c = DistanceConstraints::new(scale, eta);
                         let workers = 1 + mix.below(2) as usize;
-                        let split = detect_outliers_parallel(&data, &dist, c, workers);
-                        let r = RSet::from_split(&split, &data, &dist, Parallelism(workers));
+                        let (split, index) = detect_outliers_parallel(&data, &dist, c, workers);
+                        let r = RSet::from_split(&split, index, Parallelism(workers));
                         let inlier_rows: Vec<Vec<Value>> =
                             split.inliers.iter().map(|&i| data[i].clone()).collect();
                         let oracle = RSet::new(inlier_rows, dist.clone(), c);

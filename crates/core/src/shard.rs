@@ -3,8 +3,8 @@
 //! The sharded engine assigns every global row id to a shard with a
 //! fixed stateless hash ([`shard_of`]), so the partition depends only on
 //! the id — never on ingest batching, worker count, or index internals.
-//! Shards split index work only: each `EngineShard` owns its partition's
-//! index pair and the global id of each of its rows, while every
+//! Shards split index work only: each `EngineShard` owns one index over
+//! its partition's rows and the global id of each of them, while every
 //! per-row quantity (counts, `δ_η` lists) lives on the engine in global
 //! order. Every engine fan-out goes through `fan_out`, which scatters a
 //! closure across shards with [`parallel_map`] and gathers the results
@@ -13,11 +13,10 @@
 //! engine runs every fan-out of an ingest below `MIN_THREADED_ROWS` rows
 //! on the calling thread.
 
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;
 
 use disc_distance::{TupleDistance, Value};
-use disc_index::{DynamicIndex, DynamicNeighborIndex, IndexActivity, NeighborIndex};
+use disc_index::{DynamicIndex, NeighborIndex};
 use disc_obs::counters;
 use disc_obs::hist::SHARD_FANOUT_MICROS;
 
@@ -62,93 +61,41 @@ pub fn resolve_shards(requested: usize) -> usize {
     }
 }
 
-/// One partition of the sharded engine: its slice of the rows, indexed
-/// two ways. Index ids are local; `globals` and `inlier_globals` map
-/// them back to global row ids.
+/// One partition of the sharded engine: one index over its slice of the
+/// rows (original values), whose local ids `globals` maps back to global
+/// row ids. It answers the ε-range sub-queries of each new row (the count
+/// update) and of each promoted row, and the η-NN sub-queries, restricted
+/// to inliers, of a new inlier its ε-range hits leave unsettled.
 pub(crate) struct EngineShard {
-    /// This shard's rows, original values — answers the ε-range
-    /// sub-queries of each new row (the count update) and of each
-    /// promoted row.
-    pub(crate) full_index: DynamicIndex,
-    /// `globals[full_index id] = global id` (ascending, because rows
-    /// arrive in global order).
+    pub(crate) index: DynamicIndex,
+    /// `globals[local id] = global id` (ascending, because rows arrive
+    /// in global order).
     pub(crate) globals: Vec<usize>,
-    /// This shard's inlier rows only — answers the η-NN sub-queries that
-    /// seed the `δ_η` list of a new inlier its ε-range hits leave
-    /// unsettled.
-    pub(crate) inlier_index: DynamicIndex,
-    /// `inlier_globals[inlier_index id] = global id` (insertion order).
-    pub(crate) inlier_globals: Vec<usize>,
-    /// Logical range queries this shard answered (atomic so read-only
-    /// fan-outs through `&self` can record them).
-    pub(crate) range_queries: AtomicU64,
-    /// Rebuild total already flushed to `shard.rebuilds`, so each flush
-    /// adds only the delta.
-    pub(crate) reported_rebuilds: u64,
 }
 
 impl EngineShard {
     pub(crate) fn new(dist: TupleDistance, eps: f64) -> Self {
         EngineShard {
-            full_index: DynamicIndex::new(dist.clone(), eps),
+            index: DynamicIndex::new(dist, eps),
             globals: Vec::new(),
-            inlier_index: DynamicIndex::new(dist, eps),
-            inlier_globals: Vec::new(),
-            range_queries: AtomicU64::new(0),
-            reported_rebuilds: 0,
         }
     }
 
-    /// Adds global row `global` to the full index.
+    /// Adds global row `global` to the index.
     pub(crate) fn push(&mut self, global: usize, row: Vec<Value>) {
-        self.full_index.insert(row);
+        self.index.insert(row);
         self.globals.push(global);
     }
 
-    /// Adds global row `global`, now an inlier, to the inlier index.
-    pub(crate) fn push_inlier(&mut self, global: usize, row: Vec<Value>) {
-        self.inlier_index.insert(row);
-        self.inlier_globals.push(global);
-    }
-
     /// This shard's ε-range hits around `query`, as `(global id,
-    /// distance)`; counts the query on the shard and on
-    /// `shard.range_queries`.
+    /// distance)`; counts the query on `shard.range_queries`.
     pub(crate) fn range(&self, query: &[Value], eps: f64) -> Vec<(usize, f64)> {
-        self.range_queries.fetch_add(1, Ordering::Relaxed);
         counters::SHARD_RANGE_QUERIES.incr();
-        let hits = self.full_index.range(query, eps);
+        let hits = self.index.range(query, eps);
         hits.into_iter()
             .map(|(l, d)| (self.globals[l as usize], d))
             .collect()
     }
-
-    /// Combined index activity (full + inlier index).
-    pub(crate) fn activity(&self) -> IndexActivity {
-        let full = self.full_index.activity();
-        let inlier = self.inlier_index.activity();
-        IndexActivity {
-            queries: full.queries + inlier.queries,
-            rows_visited: full.rows_visited + inlier.rows_visited,
-            rebuilds: full.rebuilds + inlier.rebuilds,
-        }
-    }
-}
-
-/// Per-shard balance and effort accounting, from
-/// [`ShardedEngine::shard_stats`](crate::ShardedEngine::shard_stats).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ShardStats {
-    /// Shard id, `0..shards`.
-    pub shard: usize,
-    /// Rows this shard owns.
-    pub rows: usize,
-    /// Logical range queries this shard answered.
-    pub range_queries: u64,
-    /// Candidate rows visited by this shard's indexes.
-    pub rows_visited: u64,
-    /// Index rebuilds inside this shard.
-    pub rebuilds: u64,
 }
 
 /// The engine's one shard fan-out: maps `f` over `shards` (shared or

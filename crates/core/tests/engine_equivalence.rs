@@ -351,7 +351,8 @@ fn boundary_rows(n: usize, m: usize, seed: u64, scale: f64) -> Vec<Vec<Value>> {
 /// Streams `rows` in ingests of `batch` rows into an engine of `shards`
 /// shards and, after every ingest, checks each inlier's exported `δ_η`
 /// list against its η nearest inlier distances by brute force, bit for
-/// bit.
+/// bit. The check is quadratic in the inliers, so past 80 rows it runs
+/// after every `rows.len() / 40`-th ingest and the last.
 fn lists_match_brute_force(
     rows: &[Vec<Value>],
     dist: &TupleDistance,
@@ -368,8 +369,12 @@ fn lists_match_brute_force(
         Box::new(config.build_approx().unwrap()),
         shards,
     );
+    let (ingests, every) = (rows.len().div_ceil(batch), (rows.len() / 40).max(1));
     for (k, chunk) in rows.chunks(batch).enumerate() {
         engine.ingest(chunk.to_vec()).expect("finite data");
+        if (k + 1) % every != 0 && k + 1 != ingests {
+            continue;
+        }
         let state = engine.export_state();
         let inliers: Vec<usize> = (0..state.original.len())
             .filter(|&g| state.nearest.get(g).is_some())
@@ -509,6 +514,49 @@ fn narrow_margin_covers_powf_rounding() {
     for batch in [1, 5] {
         for shards in [1, 3] {
             lists_match_brute_force(&rows, &dist, DistanceConstraints::new(s, 3), batch, shards);
+        }
+    }
+}
+
+/// `n` rows spread uniformly over a cube of side 12.4, about four within
+/// 1 of a row under L²: a quarter are outliers, so many inliers' η
+/// nearest hits hold an outlier and their lists fall back to the η-NN
+/// query. With `nulls`, one row in 10 of the last 300 holds a `Null`, an
+/// outlier under L² and L^∞ that moves its shard's index to a VP tree.
+fn sparse_rows(n: usize, seed: u64, nulls: bool) -> Vec<Vec<Value>> {
+    let mut mix = Mix(seed);
+    (0..n)
+        .map(|g| {
+            let mut row: Vec<Value> = (0..3)
+                .map(|_| Value::Num(mix.below(1 << 20) as f64 * 12.4 / (1 << 20) as f64))
+                .collect();
+            if nulls && g + 300 >= n && g % 10 == 0 {
+                row[g / 10 % 3] = Value::Null;
+            }
+            row
+        })
+        .collect()
+}
+
+/// Streams in which every shard's index outgrows its 512-row brute scan
+/// (1,800 rows in 8-row ingests, at 1 and 3 shards) while the η-NN
+/// fallback must skip outliers: a grid on numeric data, and a VP tree
+/// holding `Null` outliers on its side list (ε keeps the density alike
+/// across norms; under L¹ a `Null` row can become an inlier).
+#[test]
+fn fallback_lists_skip_outliers_past_the_brute_scan() {
+    for (norm, eps, nulls) in [
+        (Norm::L1, 1.46, false),
+        (Norm::L2, 1.0, false),
+        (Norm::LInf, 0.81, false),
+        (Norm::L2, 1.0, true),
+        (Norm::LInf, 0.81, true),
+    ] {
+        let dist = TupleDistance::new(vec![Metric::Absolute; 3], norm);
+        let rows = sparse_rows(1800, 5, nulls);
+        for shards in [1, 3] {
+            let c = DistanceConstraints::new(eps, 4);
+            lists_match_brute_force(&rows, &dist, c, 8, shards);
         }
     }
 }

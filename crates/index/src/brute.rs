@@ -108,14 +108,16 @@ pub(crate) fn scan_range(
 
 /// Merges the rows of `ids` into the k-best list `best` (see
 /// [`push_best`]), using the incumbent k-th distance as the early-exit
-/// threshold.
+/// threshold; returns the number of rows scanned.
 pub(crate) fn scan_knn(
     scan: &mut PackedScan<'_>,
     ids: impl IntoIterator<Item = u32>,
     k: usize,
     best: &mut Vec<(u32, f64)>,
-) {
+) -> u64 {
+    let mut scanned = 0u64;
     for id in ids {
+        scanned += 1;
         // The early exit compares accumulators against `to_acc` of the
         // incumbent k-th distance. Under L^p both `to_acc` and the
         // finished distance go through `powf` (with a rounded `1/p`), so
@@ -127,6 +129,7 @@ pub(crate) fn scan_knn(
             push_best(best, k, id, d);
         }
     }
+    scanned
 }
 
 /// Relative widening of the k-NN early-exit threshold; see [`scan_knn`].

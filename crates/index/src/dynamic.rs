@@ -1,9 +1,9 @@
 //! Growable neighbor index for streaming ingest.
 //!
 //! [`DynamicIndex`] is an [`Index`] that owns its rows, so it takes
-//! appends ([`insert`]/[`extend`], via [`DynamicNeighborIndex`]) and
-//! answers every query exactly as [`Index::auto`] over the same rows
-//! would. Each backend absorbs an append its own way:
+//! appends ([`DynamicIndex::insert`]) and answers every query exactly as
+//! [`Index::auto`] over the same rows would. Each backend absorbs an
+//! append its own way:
 //!
 //! * **brute** — append is free; once the rows outgrow the brute scan,
 //!   the index switches to the backend [`Index::auto`] picks;
@@ -18,8 +18,6 @@
 //! Switches, migrations and tail rebuilds count on
 //! `index.dynamic.rebuilds` and in [`IndexActivity::rebuilds`].
 //!
-//! [`insert`]: DynamicNeighborIndex::insert
-//! [`extend`]: DynamicNeighborIndex::extend
 //! [`IndexActivity::rebuilds`]: crate::IndexActivity::rebuilds
 
 use std::sync::atomic::Ordering;
@@ -27,29 +25,7 @@ use std::sync::atomic::Ordering;
 use disc_distance::{TupleDistance, Value};
 use disc_obs::counters;
 
-use crate::{Backend, Index, NeighborIndex, VpNodes, BRUTE_MAX};
-
-/// A [`NeighborIndex`] that additionally supports appending rows.
-///
-/// Row ids are assigned in insertion order, so queries issued after an
-/// insert see the new row under the id `insert` returned. Implementations
-/// must answer queries identically to a freshly built static index over
-/// the same rows.
-pub trait DynamicNeighborIndex: NeighborIndex {
-    /// Appends one row and returns its id (`== len()` before the call).
-    fn insert(&mut self, row: Vec<Value>) -> u32;
-
-    /// Appends a batch of rows in order; returns the id of the first (or
-    /// `None` for an empty batch).
-    fn extend(&mut self, rows: Vec<Vec<Value>>) -> Option<u32> {
-        let mut first = None;
-        for row in rows {
-            let id = self.insert(row);
-            first.get_or_insert(id);
-        }
-        first
-    }
-}
+use crate::{Backend, Index, VpNodes, BRUTE_MAX};
 
 /// An owned, growable neighbor index; see the [module docs](self).
 pub type DynamicIndex = Index<Vec<Vec<Value>>>;
@@ -61,15 +37,9 @@ impl DynamicIndex {
         Index::auto(Vec::new(), dist, eps_hint)
     }
 
-    /// An index pre-loaded with `rows` (equivalent to `new` + `extend`,
-    /// without intermediate rebuilds).
-    pub fn from_rows(rows: Vec<Vec<Value>>, dist: TupleDistance, eps_hint: f64) -> Self {
-        Index::auto(rows, dist, eps_hint)
-    }
-}
-
-impl DynamicNeighborIndex for DynamicIndex {
-    fn insert(&mut self, row: Vec<Value>) -> u32 {
+    /// Appends one row and returns its id, `len()` before the call, so
+    /// queries issued afterwards see the row under that id.
+    pub fn insert(&mut self, row: Vec<Value>) -> u32 {
         let id = self.rows.len() as u32;
         let placed = match &mut self.backend {
             Backend::Grid(grid) => grid.insert(&row, id, &self.dist),
@@ -104,7 +74,7 @@ impl DynamicNeighborIndex for DynamicIndex {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{sort_hits, BruteForceIndex, IndexActivity};
+    use crate::{sort_hits, BruteForceIndex, IndexActivity, NeighborIndex};
 
     fn scatter(n: usize, m: usize, seed: u64) -> Vec<Vec<Value>> {
         let mut state = seed;
@@ -200,7 +170,7 @@ mod tests {
     fn vp_buffer_and_rebuild_match() {
         let mut data = scatter(600, 5, 17);
         let dist = TupleDistance::numeric(5);
-        let mut idx = DynamicIndex::from_rows(data.clone(), dist, 1.0);
+        let mut idx = DynamicIndex::auto(data.clone(), dist, 1.0);
         assert_eq!(idx.backend_name(), "vp");
         // Push enough rows to cross the rebuild threshold at least once,
         // checking equivalence while rows sit in the tail buffer.
@@ -217,7 +187,7 @@ mod tests {
     #[test]
     fn grid_migrates_to_vp_on_non_numeric_row() {
         let mut data = scatter(600, 2, 19);
-        let mut idx = DynamicIndex::from_rows(data.clone(), TupleDistance::numeric(2), 1.0);
+        let mut idx = DynamicIndex::auto(data.clone(), TupleDistance::numeric(2), 1.0);
         assert_eq!(idx.backend_name(), "grid");
         let bad = vec![Value::Null, Value::Num(1.0)];
         idx.insert(bad.clone());
@@ -227,16 +197,14 @@ mod tests {
     }
 
     #[test]
-    fn extend_assigns_sequential_ids() {
+    fn insert_assigns_sequential_ids() {
         let mut idx = DynamicIndex::new(TupleDistance::numeric(1), 1.0);
-        assert_eq!(idx.extend(Vec::new()), None);
-        assert_eq!(
-            idx.extend(vec![vec![Value::Num(1.0)], vec![Value::Num(2.0)]]),
-            Some(0)
-        );
-        assert_eq!(idx.extend(vec![vec![Value::Num(3.0)]]), Some(2));
+        for (want, x) in [1.0, 2.0, 3.0].into_iter().enumerate() {
+            assert_eq!(idx.insert(vec![Value::Num(x)]), want as u32);
+        }
         assert_eq!(idx.len(), 3);
         assert_eq!(idx.kth_distance(&[Value::Num(0.0)], 2), Some(2.0));
+        assert_eq!(idx.knn(&[Value::Num(0.0)], 1), vec![(0, 1.0)]);
     }
 
     #[test]

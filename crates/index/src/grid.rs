@@ -207,17 +207,22 @@ impl Grid {
         self.max_dist = norm_diameter(span, self.lo.len(), dist) + self.cell_width;
     }
 
-    /// Appends every row within `eps` of the scan's `query` to `hits`;
-    /// returns the number of candidate rows visited.
+    /// Appends every row that `keep` accepts within `eps` of the scan's
+    /// `query` to `hits`; returns the number of candidate rows visited,
+    /// which leaves out the rejected ones (they are never measured).
     pub(crate) fn range(
         &self,
         scan: &mut PackedScan<'_>,
         query: &[Value],
         eps: f64,
+        keep: impl Fn(u32) -> bool,
         hits: &mut Vec<(u32, f64)>,
     ) -> u64 {
         let mut visited = 0u64;
         self.for_candidates(query, reach(eps, scan.norm()), |id| {
+            if !keep(id) {
+                return;
+            }
             visited += 1;
             if let Some(d) = scan.dist_within(id, eps) {
                 hits.push((id, d));

@@ -6,10 +6,12 @@
 //! Algorithm 1, line 4). This crate answers both with one type:
 //!
 //! * [`Index`] — generic over borrowed rows (`&[Vec<Value>]`, the batch
-//!   saver's immutable `r`) or owned rows ([`DynamicIndex`], the
-//!   streaming engine's, which also takes appends through
-//!   [`DynamicNeighborIndex`]). It serves queries from one of three
-//!   backends:
+//!   pipeline's dataset) or owned rows ([`DynamicIndex`], an engine
+//!   shard's, which also takes appends). Besides the [`NeighborIndex`]
+//!   queries it answers a k-NN restricted to the rows a predicate keeps
+//!   ([`Index::knn_where`]), which the δ_η of Algorithm 1 reads over the
+//!   inliers of an index that holds every row. It serves queries from
+//!   one of three backends:
 //!   - a linear **brute** scan, the fastest choice up to 512 rows;
 //!   - a uniform **grid** over finite numeric data under `Absolute`
 //!     metrics, the workhorse for the low-dimensional large datasets (GPS
@@ -42,7 +44,7 @@ use disc_distance::{Metric, PackedMatrix, PackedScan, TupleDistance, Value};
 use disc_obs::counters::{self, Counter};
 
 pub use brute::BruteForceIndex;
-pub use dynamic::{DynamicIndex, DynamicNeighborIndex};
+pub use dynamic::DynamicIndex;
 pub use grid::NonNumericCell;
 pub use sorted::SortedColumn;
 pub use vptree::VpNodes;
@@ -173,8 +175,9 @@ impl Backend {
 /// Cumulative per-instance effort, read via [`Index::activity`].
 ///
 /// The global `index.*` counters aggregate across every index in the
-/// process; these cells attribute the same events to one instance so a
-/// sharded engine can report per-shard balance.
+/// process; these cells attribute the same events to one instance, so a
+/// test can read one index's work (one engine shard's, say) while other
+/// indexes run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct IndexActivity {
     /// Range + k-NN queries answered (a grid k-NN's internal
@@ -289,6 +292,48 @@ impl<R: AsRef<[Vec<Value>]>> Index<R> {
         PackedScan::new(self.packed.as_ref(), self.rows(), &self.dist, query)
     }
 
+    /// [`NeighborIndex::knn`] over only the rows whose id `keep` accepts
+    /// (`knn` is this with every row kept). A rejected row costs no
+    /// distance evaluation and counts as no visit, except a VP-tree
+    /// vantage point, which is measured to steer the search but never
+    /// ranked.
+    pub fn knn_where(
+        &self,
+        query: &[Value],
+        k: usize,
+        keep: impl Fn(u32) -> bool,
+    ) -> Vec<(u32, f64)> {
+        if k == 0 || self.rows().is_empty() {
+            return Vec::new();
+        }
+        let tree = match &self.backend {
+            Backend::Grid(grid) => {
+                // Row visits are recorded by the internal range probes.
+                self.record(true, 0);
+                return grid.knn(k, |eps| {
+                    let mut hits = Vec::new();
+                    let visited = grid.range(&mut self.scan(query), query, eps, &keep, &mut hits);
+                    self.record(false, visited);
+                    hits
+                });
+            }
+            Backend::Brute { .. } => None,
+            Backend::Vp(nodes) => Some(nodes),
+        };
+        let n = self.rows().len() as u32;
+        let mut scan = self.scan(query);
+        let mut best = Vec::with_capacity(k + 1);
+        let mut visited = 0u64;
+        let tail = tree.map_or(0, |nodes| {
+            nodes.knn_into(&mut scan, k, &keep, &mut best, &mut visited);
+            nodes.len() as u32
+        });
+        visited += scan_knn(&mut scan, (tail..n).filter(|&id| keep(id)), k, &mut best);
+        self.record(true, visited);
+        sort_hits(&mut best);
+        best
+    }
+
     /// Counts one range (or, with `knn`, k-NN) query and its row visits,
     /// globally and on this instance.
     fn record(&self, knn: bool, rows_visited: u64) {
@@ -320,7 +365,7 @@ impl<R: AsRef<[Vec<Value>]>> NeighborIndex for Index<R> {
                 scan_range(&mut scan, 0..n, eps, &mut hits);
                 u64::from(n)
             }
-            Backend::Grid(grid) => grid.range(&mut scan, query, eps, &mut hits),
+            Backend::Grid(grid) => grid.range(&mut scan, query, eps, |_| true, &mut hits),
             Backend::Vp(nodes) => {
                 let mut visited = 0u64;
                 nodes.range_into(&mut scan, eps, &mut hits, &mut visited);
@@ -333,30 +378,7 @@ impl<R: AsRef<[Vec<Value>]>> NeighborIndex for Index<R> {
     }
 
     fn knn(&self, query: &[Value], k: usize) -> Vec<(u32, f64)> {
-        if k == 0 || self.is_empty() {
-            return Vec::new();
-        }
-        let tree = match &self.backend {
-            Backend::Grid(grid) => {
-                // Row visits are recorded by the internal range probes.
-                self.record(true, 0);
-                return grid.knn(k, |eps| self.range(query, eps));
-            }
-            Backend::Brute { .. } => None,
-            Backend::Vp(nodes) => Some(nodes),
-        };
-        let n = self.len() as u32;
-        let mut scan = self.scan(query);
-        let mut best = Vec::with_capacity(k + 1);
-        let mut visited = 0u64;
-        let tail = tree.map_or(0, |nodes| {
-            nodes.knn_into(&mut scan, k, &mut best, &mut visited);
-            nodes.len() as u32
-        });
-        scan_knn(&mut scan, tail..n, k, &mut best);
-        self.record(true, visited + u64::from(n - tail));
-        sort_hits(&mut best);
-        best
+        self.knn_where(query, k, |_| true)
     }
 }
 

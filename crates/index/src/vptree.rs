@@ -59,17 +59,14 @@ impl VpNodes {
     /// of each partition is the vantage point and the median split uses a
     /// stable order.
     pub fn build(rows: &[Vec<Value>], dist: &TupleDistance) -> Self {
-        Self::build_over(rows, dist, rows.len())
-    }
-
-    /// [`VpNodes::build`] restricted to the prefix `rows[..n]`, for
-    /// buffer-plus-rebuild owners that index a prefix and scan the tail.
-    pub fn build_over(rows: &[Vec<Value>], dist: &TupleDistance, n: usize) -> Self {
-        assert!(n <= rows.len());
         let (mut ids, side): (Vec<u32>, Vec<u32>) =
-            (0..n as u32).partition(|&id| in_tree_space(&rows[id as usize], dist));
+            (0..rows.len() as u32).partition(|&id| in_tree_space(&rows[id as usize], dist));
         let root = build_rec(rows, dist, &mut ids);
-        VpNodes { root, side, len: n }
+        VpNodes {
+            root,
+            side,
+            len: rows.len(),
+        }
     }
 
     /// Number of rows covered: the tree's plus its side list's.
@@ -106,14 +103,17 @@ impl VpNodes {
         *visited += self.side.len() as u64;
     }
 
-    /// Merges the `k` nearest covered rows to the scan's query into the
-    /// candidate list `best`, which must already be sorted ascending by
-    /// distance (ties by id) and is kept that way; `visited` counts the
-    /// nodes and side-list rows touched.
+    /// Merges the `k` nearest covered rows that `keep` accepts to the
+    /// scan's query into the candidate list `best`, which must already be
+    /// sorted ascending by distance (ties by id) and is kept that way;
+    /// `visited` counts the nodes and side-list rows touched. A rejected
+    /// side-list row is skipped unmeasured; a rejected vantage point is
+    /// measured, since its distance steers the descent, but never ranked.
     pub fn knn_into(
         &self,
         scan: &mut PackedScan<'_>,
         k: usize,
+        keep: &impl Fn(u32) -> bool,
         best: &mut Vec<(u32, f64)>,
         visited: &mut u64,
     ) {
@@ -121,15 +121,14 @@ impl VpNodes {
             return;
         }
         if !in_tree_space(scan.query(), scan.distance()) {
-            scan_knn(scan, 0..self.len as u32, k, best);
-            *visited += self.len as u64;
+            *visited += scan_knn(scan, (0..self.len as u32).filter(|&id| keep(id)), k, best);
             return;
         }
         if let Some(root) = &self.root {
-            knn_rec(root, scan, k, best, visited);
+            knn_rec(root, scan, k, keep, best, visited);
         }
-        scan_knn(scan, self.side.iter().copied(), k, best);
-        *visited += self.side.len() as u64;
+        let side = self.side.iter().copied().filter(|&id| keep(id));
+        *visited += scan_knn(scan, side, k, best);
     }
 }
 
@@ -236,12 +235,13 @@ fn knn_rec(
     node: &Node,
     scan: &mut PackedScan<'_>,
     k: usize,
+    keep: &impl Fn(u32) -> bool,
     best: &mut Vec<(u32, f64)>,
     visited: &mut u64,
 ) {
     *visited += 1;
     let d = scan.norm().finish(scan.acc(node.vantage));
-    if d <= kth_bound(best, k) {
+    if d <= kth_bound(best, k) && keep(node.vantage) {
         push_best(best, k, node.vantage, d);
     }
     // Visit the nearer side first for better pruning.
@@ -259,7 +259,7 @@ fn knn_rec(
                 node.radius - d
             };
             if !beyond(gap, d, node.radius, kth_bound(best, k)) {
-                knn_rec(child, scan, k, best, visited);
+                knn_rec(child, scan, k, keep, best, visited);
             }
         }
     }
@@ -373,7 +373,7 @@ mod tests {
     fn vpnodes_prefix_build_ignores_tail() {
         let data = rows_2d(50);
         let dist = TupleDistance::numeric(2);
-        let nodes = VpNodes::build_over(&data, &dist, 30);
+        let nodes = VpNodes::build(&data[..30], &dist);
         assert_eq!(nodes.len(), 30);
         let query = vec![Value::Num(5.0), Value::Num(5.0)];
         let mut hits = Vec::new();

@@ -1,8 +1,9 @@
 //! Cross-backend differential battery for the packed numeric kernels.
 //!
-//! Every backend (brute, grid, VP-tree, and `DynamicIndex` fed by random
-//! ingest splits) must agree on range and k-NN results under
-//! L1/L2/L∞/Lp(3), with the packed kernels both on and off. The oracle
+//! Every backend (brute, grid, VP-tree, and a `DynamicIndex` grown one
+//! row at a time) must agree on range, k-NN and restricted k-NN
+//! (`knn_where`) results under L1/L2/L∞/Lp(3), with the packed kernels
+//! both on and off. The oracle
 //! is the brute-force scan with packing disabled — the pure `Value`
 //! path — so any divergence pins the kernel itself, not two backends
 //! drifting together. The determinism contract: distances are
@@ -11,7 +12,7 @@
 //! public contract).
 
 use disc_distance::{Metric, Norm, TupleDistance, Value};
-use disc_index::{BruteForceIndex, DynamicIndex, DynamicNeighborIndex, Index, NeighborIndex};
+use disc_index::{BruteForceIndex, DynamicIndex, Index, NeighborIndex};
 use proptest::prelude::*;
 
 const NORMS: [Norm; 4] = [Norm::L1, Norm::L2, Norm::LInf, Norm::Lp(3.0)];
@@ -66,26 +67,12 @@ fn sort_by_id(mut hits: Vec<(u32, f64)>) -> Vec<(u32, f64)> {
     hits
 }
 
-/// A `DynamicIndex` grown through random ingest splits: the rows arrive
-/// in batches whose boundaries are derived from `seed`, exercising the
-/// packed tail appends and any backend upgrades along the way.
-fn dynamic_via_ingest_splits(
-    rows: &[Vec<Value>],
-    dist: &TupleDistance,
-    eps_hint: f64,
-    seed: u64,
-) -> DynamicIndex {
+/// A `DynamicIndex` grown by inserting `rows` one at a time, exercising
+/// the packed tail appends and any backend upgrades along the way.
+fn grown(rows: &[Vec<Value>], dist: &TupleDistance, eps_hint: f64) -> DynamicIndex {
     let mut idx = DynamicIndex::new(dist.clone(), eps_hint);
-    let mut state = seed | 1;
-    let mut start = 0;
-    while start < rows.len() {
-        state = state
-            .wrapping_mul(6364136223846793005)
-            .wrapping_add(1442695040888963407);
-        let batch = 1 + (state >> 33) as usize % 7;
-        let end = (start + batch).min(rows.len());
-        idx.extend(rows[start..end].to_vec());
-        start = end;
+    for row in rows {
+        idx.insert(row.clone());
     }
     idx
 }
@@ -96,7 +83,6 @@ fn for_each_backend(
     m: usize,
     norm: Norm,
     cell: f64,
-    seed: u64,
     mut check: impl FnMut(&str, &dyn NeighborIndex),
 ) {
     let on = with_norm(m, norm);
@@ -108,7 +94,7 @@ fn for_each_backend(
         check(&format!("grid/{mode}"), &grid);
         let tree = Index::vp_tree(rows, dist.clone());
         check(&format!("vptree/{mode}"), &tree);
-        let dynamic = dynamic_via_ingest_splits(rows, dist, cell, seed);
+        let dynamic = grown(rows, dist, cell);
         check(&format!("dynamic/{mode}"), &dynamic);
     }
 }
@@ -125,7 +111,6 @@ proptest! {
         m in 1usize..5,
         eps in 0.05f64..30.0,
         cell in 0.3f64..5.0,
-        seed in 0u64..u64::MAX,
     ) {
         prop_assume!(flat.len() >= m);
         let rows = to_rows(&flat, m);
@@ -133,7 +118,7 @@ proptest! {
         for norm in NORMS {
             let oracle = BruteForceIndex::new(&rows, with_norm(m, norm).with_packed(false));
             let want = sort_by_id(oracle.range(&query, eps));
-            for_each_backend(&rows, m, norm, cell, seed, |label, idx| {
+            for_each_backend(&rows, m, norm, cell, |label, idx| {
                 let got = sort_by_id(idx.range(&query, eps));
                 assert_hits_match(norm, &got, &want, label);
             });
@@ -148,7 +133,6 @@ proptest! {
         m in 1usize..5,
         k in 1usize..12,
         cell in 0.3f64..5.0,
-        seed in 0u64..u64::MAX,
     ) {
         prop_assume!(flat.len() >= m);
         let rows = to_rows(&flat, m);
@@ -156,7 +140,7 @@ proptest! {
         for norm in NORMS {
             let oracle = BruteForceIndex::new(&rows, with_norm(m, norm).with_packed(false));
             let want = oracle.knn(&query, k);
-            for_each_backend(&rows, m, norm, cell, seed, |label, idx| {
+            for_each_backend(&rows, m, norm, cell, |label, idx| {
                 let got = idx.knn(&query, k);
                 assert_hits_match(norm, &got, &want, label);
                 assert_eq!(
@@ -182,7 +166,6 @@ proptest! {
         null_at in 0usize..4,
         eps in 0.05f64..30.0,
         k in 1usize..12,
-        seed in 0u64..u64::MAX,
     ) {
         let m = 2usize;
         let mut rows = to_rows(&flat, m);
@@ -210,7 +193,7 @@ proptest! {
             for (mode, dist) in [("packed", &on), ("value", &off)] {
                 let brute = BruteForceIndex::new(&rows, dist.clone());
                 let tree = Index::vp_tree(&rows, dist.clone());
-                let dynamic = dynamic_via_ingest_splits(&rows, dist, 1.0, seed);
+                let dynamic = grown(&rows, dist, 1.0);
                 let backends: [(&str, &dyn NeighborIndex); 3] =
                     [("brute", &brute), ("vptree", &tree), ("dynamic", &dynamic)];
                 for (backend, idx) in backends {
@@ -239,7 +222,7 @@ fn dynamic_grid_backend_differential() {
     let query = vec![Value::Num(40.0), Value::Num(10.0), Value::Num(70.0)];
     for norm in NORMS {
         let on = with_norm(3, norm);
-        let idx = dynamic_via_ingest_splits(&rows, &on, 1.0, 7);
+        let idx = grown(&rows, &on, 1.0);
         assert_eq!(idx.backend_name(), "grid", "{norm:?}");
         let oracle = BruteForceIndex::new(&rows, on.clone().with_packed(false));
         for eps in [0.5, 4.0, 25.0] {
@@ -258,8 +241,8 @@ fn dynamic_grid_backend_differential() {
     }
 }
 
-/// At arity 5 the dynamic index upgrades to its VP backend; random
-/// splits leave rows in the scanned tail buffer.
+/// At arity 5 the dynamic index upgrades to its VP backend, and the last
+/// rows sit in the scanned tail buffer.
 #[test]
 fn dynamic_vp_backend_differential() {
     let mut state = 99u64;
@@ -274,7 +257,7 @@ fn dynamic_vp_backend_differential() {
     let query = vec![Value::Num(40.0); 5];
     for norm in NORMS {
         let on = with_norm(5, norm);
-        let idx = dynamic_via_ingest_splits(&rows, &on, 1.0, 3);
+        let idx = grown(&rows, &on, 1.0);
         assert_eq!(idx.backend_name(), "vp", "{norm:?}");
         let oracle = BruteForceIndex::new(&rows, on.clone().with_packed(false));
         for eps in [1.0, 10.0, 40.0] {
@@ -377,7 +360,7 @@ fn auto_backend_respects_non_absolute_metrics() {
     let want = sort_by_id(oracle.range(&query, 1.0));
     assert!(want.len() > 50, "{} hits", want.len());
     let auto = Index::auto(&rows, dist.clone(), 1.0);
-    let grown = dynamic_via_ingest_splits(&rows, &dist, 1.0, 11);
+    let grown = grown(&rows, &dist, 1.0);
     for (label, idx) in [("auto", &auto as &dyn NeighborIndex), ("grown", &grown)] {
         assert_hits_match(Norm::L1, &sort_by_id(idx.range(&query, 1.0)), &want, label);
         for k in [1, 9, 40] {
@@ -422,7 +405,7 @@ fn vp_tree_is_exact_on_lattice_ties() {
                 let dist = with_norm(m, norm);
                 let oracle = BruteForceIndex::new(&rows, dist.clone().with_packed(false));
                 let tree = Index::vp_tree(&rows, dist.clone());
-                let grown = dynamic_via_ingest_splits(&rows, &dist, s, m as u64);
+                let grown = grown(&rows, &dist, s);
                 for (label, idx) in [("vptree", &tree as &dyn NeighborIndex), ("dynamic", &grown)] {
                     let label = format!("{label} s = {s}, m = {m}");
                     for q in &probes {
@@ -433,6 +416,94 @@ fn vp_tree_is_exact_on_lattice_ties() {
                         for k in [1, 6, 40] {
                             assert_hits_match(norm, &idx.knn(q, k), &oracle.knn(q, k), &label);
                         }
+                    }
+                }
+            }
+        }
+    }
+}
+
+/// Asserts that `idx.knn_where` returns, for each probe and keep set, the
+/// `Value`-path brute scan's k-NN over the kept rows, ids mapped back.
+fn assert_knn_where<R: AsRef<[Vec<Value>]>>(
+    idx: &Index<R>,
+    keeps: &[Vec<bool>],
+    probes: &[Vec<Value>],
+    k: usize,
+    label: &str,
+) {
+    let off = idx.distance().clone().with_packed(false);
+    for keep in keeps {
+        let kept: Vec<u32> = (0..keep.len() as u32)
+            .filter(|&id| keep[id as usize])
+            .collect();
+        let rows: Vec<Vec<Value>> = kept
+            .iter()
+            .map(|&id| idx.rows()[id as usize].clone())
+            .collect();
+        let oracle = BruteForceIndex::new(&rows, off.clone());
+        for q in probes {
+            let want: Vec<(u32, f64)> = oracle
+                .knn(q, k)
+                .into_iter()
+                .map(|(i, d)| (kept[i as usize], d))
+                .collect();
+            let got = idx.knn_where(q, k, |id| keep[id as usize]);
+            let label = format!(
+                "{label} {}, {} kept, query {q:?}",
+                idx.backend_name(),
+                kept.len()
+            );
+            assert_hits_match(off.norm(), &got, &want, &label);
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(16))]
+
+    /// `knn_where` with a random, an empty and a full keep set returns the
+    /// brute scan's k-NN over the kept rows, on lattice rows (ties at the
+    /// k-th distance are the rule): brute (up to 512 rows), grid, a VP
+    /// tree with `Null` and text rows on its side list, and indexes grown
+    /// from either row set; one probe holds a `Null`.
+    #[test]
+    fn knn_where_matches_brute_force_over_the_kept_rows(
+        small in 1usize..300,
+        large in 530usize..700,
+        m in 1usize..4,
+        step in 0usize..3,
+        k in 1usize..12,
+        density in 1usize..5,
+        seed in 0u64..u64::MAX,
+    ) {
+        let s = [1.0, 0.3, 7.0][step];
+        for n in [small, large] {
+            let numeric = lattice(n, m, s, seed);
+            let mut mixed = numeric.clone();
+            for i in (3..n).step_by(5) {
+                mixed[i][i % m] = if i % 2 == 1 { Value::Null } else { Value::Text("x".into()) };
+            }
+            let random = lattice(n, 1, 1.0, !seed).iter().map(|c| c[0].as_num() < Some(density as f64)).collect();
+            let keeps = [random, vec![false; n], vec![true; n]];
+            let mut null_probe = numeric[0].clone();
+            null_probe[0] = Value::Null;
+            let probes = [numeric[n / 2].clone(), mixed[n - 1].clone(), vec![Value::Num(2.6 * s); m], null_probe];
+            for norm in NORMS {
+                let on = with_norm(m, norm);
+                for (mode, dist) in [("packed", on.clone()), ("value", on.with_packed(false))] {
+                    let label = format!("{mode} {norm:?}, n = {n}, m = {m}, s = {s}, k = {k}:");
+                    let built = [
+                        Index::auto(&numeric[..], dist.clone(), s),
+                        Index::grid(&numeric[..], dist.clone(), s).unwrap(),
+                        Index::vp_tree(&mixed[..], dist.clone()),
+                        Index::auto(&mixed[..], dist.clone(), s),
+                    ];
+                    for idx in &built {
+                        assert_knn_where(idx, &keeps, &probes, k, &label);
+                    }
+                    for rows in [&numeric, &mixed] {
+                        assert_knn_where(&grown(rows, &dist, s), &keeps, &probes, k, &format!("grown {label}"));
                     }
                 }
             }

@@ -1,17 +1,17 @@
 //! Counter invariants: an index's own `IndexActivity` and the
 //! process-global `index.*` counters record the same events, every row
-//! an index visits costs exactly one distance-kernel evaluation, and a
+//! an index visits costs exactly one distance-kernel evaluation, a
+//! restricted k-NN visits and measures only the rows it keeps, and a
 //! numeric brute scan runs the packed kernels.
 //!
 //! The counters are process-global, so each test holds `COUNTERS` while
 //! it reads them: a concurrent test would move them.
 
+use std::cell::Cell;
 use std::sync::Mutex;
 
 use disc_distance::{TupleDistance, Value};
-use disc_index::{
-    BruteForceIndex, DynamicIndex, DynamicNeighborIndex, Index, IndexActivity, NeighborIndex,
-};
+use disc_index::{BruteForceIndex, DynamicIndex, Index, IndexActivity, NeighborIndex};
 use disc_obs::Snapshot;
 
 static COUNTERS: Mutex<()> = Mutex::new(());
@@ -38,35 +38,60 @@ fn global(d: &Snapshot, backend: &str) -> (u64, u64) {
     )
 }
 
-/// Runs range, count, k-NN and k-th-distance queries on `idx`. Checks
-/// that each kind evaluated one distance kernel per row visited, all on
-/// the packed path, and that the activity delta is exactly the delta on
-/// `backend`'s global counters (and that no other backend's moved).
-/// Returns that delta.
+/// Runs range, count, k-NN and k-th-distance queries on `idx`, and k-NN
+/// keeping every third row and none. Checks that each kind evaluated one
+/// distance kernel per row visited, all on the packed path, that a
+/// restricted k-NN visited only the rows it kept (a VP tree also measures
+/// the vantage points it descends through), and that the activity delta
+/// is exactly the delta on `backend`'s global counters (and that no
+/// other backend's moved). Returns that delta.
 fn queried_delta<R: AsRef<[Vec<Value>]>>(
     idx: &Index<R>,
     backend: &str,
     probes: &[Vec<Value>],
 ) -> IndexActivity {
     let (act, snap) = (idx.activity(), Snapshot::take());
-    for kind in ["range", "count", "knn", "kth"] {
+    let kept = Cell::new(0u64);
+    let every_third = |id: u32| {
+        kept.set(kept.get() + u64::from(id.is_multiple_of(3)));
+        id.is_multiple_of(3)
+    };
+    for kind in [
+        "range",
+        "count",
+        "knn",
+        "kth",
+        "knn_where",
+        "knn_where_none",
+    ] {
         let before = Snapshot::take();
+        kept.set(0);
         for q in probes {
             match kind {
                 "range" => idx.range(q, 0.7).len(),
                 "count" => idx.count_within(q, 2.0),
                 "knn" => idx.knn(q, 5).len(),
+                "knn_where" => idx.knn_where(q, 5, every_third).len(),
+                "knn_where_none" => idx.knn_where(q, 5, |_| false).len(),
                 _ => usize::from(idx.kth_distance(q, 9).is_some()),
             };
         }
         let d = Snapshot::take().delta_since(&before);
         let (packed, fallback) = (d.get("kernel.packed_calls"), d.get("kernel.fallback_calls"));
+        let visited = global(&d, backend).1;
         assert_eq!(
             packed + fallback,
-            global(&d, backend).1,
+            visited,
             "{backend} {kind}: kernel evaluations vs rows visited"
         );
         assert_eq!(fallback, 0, "{backend} {kind}: numeric rows fell back");
+        if kind.starts_with("knn_where") && backend != "vptree" {
+            assert_eq!(
+                visited,
+                kept.get(),
+                "{backend} {kind}: rows visited vs rows kept"
+            );
+        }
     }
     let d = Snapshot::take().delta_since(&snap);
     let now = idx.activity();

@@ -198,9 +198,6 @@ declare_counters! {
     /// Per-shard ε-range sub-queries issued by the sharded engine's
     /// fan-out (each logical query touches every shard once).
     SHARD_RANGE_QUERIES => "shard.range_queries",
-    /// Index rebuilds that happened inside engine shards (the subset of
-    /// `index.dynamic.rebuilds` attributable to shard-owned indexes).
-    SHARD_REBUILDS => "shard.rebuilds",
     /// Write-ahead-log records appended (one per durable ingest).
     WAL_APPENDS => "persist.wal.appends",
     /// Bytes written to the write-ahead log (headers + payloads).
