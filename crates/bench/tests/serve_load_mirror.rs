@@ -70,7 +70,7 @@ fn mirrored_load_finds_no_divergence() {
     )
     .unwrap();
     let (replica, publisher) = Server::start_replica(
-        follower.state(),
+        follower.store().engine().view(),
         leader_addr.clone(),
         ServerConfig::default(),
     )

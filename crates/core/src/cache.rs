@@ -11,31 +11,41 @@
 //!   inlier distances form a sorted list that new inliers can only
 //!   tighten.
 //!
-//! The engine keeps the counts as a plain `Vec<usize>` and the lists in
-//! one [`NearestTable`], both in global row order — the layout
-//! [`EngineState`](crate::EngineState) exports. [`NearestTable::observe`]
-//! tightens a list by one new inlier distance and
-//! [`NearestTable::kth`] reads `δ_η` off it, without touching an index.
+//! The engine keeps the counts and the lists in copy-on-write chunks of
+//! rows (the lists in one [`NearestTable`]), both in global row order,
+//! so a published view shares them ([`crate::view`]).
+//! [`NearestTable::observe`] tightens a list by one new inlier distance
+//! and [`NearestTable::kth`] reads `δ_η` off it, without touching an
+//! index.
+
+use crate::view::Chunks;
 
 /// `lens` entry of a row without a list (an outlier).
 const OUTLIER: u32 = u32::MAX;
 
-/// Per-row ascending nearest-inlier distance lists in one contiguous
-/// table (the engine's, and
-/// [`EngineState::nearest`](crate::EngineState::nearest)): every row
-/// owns `stride` slots, and its list is a prefix of them, so a table
-/// of `n` rows is two allocations instead of one per inlier. A row with
-/// no list is an outlier. Pushing or setting a list longer than the
-/// stride widens every row's slots. Equality and `Debug` see the lists
-/// only, never the stride or unused slots.
-#[derive(Clone, Default)]
+/// Per-row ascending nearest-inlier distance lists in one table (the
+/// engine's, and [`EngineState::nearest`](crate::EngineState::nearest)):
+/// every row owns `stride` slots, and its list is a prefix of them. The
+/// lengths and the slots sit in copy-on-write chunks of rows, so a
+/// clone shares them and a write copies only the chunk it lands in while
+/// a clone still holds it. A row with no list is an outlier. Pushing or
+/// setting a list longer than the stride widens every row's slots.
+/// Equality and `Debug` see the lists only, never the stride or unused
+/// slots.
+#[derive(Clone)]
 pub struct NearestTable {
     /// Slots per row.
     stride: usize,
     /// Per row, the list length, or [`OUTLIER`].
-    lens: Vec<u32>,
-    /// `stride` slots per row, row-major.
-    slots: Vec<f64>,
+    lens: Chunks<u32>,
+    /// `stride` slots per row.
+    slots: Chunks<f64>,
+}
+
+impl Default for NearestTable {
+    fn default() -> Self {
+        NearestTable::with_capacity(0, 0)
+    }
 }
 
 impl NearestTable {
@@ -44,8 +54,8 @@ impl NearestTable {
     pub fn with_capacity(stride: usize, rows: usize) -> Self {
         NearestTable {
             stride,
-            lens: Vec::with_capacity(rows),
-            slots: Vec::with_capacity(rows * stride),
+            lens: Chunks::with_capacity(1, rows),
+            slots: Chunks::with_capacity(stride, rows),
         }
     }
 
@@ -56,13 +66,28 @@ impl NearestTable {
 
     /// True when the table holds no rows.
     pub fn is_empty(&self) -> bool {
-        self.lens.is_empty()
+        self.len() == 0
     }
 
     /// The list of `row`; `None` for an outlier or a row past the end.
     pub fn get(&self, row: usize) -> Option<&[f64]> {
-        let len = *self.lens.get(row)?;
-        (len != OUTLIER).then(|| &self.slots[row * self.stride..][..len as usize])
+        if row >= self.len() {
+            return None;
+        }
+        let len = self.lens[row];
+        (len != OUTLIER).then(|| &self.slots.row(row)[..len as usize])
+    }
+
+    /// True when `row` has a list: an inlier (false past the end).
+    pub(crate) fn is_listed(&self, row: usize) -> bool {
+        row < self.len() && self.lens[row] != OUTLIER
+    }
+
+    /// The rows without a list (the outliers), ascending, read chunk by
+    /// chunk.
+    pub(crate) fn unlisted(&self) -> impl Iterator<Item = usize> + '_ {
+        let lens = self.lens.iter().enumerate();
+        lens.filter_map(|(row, &len)| (len == OUTLIER).then_some(row))
     }
 
     /// Every row's list (`None` for outliers), in row order.
@@ -73,8 +98,10 @@ impl NearestTable {
     /// Appends a row with `list` (`None` for an outlier).
     pub fn push(&mut self, list: Option<&[f64]>) {
         self.lens.push(OUTLIER);
-        self.slots.resize(self.slots.len() + self.stride, 0.0);
-        self.set(self.lens.len() - 1, list);
+        self.slots.push(0.0);
+        if list.is_some() {
+            self.set(self.len() - 1, list);
+        }
     }
 
     /// Replaces the list of `row` (`None` marks it outlier).
@@ -87,15 +114,16 @@ impl NearestTable {
             return;
         };
         self.widen(list.len());
-        self.slots[row * self.stride..][..list.len()].copy_from_slice(list);
+        self.slots.row_mut(row)[..list.len()].copy_from_slice(list);
         self.lens[row] = u32::try_from(list.len()).expect("list length fits u32");
     }
 
     /// Tightens the list of inlier `row` by one more inlier at distance
     /// `d`: inserts it in ascending order and keeps the `k` smallest, so
     /// only a list shorter than `k` or with a last entry above `d`
-    /// changes. An outlier has no list and is left alone; debug builds
-    /// assert, since the engine observes distances for inliers only.
+    /// changes, and only a change writes (and so copies a shared chunk).
+    /// An outlier has no list and is left alone; debug builds assert,
+    /// since the engine observes distances for inliers only.
     ///
     /// # Panics
     /// Panics if `k` exceeds the slots per row: the list would spill into
@@ -108,15 +136,18 @@ impl NearestTable {
             return;
         }
         let len = len as usize;
-        let slots = &mut self.slots[row * self.stride..][..k];
-        if len == k && slots.last().is_none_or(|&worst| d >= worst) {
+        let list = &self.slots.row(row)[..len];
+        if len == k && list.last().is_none_or(|&worst| d >= worst) {
             return;
         }
-        let pos = slots[..len].partition_point(|&x| x <= d);
+        let pos = list.partition_point(|&x| x <= d);
         let end = (len + 1).min(k);
+        let slots = &mut self.slots.row_mut(row)[..k];
         slots.copy_within(pos..end - 1, pos + 1);
         slots[pos] = d;
-        self.lens[row] = end as u32;
+        if end != len {
+            self.lens[row] = end as u32;
+        }
     }
 
     /// The `k`-th entry (1-based) of inlier `row`'s list — `δ_η` at
@@ -128,10 +159,7 @@ impl NearestTable {
             debug_assert!(false, "kth on outlier row {row}");
             return f64::INFINITY;
         };
-        k.checked_sub(1)
-            .and_then(|i| list.get(i))
-            .copied()
-            .unwrap_or(f64::INFINITY)
+        kth_of(list, k)
     }
 
     /// Gives every row at least `stride` slots, re-laying the table out
@@ -141,16 +169,26 @@ impl NearestTable {
         if stride <= self.stride {
             return;
         }
-        let mut slots = Vec::with_capacity(self.lens.capacity() * stride);
-        slots.resize(self.len() * stride, 0.0);
-        for (row, list) in self.iter().enumerate() {
-            if let Some(list) = list {
-                slots[row * stride..][..list.len()].copy_from_slice(list);
+        let mut slots = Chunks::with_capacity(stride, self.len());
+        for row in 0..self.len() {
+            slots.push(0.0);
+            let len = self.lens[row];
+            if len != OUTLIER {
+                let len = len as usize;
+                slots.row_mut(row)[..len].copy_from_slice(&self.slots.row(row)[..len]);
             }
         }
         self.slots = slots;
         self.stride = stride;
     }
+}
+
+/// The `k`-th entry (1-based) of `list`, or `+∞` when it is shorter.
+pub(crate) fn kth_of(list: &[f64], k: usize) -> f64 {
+    k.checked_sub(1)
+        .and_then(|i| list.get(i))
+        .copied()
+        .unwrap_or(f64::INFINITY)
 }
 
 impl PartialEq for NearestTable {

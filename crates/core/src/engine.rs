@@ -54,6 +54,15 @@
 //!    ([`pipeline`](crate::pipeline)) on just the dirty rows and applies
 //!    the adjustments.
 //!
+//! The engine holds its originals once, in a write-once row store, and
+//! its counts, `δ_η` lists and adjusted rows (the overlay of output rows
+//! that differ from their originals) in copy-on-write chunks; see
+//! [`crate::view`]. [`ShardedEngine::view`] shares all of them with a
+//! read-only [`EngineView`] without copying a row, so a server can
+//! publish after every ingest at the cost of the chunks the next ingest
+//! writes, and [`ShardedEngine::export_state`] builds the flat
+//! [`EngineState`] from such a view.
+//!
 //! The shard fan-outs of steps 1 and 3, step 4 and the save loop run on
 //! the saver's worker threads only for ingests of at least
 //! `MIN_THREADED_ROWS` rows; a smaller ingest runs them all on the
@@ -80,14 +89,15 @@
 //! `engine_equivalence` and `sharded_equivalence` proptests).
 
 use std::collections::BTreeSet;
+use std::sync::{Arc, OnceLock};
 use std::time::Instant;
 
-use disc_data::{Dataset, Schema};
+use disc_data::{bit_equal_row, Dataset, Schema};
 use disc_distance::{pack_values, Value};
 use disc_index::NonNumericCell;
 use disc_obs::{counters, PipelineStats, Snapshot};
 
-use crate::cache::NearestTable;
+use crate::cache::{kth_of, NearestTable};
 use crate::constraints::NARROW_MARGIN;
 use crate::error::Error;
 use crate::parallel::parallel_map;
@@ -95,6 +105,7 @@ use crate::pipeline::{save_outlier_rows, SaveReport};
 use crate::rset::RSet;
 use crate::saver::Saver;
 use crate::shard::{self, shard_of, EngineShard};
+use crate::view::{Chunks, EngineView, RowStore};
 
 /// Smallest ingest, in rows, whose fan-outs run on threads. An ingest
 /// below it runs its shard fan-outs, phase 4 and its save loop on the
@@ -119,15 +130,20 @@ fn by_distance(a: &(f64, usize), b: &(f64, usize)) -> std::cmp::Ordering {
 /// A long-lived incremental DISC engine; see the [module docs](self).
 pub struct ShardedEngine {
     saver: Box<dyn Saver>,
-    /// Original (as-ingested) values of every row, in global id order.
-    /// Detection, `δ_η` maintenance, and saving always read these.
-    original: Vec<Vec<Value>>,
+    /// Original (as-ingested) values of every row, in global id order,
+    /// held once and shared with every view. Detection, `δ_η`
+    /// maintenance, and saving always read these.
+    original: RowStore,
     /// The output dataset: original values with the current adjustment
     /// applied to each saved outlier.
     current: Dataset,
+    /// The output rows that differ (bit for bit) from their originals,
+    /// the saved outliers: the overlay a view reads `current` through.
+    /// Written only with `current`, by `set_current`.
+    adjusted: Chunks<Option<Arc<[Value]>>>,
     /// Per-row ε-neighbor count over the whole dataset, self-inclusive —
     /// the quantity detection compares against η.
-    counts: Vec<usize>,
+    counts: Chunks<usize>,
     /// Per-row ascending distances to the row's η nearest inliers
     /// (self-inclusive, so the first is 0), η slots per row; a row with
     /// no list is an outlier. A list shorter than η means fewer than η
@@ -181,9 +197,10 @@ pub type DiscEngine = ShardedEngine;
 /// against the image's inliers, and later ingests re-save it only when
 /// the saver cannot prove that outcome stable.
 ///
-/// Reads out of range follow one convention: an unknown row is not an
-/// inlier, and row-valued reads answer `None`. The default image is an
-/// empty engine's at generation 0.
+/// The image is the flat form the snapshot codec, equality checks and
+/// benchmarks read; readers of a live engine read an [`EngineView`],
+/// which builds this image on demand ([`EngineView::state`]). The
+/// default image is an empty engine's at generation 0.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct EngineState {
     /// The engine's [generation](ShardedEngine::generation) at export
@@ -212,31 +229,6 @@ impl EngineState {
     /// True when the image holds no rows.
     pub fn is_empty(&self) -> bool {
         self.original.is_empty()
-    }
-
-    /// True when `row` is classified inlier (false past the end).
-    pub fn is_inlier(&self, row: usize) -> bool {
-        self.nearest.get(row).is_some()
-    }
-
-    /// The ε-neighbor count of `row`, self-inclusive.
-    pub fn neighbor_count(&self, row: usize) -> Option<usize> {
-        self.counts.get(row).copied()
-    }
-
-    /// Output values of `row` (original + current adjustment).
-    pub fn current_row(&self, row: usize) -> Option<&[Value]> {
-        self.current.get(row).map(Vec::as_slice)
-    }
-
-    /// Original (as-ingested) values of `row`.
-    pub fn original_row(&self, row: usize) -> Option<&[Value]> {
-        self.original.get(row).map(Vec::as_slice)
-    }
-
-    /// Rows classified outliers, ascending.
-    pub fn outliers(&self) -> Vec<usize> {
-        (0..self.len()).filter(|&i| !self.is_inlier(i)).collect()
     }
 }
 
@@ -270,8 +262,9 @@ impl ShardedEngine {
         let dist = saver.distance().clone();
         ShardedEngine {
             current: Dataset::new(schema, Vec::new()),
-            original: Vec::new(),
-            counts: Vec::new(),
+            original: RowStore::default(),
+            adjusted: Chunks::with_capacity(1, 0),
+            counts: Chunks::with_capacity(1, 0),
             nearest: NearestTable::with_capacity(eta, 0),
             shards: (0..shards)
                 .map(|_| EngineShard::new(dist.clone(), eps))
@@ -292,7 +285,7 @@ impl ShardedEngine {
 
     /// True before the first tuple arrives.
     pub fn is_empty(&self) -> bool {
-        self.original.is_empty()
+        self.original.len() == 0
     }
 
     /// Number of shards rows are partitioned across.
@@ -313,7 +306,7 @@ impl ShardedEngine {
 
     /// True when `row` currently satisfies the distance constraints.
     pub fn is_inlier(&self, row: usize) -> bool {
-        self.nearest.get(row).is_some()
+        self.nearest.is_listed(row)
     }
 
     /// True when `row`'s count meets the η threshold.
@@ -323,7 +316,7 @@ impl ShardedEngine {
 
     /// Rows currently classified outliers, ascending.
     pub fn outliers(&self) -> Vec<usize> {
-        (0..self.len()).filter(|&i| !self.is_inlier(i)).collect()
+        self.nearest.unlisted().collect()
     }
 
     /// Outliers whose last save attempt was skipped or failed; they are
@@ -400,9 +393,10 @@ impl ShardedEngine {
         for row in batch {
             let g = self.original.len();
             self.current.push(row.clone());
-            self.original.push(row.clone());
+            self.adjusted.push(None);
             counters::SHARD_ROWS.incr();
-            self.shards[shard_of(g, shards)].push(g, row);
+            self.shards[shard_of(g, shards)].push(g, row.clone());
+            self.original.push(row);
             self.nearest.push(None);
         }
         let n = self.original.len();
@@ -421,17 +415,23 @@ impl ShardedEngine {
         };
         // Self-inclusive: the query row is in exactly one shard's index,
         // at distance 0, so the sum counts it once.
-        self.counts.extend(
-            (0..n - first_new).map(|i| per_shard.iter().map(|rows| rows[i].len()).sum::<usize>()),
-        );
-        let mut bumped: BTreeSet<usize> = BTreeSet::new();
+        for i in 0..n - first_new {
+            self.counts
+                .push(per_shard.iter().map(|rows| rows[i].len()).sum());
+        }
+        // The old rows within ε of a new row, ascending and distinct.
+        let mut bumped: Vec<usize> = Vec::new();
         for hits in per_shard.iter().flatten() {
             for &(g, _) in hits.iter().filter(|&&(g, _)| g < first_new) {
                 self.counts[g] += 1;
-                bumped.insert(g);
+                bumped.push(g);
             }
         }
+        bumped.sort_unstable();
+        bumped.dedup();
         counters::ENGINE_CACHE_HITS.add((first_new - bumped.len()) as u64);
+        #[cfg(disc_fault)]
+        crate::fault::ingest(self.generation);
 
         // Phase 2: re-classify. Counts never decrease, so the only
         // transitions are old outliers promoted by new neighbors and new
@@ -443,7 +443,7 @@ impl ShardedEngine {
                 counters::ENGINE_PROMOTIONS.incr();
                 // A promoted row is no longer saved: its adjusted values
                 // (if any) revert to the original ingested ones.
-                self.current.set_row(h, self.original[h].clone());
+                self.set_current(h, None);
                 self.pending.remove(&h);
             }
         }
@@ -502,17 +502,21 @@ impl ShardedEngine {
                 let k = rest.partition_point(|&(h, _)| h == j);
                 let (within, tail) = rest.split_at(k);
                 rest = tail;
-                if !self.is_inlier(j) {
+                let Some(list) = self.nearest.get(j) else {
                     continue;
-                }
-                let before = self.nearest.kth(j, eta);
+                };
+                let before = kth_of(list, eta);
                 if before <= narrow {
+                    if within.is_empty() {
+                        continue;
+                    }
                     for &(_, d) in within {
                         self.nearest.observe(j, d, eta);
                     }
                 } else {
+                    let row = &self.original[j];
                     for &i in &new_inliers {
-                        let d = dist.dist(&self.original[j], &self.original[i]);
+                        let d = dist.dist(row, &self.original[i]);
                         self.nearest.observe(j, d, eta);
                     }
                     evals += new_inliers.len() as u64;
@@ -628,11 +632,6 @@ impl ShardedEngine {
             return Ok(report);
         }
         let t_save = Instant::now();
-        // A dirty row's previous adjustment (if any) is stale; start the
-        // save pass from original values so unsaved rows end up original.
-        for &row in &dirty {
-            self.current.set_row(row, self.original[row].clone());
-        }
         let adjustments = save_outlier_rows(
             &*self.saver,
             &self.rset,
@@ -644,8 +643,13 @@ impl ShardedEngine {
             &mut report,
         );
         stats.stages.save = t_save.elapsed();
-        for (row, values) in adjustments {
-            self.current.set_row(row, values);
+        // A dirty row's previous adjustment (if any) is stale: a row
+        // saved now takes its new values, any other its original ones.
+        // The adjustments come in dirty-row order.
+        let mut adjustments = adjustments.into_iter().peekable();
+        for &row in &dirty {
+            let values = adjustments.next_if(|(r, _)| *r == row).map(|(_, v)| v);
+            self.set_current(row, values);
         }
         self.pending = report
             .skipped
@@ -671,13 +675,33 @@ impl ShardedEngine {
         for &g in added {
             let rank = self.inliers.partition_point(|&i| i < g);
             self.inliers.insert(rank, g);
-            rows.push((rank, self.original[g].clone(), self.delta_eta(g)));
+            rows.push((rank, self.original[g].to_vec(), self.delta_eta(g)));
         }
         let tightened: Vec<(usize, f64)> = tightened
             .iter()
             .map(|&g| (self.inliers.partition_point(|&i| i < g), self.delta_eta(g)))
             .collect();
         self.rset.merge(rows, &tightened);
+    }
+
+    /// Sets the output row of `row` to its adjusted `values`, or to its
+    /// original values for `None`: the one writer of both `current` and
+    /// the `adjusted` overlay, which holds exactly the rows whose output
+    /// differs bit for bit from their original.
+    fn set_current(&mut self, row: usize, values: Option<Vec<Value>>) {
+        match values.filter(|values| !bit_equal_row(values, &self.original[row])) {
+            Some(values) => {
+                self.adjusted[row] = Some(Arc::from(values.as_slice()));
+                self.current.set_row(row, values);
+            }
+            // Without an overlay entry the output row is the original
+            // already.
+            None if self.adjusted[row].is_some() => {
+                self.adjusted[row] = None;
+                self.current.set_row(row, self.original[row].to_vec());
+            }
+            None => {}
+        }
     }
 
     /// The `δ_η` of inlier `row`.
@@ -700,8 +724,11 @@ impl ShardedEngine {
         tightened: &[usize],
         workers: usize,
     ) -> Vec<usize> {
-        let old: Vec<usize> = (0..first_new)
-            .filter(|o| !self.is_inlier(*o) && !dirty.contains(o))
+        let old: Vec<usize> = self
+            .nearest
+            .unlisted()
+            .take_while(|&o| o < first_new)
+            .filter(|o| !dirty.contains(o))
             .collect();
         if !self.numeric_inliers {
             return old;
@@ -731,20 +758,32 @@ impl ShardedEngine {
             .collect()
     }
 
-    /// Captures the engine's complete logical state; see [`EngineState`].
-    /// Exported at ingest boundaries only (the engine is never observable
-    /// mid-ingest), so every image satisfies the classification
-    /// invariants [`ShardedEngine::restore_with_shards`] checks. The
-    /// image is in global id order — independent of the shard count.
-    pub fn export_state(&self) -> EngineState {
-        EngineState {
+    /// A read-only view of the engine as it stands: see [`EngineView`].
+    /// It clones chunk pointers and copies no row, so it costs O(n /
+    /// chunk) pointer copies; the ingests after it copy only the table
+    /// chunks they write that the view still holds. Taken between
+    /// ingests only (the engine is never observable mid-ingest).
+    pub fn view(&self) -> EngineView {
+        EngineView {
             generation: self.generation,
             original: self.original.clone(),
-            current: self.current.rows().to_vec(),
+            adjusted: self.adjusted.clone(),
             counts: self.counts.clone(),
             nearest: self.nearest.clone(),
             pending: self.pending.iter().copied().collect(),
+            inliers: self.inliers.len(),
+            state: OnceLock::new(),
         }
+    }
+
+    /// Captures the engine's complete logical state; see [`EngineState`].
+    /// The same build as [`EngineView::state`], without the cache.
+    /// Exported at ingest boundaries only, so every image satisfies the
+    /// classification invariants [`ShardedEngine::restore_with_shards`]
+    /// checks. The image is in global id order — independent of the
+    /// shard count.
+    pub fn export_state(&self) -> EngineState {
+        self.view().build()
     }
 
     /// Rebuilds an engine from an exported [`EngineState`], partitioned
@@ -846,16 +885,22 @@ impl ShardedEngine {
                 inliers.push(i);
             }
         }
-        engine.original = state.original;
-        engine.counts = state.counts;
+        for (original, current) in state.original.into_iter().zip(state.current) {
+            let adjusted = !bit_equal_row(&current, &original);
+            engine
+                .adjusted
+                .push(adjusted.then(|| Arc::from(current.as_slice())));
+            engine.original.push(original);
+            engine.current.push(current);
+        }
+        for count in state.counts {
+            engine.counts.push(count);
+        }
         // A table collected from lists is only as wide as its longest
         // one; phase 3 grows lists in place up to η entries.
         engine.nearest = state.nearest;
         engine.nearest.widen(eta);
         engine.grow_rset(&inliers, &[]);
-        for row in &state.current {
-            engine.current.push(row.clone());
-        }
         engine.pending = state.pending.into_iter().collect();
         engine.generation = state.generation;
         Ok(engine)
@@ -1088,7 +1133,7 @@ mod tests {
         eng.ingest(num(&[[5.1, 5.0], [4.9, 5.0], [5.0, 5.1]]))
             .unwrap();
         assert!(eng.is_inlier(36), "new neighbors promote the old outlier");
-        assert_eq!(eng.dataset().row(36), eng.original[36]);
+        assert_eq!(eng.dataset().row(36), &eng.original[36]);
     }
 
     #[test]
@@ -1126,12 +1171,12 @@ mod tests {
     fn clean_second_batch_is_all_cache_hits() {
         let mut eng = engine(0.5, 4);
         eng.ingest(grid_rows()).unwrap();
-        let counts = eng.counts.clone();
+        let counts: Vec<usize> = eng.counts.iter().copied().collect();
         // A second batch far from the grid: no old count changes.
         let report = eng.ingest(num(&[[100.0, 100.0]])).unwrap();
         assert_eq!(report.outliers, vec![36]);
         assert_eq!(
-            eng.counts[..36],
+            eng.counts.iter().take(36).copied().collect::<Vec<_>>(),
             counts,
             "untouched rows keep cached counts"
         );
@@ -1304,7 +1349,7 @@ mod tests {
         let mut reference = engine(0.5, 4);
         reference.ingest(first).unwrap();
         let mut state = reference.export_state();
-        assert_eq!(state.outliers(), (2..10).collect::<Vec<_>>());
+        assert_eq!(reference.outliers(), (2..10).collect::<Vec<_>>());
         assert_eq!(state.nearest.get(0).map(<[f64]>::len), Some(2));
         state.nearest = state.nearest.iter().collect();
         let report = reference.ingest(second.clone()).unwrap();
@@ -1358,25 +1403,38 @@ mod tests {
         }
     }
 
+    /// A view of an engine restored from `image()`.
+    fn image_view() -> EngineView {
+        let saver = SaverConfig::new(DistanceConstraints::new(1.5, 2), TupleDistance::numeric(1))
+            .build_approx()
+            .unwrap();
+        ShardedEngine::restore_with_shards(Schema::numeric(1), Box::new(saver), image(), 1)
+            .unwrap()
+            .view()
+    }
+
     #[test]
-    fn state_reads_answer_from_the_image() {
-        let state = image();
-        assert_eq!(state.len(), 3);
-        assert!(state.is_inlier(0));
-        assert!(!state.is_inlier(2));
-        assert_eq!(state.neighbor_count(2), Some(1));
-        assert_eq!(state.current_row(2), Some(&[Value::Num(1.5)][..]));
-        assert_eq!(state.original_row(2), Some(&[Value::Num(9.0)][..]));
-        assert_eq!(state.outliers(), vec![2]);
+    fn view_reads_answer_from_the_image() {
+        let view = image_view();
+        assert_eq!((view.len(), view.generation()), (3, 3));
+        assert!(view.is_inlier(0));
+        assert!(!view.is_inlier(2));
+        assert_eq!(view.neighbor_count(2), Some(1));
+        assert_eq!(view.current_row(2), Some(&[Value::Num(1.5)][..]));
+        assert_eq!(view.original_row(2), Some(&[Value::Num(9.0)][..]));
+        assert_eq!(view.current_row(1), Some(&[Value::Num(1.0)][..]));
+        assert_eq!(view.outliers(), vec![2]);
+        assert_eq!((view.inlier_count(), view.outlier_count()), (2, 1));
+        assert_eq!(*view.state(), image());
     }
 
     #[test]
     fn out_of_range_rows_answer_by_convention() {
-        let state = image();
-        assert!(!state.is_inlier(99));
-        assert_eq!(state.neighbor_count(99), None);
-        assert_eq!(state.current_row(99), None);
-        assert_eq!(state.original_row(99), None);
+        let view = image_view();
+        assert!(!view.is_inlier(99));
+        assert_eq!(view.neighbor_count(99), None);
+        assert_eq!(view.current_row(99), None);
+        assert_eq!(view.original_row(99), None);
     }
 
     #[test]

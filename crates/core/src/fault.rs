@@ -8,6 +8,10 @@
 //! * the save pipeline calls [`hit`] with each outlier's row index right
 //!   before saving it; the plan can make that save panic (exercising the
 //!   pipeline's panic isolation) or sleep (exercising deadline cutoff);
+//! * the streaming engine calls [`ingest`] with the generation an ingest
+//!   becomes, after phase 1 has changed the engine; the plan can make
+//!   that ingest panic (exercising a caller's containment of a panic
+//!   that leaves the engine half-applied);
 //! * `disc-persist` calls [`tick`]`(`[`Point::Io`]`)` before every write,
 //!   truncate, fsync, and rename; the plan can fail the chosen operation
 //!   or make a write persist only a prefix of its buffer — the moral
@@ -23,8 +27,9 @@
 //! thread that opened the scope numbers operations — the store and the
 //! replication client do their IO on the caller's thread — so another
 //! test's IO, running concurrently outside any scope, neither shifts the
-//! numbering nor gets faulted. Save faults fire on any thread, because
-//! saves run on [`parallel_map`](crate::parallel::parallel_map)'s workers.
+//! numbering nor gets faulted. Save and ingest faults fire on any thread,
+//! because saves run on [`parallel_map`](crate::parallel::parallel_map)'s
+//! workers and a server ingests on its writer thread.
 //!
 //! The plan is process-global, so the hooks need no plumbing through the
 //! saver, store, or client APIs, and [`scoped`] serializes callers, so
@@ -75,6 +80,8 @@ enum SaveFault {
 pub struct FaultPlan {
     rows: HashMap<usize, SaveFault>,
     ops: HashMap<(Point, u64), Injected>,
+    /// The generation whose ingest panics, if any.
+    ingest_panic: Option<u64>,
 }
 
 impl FaultPlan {
@@ -92,6 +99,13 @@ impl FaultPlan {
     /// Sleeps `ms` milliseconds when about to save dataset row `row`.
     pub fn delay_at(mut self, row: usize, ms: u64) -> Self {
         self.rows.insert(row, SaveFault::DelayMs(ms));
+        self
+    }
+
+    /// Panics inside the engine ingest that becomes generation
+    /// `generation`, after its phase 1.
+    pub fn panic_in_ingest(mut self, generation: u64) -> Self {
+        self.ingest_panic = Some(generation);
         self
     }
 
@@ -180,6 +194,25 @@ pub fn hit(row: usize) {
         }
         Some(SaveFault::DelayMs(ms)) => thread::sleep(Duration::from_millis(ms)),
         None => {}
+    }
+}
+
+/// The engine-side hook: panics when the plan schedules a panic for the
+/// ingest becoming `generation`. No-op when no plan is active.
+pub fn ingest(generation: u64) {
+    let fire = {
+        let mut guard = lock(&ACTIVE);
+        let Some(active) = guard.as_mut() else {
+            return;
+        };
+        let fire = active.plan.ingest_panic == Some(generation);
+        active.fired |= fire;
+        fire
+    };
+    if fire {
+        std::panic::resume_unwind(Box::new(format!(
+            "injected fault in ingest at generation {generation}"
+        )));
     }
 }
 

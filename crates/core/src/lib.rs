@@ -38,9 +38,12 @@
 //!   ([`ShardedEngine`]), hash-partitioning rows across shards whose
 //!   queries fan out through `parallel_map` (on threads only for ingests
 //!   large enough to pay for them) and merge deterministically:
-//!   results are bit-identical for every shard and worker count. Its
-//!   exported image ([`EngineState`]) answers every read of engine state
-//!   for the serve protocol, the CLI and tests;
+//!   results are bit-identical for every shard and worker count;
+//! * [`view`] — the engine's write-once row store and copy-on-write
+//!   tables, and the read-only [`EngineView`] a publish hands out: it
+//!   shares the engine's storage, answers every read of engine state for
+//!   the serve protocol, and builds the flat [`EngineState`] image the
+//!   snapshot codec and equality checks read;
 //! * [`config`] — the [`EngineConfig`] builder gathering every engine
 //!   knob (arity, ε, η, κ, shards), validated
 //!   once, with the durable byte encoding stores persist;
@@ -65,6 +68,7 @@ pub mod pipeline;
 pub mod rset;
 pub mod saver;
 pub mod shard;
+pub mod view;
 
 pub use approx::{Adjustment, DiscSaver};
 pub use budget::{set_global_deadline_ms, Budget, CancelToken, Cancelled};
@@ -85,6 +89,7 @@ pub use pipeline::{FailedSave, PipelineError, SaveReport, SavedOutlier};
 pub use rset::RSet;
 pub use saver::{Saver, SaverConfig};
 pub use shard::{default_shards, resolve_shards, shard_of};
+pub use view::EngineView;
 
 // Observability: per-run statistics attached to `SaveReport::stats`, plus
 // the effort type returned by the savers' `*_with_effort` entry points.

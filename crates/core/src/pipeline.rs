@@ -46,6 +46,7 @@
 
 use std::any::Any;
 use std::collections::HashMap;
+use std::ops::Index;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::OnceLock;
 use std::time::Instant;
@@ -179,7 +180,7 @@ impl SaveReport {
 /// Renders a panic payload (the `Box<dyn Any>` from `catch_unwind`) as a
 /// human-readable message. `panic!` with a literal yields `&str`, with a
 /// format string yields `String`; anything else gets a generic label.
-fn panic_message(payload: Box<dyn Any + Send>) -> String {
+pub fn panic_message(payload: Box<dyn Any + Send>) -> String {
     if let Some(s) = payload.downcast_ref::<&str>() {
         (*s).to_string()
     } else if let Some(s) = payload.downcast_ref::<String>() {
@@ -198,22 +199,27 @@ fn panic_message(payload: Box<dyn Any + Send>) -> String {
 /// dataset write so this works against both a borrowed batch dataset and
 /// the engine's long-lived one.
 #[allow(clippy::too_many_arguments)] // internal seam between two pipelines
-pub(crate) fn save_outlier_rows<S: Saver + ?Sized>(
+pub(crate) fn save_outlier_rows<S, R>(
     saver: &S,
     r: &RSet,
-    rows: &[Vec<Value>],
+    rows: &R,
     outliers: &[usize],
     workers: usize,
     token: &CancelToken,
     stats: &mut PipelineStats,
     report: &mut SaveReport,
-) -> Vec<(usize, Vec<Value>)> {
+) -> Vec<(usize, Vec<Value>)>
+where
+    S: Saver + ?Sized,
+    R: Index<usize> + Sync + ?Sized,
+    R::Output: AsRef<[Value]>,
+{
     let results = parallel_map(outliers, workers, |&row| {
         catch_unwind(AssertUnwindSafe(|| {
             #[cfg(disc_fault)]
             crate::fault::hit(row);
             let started = Instant::now();
-            let (outcome, effort) = saver.save_one_with_effort(r, &rows[row], token);
+            let (outcome, effort) = saver.save_one_with_effort(r, rows[row].as_ref(), token);
             (outcome, effort, started.elapsed().as_micros() as u64)
         }))
         .map_err(panic_message)

@@ -199,17 +199,20 @@ impl Dataset {
     }
 }
 
-/// True when both row sets hold the same values bit for bit: numbers
-/// compare by their bit patterns (so `0.0` and `-0.0` differ), other
-/// cells by `==`.
+/// True when both row sets hold the same values bit for bit (see
+/// [`bit_equal_row`]).
 pub fn bit_equal(a: &[Vec<Value>], b: &[Vec<Value>]) -> bool {
+    a.len() == b.len() && a.iter().zip(b).all(|(x, y)| bit_equal_row(x, y))
+}
+
+/// True when both rows hold the same values bit for bit: numbers compare
+/// by their bit patterns (so `0.0` and `-0.0` differ), other cells by
+/// `==`.
+pub fn bit_equal_row(a: &[Value], b: &[Value]) -> bool {
     a.len() == b.len()
-        && a.iter().zip(b).all(|(x, y)| {
-            x.len() == y.len()
-                && x.iter().zip(y).all(|(u, v)| match (u, v) {
-                    (Value::Num(p), Value::Num(q)) => p.to_bits() == q.to_bits(),
-                    _ => u == v,
-                })
+        && a.iter().zip(b).all(|(u, v)| match (u, v) {
+            (Value::Num(p), Value::Num(q)) => p.to_bits() == q.to_bits(),
+            _ => u == v,
         })
 }
 

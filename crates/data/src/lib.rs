@@ -34,7 +34,7 @@ pub mod schema;
 pub mod synth;
 pub mod validate;
 
-pub use dataset::{bit_equal, Dataset};
+pub use dataset::{bit_equal, bit_equal_row, Dataset};
 pub use noise::{ErrorInjector, ErrorKind, InjectionLog, OutlierKind};
 pub use normalize::{minmax_normalize, zscore_normalize, ColumnStats};
 pub use schema::{AttrKind, Attribute, Schema};

@@ -192,6 +192,11 @@ declare_counters! {
     /// their distances from ε-range queries, which count under
     /// `index.*` and `kernel.*` instead).
     ENGINE_DELTA_ETA_EVALS => "engine.delta_eta_evals",
+    /// Table chunks (`CHUNK` rows of counts, `δ_η` list lengths or
+    /// slots, or adjusted rows) an ingest copied before writing, because
+    /// a published view still held them. Zero while no view is held;
+    /// with one held between ingests, the chunks each ingest writes.
+    ENGINE_CHUNKS_COPIED => "engine.chunks_copied",
     /// Rows distributed to engine shards (one per row per lifetime of a
     /// sharded engine, counting restores as well as ingests).
     SHARD_ROWS => "shard.rows",

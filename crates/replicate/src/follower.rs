@@ -19,7 +19,8 @@
 //!
 //! [`Follower::bootstrap`] applies the frames of its first response with
 //! the same step-3 loop. [`Follower::run`] wraps rounds in the daemon
-//! loop: publish every new state to the read-only server via its
+//! loop: publish a view of every new state (sharing the store engine's
+//! rows and tables) to the read-only server via its
 //! [`StatePublisher`], sleep `POLL_INTERVAL` when caught up, and
 //! reconnect with exponential backoff (`MIN_BACKOFF` … `MAX_BACKOFF`)
 //! when the link drops.
@@ -343,7 +344,7 @@ impl Follower {
     /// after requesting server shutdown, because a replica that cannot
     /// apply can only fall further behind while serving stale reads.
     pub fn run(mut self, publisher: &StatePublisher) -> Result<(), FollowerError> {
-        publisher.publish(self.state());
+        publisher.publish(self.store.engine().view());
         publisher.set_health(self.health.clone());
         let mut backoff = MIN_BACKOFF;
         while !publisher.is_shutting_down() {
@@ -351,7 +352,7 @@ impl Follower {
                 Ok(round) => {
                     backoff = MIN_BACKOFF;
                     if !round.applied.is_empty() || round.snapshot_installed.is_some() {
-                        publisher.publish(self.state());
+                        publisher.publish(self.store.engine().view());
                     }
                     publisher.set_health(self.health.clone());
                     if round.caught_up {

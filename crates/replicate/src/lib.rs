@@ -19,8 +19,9 @@
 //!   durable store (its WAL/snapshot are the crash-safe resume point),
 //!   installs shipped snapshots, applies frames under the exactly-once
 //!   rule, and tracks [`disc_serve::ReplHealth`];
-//! * [`Follower::run`] — the daemon loop: poll, apply, publish the new
-//!   state to a read-only [`disc_serve::Server`] replica via its
+//! * [`Follower::run`] — the daemon loop: poll, apply, publish a view of
+//!   the new state ([`disc_core::EngineView`]) to a read-only
+//!   [`disc_serve::Server`] replica via its
 //!   [`disc_serve::StatePublisher`], reconnect with exponential backoff
 //!   when the link drops.
 //!

@@ -152,7 +152,7 @@ proptest! {
         let leader_state = (*leader.snapshot()).clone();
         prop_assert_eq!(follower.generation(), leader_state.generation);
         prop_assert_eq!(&follower.state(), &leader_state);
-        prop_assert_eq!(follower.state().outliers(), leader_state.outliers());
+        prop_assert_eq!(follower.store().engine().view().outliers(), leader.view().outliers());
 
         // Every report the follower produced is bit-equal to the
         // leader's ack for the same generation. (Generations covered by
@@ -315,7 +315,7 @@ fn replica_server_serves_reads_and_refuses_writes() {
     )
     .unwrap();
     let (replica, publisher) = Server::start_replica(
-        follower.state(),
+        follower.store().engine().view(),
         leader_addr.clone(),
         ServerConfig::default(),
     )

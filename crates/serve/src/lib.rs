@@ -15,8 +15,13 @@
 //! * a full queue refuses new writes immediately with a typed
 //!   `overloaded` response (admission-control backpressure);
 //! * reads (`query`, `report`, `stats`, `snapshot`) are answered from
-//!   an immutable published [`disc_core::EngineState`] image and never
-//!   block on, or get blocked by, the writer;
+//!   the [`disc_core::EngineView`] the writer published after its last
+//!   drain — a read-only view sharing the engine's rows and
+//!   copy-on-write tables, so publishing copies no row — and never block
+//!   on, or get blocked by, the writer;
+//! * a writer that panics while applying a batch answers that batch and
+//!   every queued one with a typed `internal` error and shuts the
+//!   server down without a checkpoint, while reads keep answering;
 //! * graceful shutdown closes admission, drains every admitted job, and
 //!   (for a durable backend) checkpoints and releases the store — no
 //!   acknowledged ingest is ever lost.

@@ -21,10 +21,14 @@
 //! longer than [`MAX_LINE_BYTES`]), [`KIND_OVERLOADED`] (the
 //! admission-control backpressure signal), [`KIND_SHUTTING_DOWN`],
 //! [`KIND_REJECTED`] (the engine refused the batch; nothing was
-//! applied), or [`KIND_IO`] (the durable backend failed; the batch must
-//! be considered not applied).
+//! applied), [`KIND_IO`] (the durable backend failed; the batch must
+//! be considered not applied), or [`KIND_INTERNAL`] (the writer failed;
+//! the server is shutting down).
+//!
+//! Reads render from an [`EngineView`], the engine image the server
+//! last published.
 
-use disc_core::{EngineState, SaveReport};
+use disc_core::{EngineView, SaveReport};
 use disc_distance::Value;
 use disc_obs::json::{push_f64, push_str_literal, Obj};
 use disc_persist::WalFrame;
@@ -57,6 +61,12 @@ pub const KIND_SHUTTING_DOWN: &str = "shutting_down";
 pub const KIND_REJECTED: &str = "rejected";
 /// The durable backend failed mid-write; the batch is not acknowledged.
 pub const KIND_IO: &str = "io";
+/// The writer failed (a panic while applying a batch): the batch that
+/// hit it and every batch still queued get this answer, and the server
+/// shuts down without a checkpoint. None of them is acknowledged; a
+/// durable store replays on reopen what its log holds, which may
+/// include the batch that hit the failure.
+pub const KIND_INTERNAL: &str = "internal";
 /// This server is a read replica: writes are refused, and the error
 /// message names the leader address to retry against. Reads remain
 /// valid here — replicas answer `query`/`report`/`snapshot`/`stats`
@@ -280,23 +290,23 @@ pub fn ingest_response(generation: u64, rows: usize, report: &SaveReport) -> Str
     o.finish()
 }
 
-/// Render a query response against an engine snapshot. Reads go through
-/// [`EngineState`]'s read methods, so the wire protocol and any other
+/// Render a query response against a published view. Reads go through
+/// [`EngineView`]'s read methods, so the wire protocol and any other
 /// consumer of engine state share one out-of-range convention.
-pub fn query_response(state: &EngineState, row: usize) -> String {
-    let (Some(current), Some(original)) = (state.current_row(row), state.original_row(row)) else {
+pub fn query_response(view: &EngineView, row: usize) -> String {
+    let (Some(current), Some(original)) = (view.current_row(row), view.original_row(row)) else {
         return error_response(
             Some("query"),
             KIND_INVALID,
-            &format!("row {row} out of range (engine holds {})", state.len()),
+            &format!("row {row} out of range (engine holds {})", view.len()),
         );
     };
-    let inlier = state.is_inlier(row);
-    let neighbor_count = state.neighbor_count(row).unwrap_or(0);
+    let inlier = view.is_inlier(row);
+    let neighbor_count = view.neighbor_count(row).unwrap_or(0);
     let mut o = Obj::new();
     o.raw("ok", "true")
         .str("op", "query")
-        .u64("generation", state.generation)
+        .u64("generation", view.generation())
         .u64("row", row as u64)
         .raw("inlier", if inlier { "true" } else { "false" })
         .u64("neighbor_count", neighbor_count as u64)
@@ -305,40 +315,38 @@ pub fn query_response(state: &EngineState, row: usize) -> String {
     o.finish()
 }
 
-/// Render a report (summary) response against an engine snapshot.
-pub fn report_response(state: &EngineState) -> String {
-    let outliers = state.outliers();
-    let len = state.len();
+/// Render a report (summary) response against a published view, in
+/// O(1).
+pub fn report_response(view: &EngineView) -> String {
     let mut o = Obj::new();
     o.raw("ok", "true")
         .str("op", "report")
-        .u64("generation", state.generation)
-        .u64("rows", len as u64)
-        .u64("inliers", (len - outliers.len()) as u64)
-        .u64("outliers", outliers.len() as u64)
-        .u64("pending", state.pending.len() as u64);
+        .u64("generation", view.generation())
+        .u64("rows", view.len() as u64)
+        .u64("inliers", view.inlier_count() as u64)
+        .u64("outliers", view.outlier_count() as u64)
+        .u64("pending", view.pending().len() as u64);
     o.finish()
 }
 
 /// Render a full snapshot response: every current row plus the outlier
-/// and pending index lists.
-pub fn snapshot_response(state: &EngineState) -> String {
+/// and pending index lists, read straight off the view.
+pub fn snapshot_response(view: &EngineView) -> String {
     let mut rows = String::from("[");
-    for (i, row) in state.current.iter().enumerate() {
+    for i in 0..view.len() {
         if i > 0 {
             rows.push(',');
         }
-        rows.push_str(&values_array(row));
+        rows.push_str(&values_array(view.current_row(i).unwrap_or_default()));
     }
     rows.push(']');
-    let outliers = state.outliers();
     let mut o = Obj::new();
     o.raw("ok", "true")
         .str("op", "snapshot")
-        .u64("generation", state.generation)
+        .u64("generation", view.generation())
         .raw("rows", &rows)
-        .raw("outliers", &index_array(&outliers))
-        .raw("pending", &index_array(&state.pending));
+        .raw("outliers", &index_array(&view.outliers()))
+        .raw("pending", &index_array(view.pending()));
     o.finish()
 }
 

@@ -6,11 +6,15 @@
 //! The engine is **never shared**: a single writer thread owns the
 //! backend outright, fed from a bounded FIFO queue of ingest jobs. Reads
 //! never touch the engine — after every drain the writer publishes an
-//! immutable [`EngineState`] behind an `Arc`, and connection threads
-//! answer `query`/`report`/`snapshot` from whichever published image
-//! they grab. There is no engine lock to contend on and no torn read to
-//! defend against; a read races only the *pointer swap*, never the
-//! mutation.
+//! [`EngineView`] behind an `Arc`, and connection threads answer
+//! `query`/`report`/`snapshot`/`stats` from whichever published view
+//! they grab. A view shares the engine's write-once rows and
+//! copy-on-write tables, so a publish clones chunk pointers and copies
+//! no row, and later ingests copy only the chunks they write that a view
+//! still holds. There is no engine lock to contend on and no torn read
+//! to defend against; a read races only the *pointer swap*, never the
+//! mutation. [`ServerHandle::snapshot`] hands out the view's flat
+//! [`EngineState`], built once per published view.
 //!
 //! # Ordering and equivalence
 //!
@@ -39,17 +43,32 @@
 //! finally closes a durable backend ([`DurableEngine::close`]:
 //! checkpoint, WAL reset, lock release). Nothing acknowledged is ever
 //! lost.
+//!
+//! # Writer failure
+//!
+//! Each batch is applied under `catch_unwind`. A panic leaves the engine
+//! half-applied, so the writer stops there: the batch that hit it and
+//! every batch still queued are answered with the typed `internal`
+//! error, admission closes and the server shuts down. Reads keep
+//! answering from the last published view until it exits. The backend
+//! is dropped, never closed: a checkpoint would persist the half-applied
+//! engine. A durable store logged the failed batch before applying it,
+//! so a reopen replays it along with every acknowledged one.
+//! [`ServerHandle::wait`] returns a [`ShutdownReport`] whose `failure`
+//! names the panic.
 
 use std::collections::VecDeque;
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{mpsc, Arc, Condvar, Mutex};
 use std::thread::{self, JoinHandle};
 use std::time::{Duration, Instant};
 
-use disc_core::{DiscEngine, EngineState, SaveReport};
+use disc_core::pipeline::panic_message;
+use disc_core::{DiscEngine, EngineState, EngineView, SaveReport};
 use disc_distance::Value;
 use disc_obs::hist::{REPL_SHIP_MICROS, SHARD_FANOUT_MICROS};
 use disc_obs::json::Obj;
@@ -57,8 +76,8 @@ use disc_obs::{counters, global_json, hist_json, Histogram};
 use disc_persist::{snapshot, store, wal, DurableEngine};
 
 use crate::protocol::{
-    self, Request, KIND_INVALID, KIND_IO, KIND_NOT_LEADER, KIND_OVERLOADED, KIND_REJECTED,
-    KIND_SHUTTING_DOWN, MAX_LINE_BYTES,
+    self, Request, KIND_INTERNAL, KIND_INVALID, KIND_IO, KIND_NOT_LEADER, KIND_OVERLOADED,
+    KIND_REJECTED, KIND_SHUTTING_DOWN, MAX_LINE_BYTES,
 };
 
 /// How the server stores ingested rows.
@@ -200,7 +219,7 @@ pub struct Acked {
 }
 
 /// Why an ingest was not applied. `kind` is the wire-protocol error kind
-/// (`overloaded`, `shutting_down`, `rejected`, or `io`).
+/// (`overloaded`, `shutting_down`, `rejected`, `io`, or `internal`).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct IngestError {
     /// Typed kind, one of the `protocol::KIND_*` constants.
@@ -212,13 +231,17 @@ pub struct IngestError {
 /// What the writer thread hands back after the final drain.
 #[derive(Debug)]
 pub struct ShutdownReport {
-    /// The engine's final state (every acknowledged ingest applied).
+    /// The last published state (after a clean drain, every
+    /// acknowledged ingest applied).
     pub state: EngineState,
-    /// The final generation.
+    /// The generation of `state`.
     pub generation: u64,
     /// A durable backend's close failure, if any. Even then, every
     /// acknowledged ingest is already durable in the WAL.
     pub close_error: Option<String>,
+    /// Why the writer stopped early, if it did: a panic while applying a
+    /// batch (see the [module docs](self)). The backend was not closed.
+    pub failure: Option<String>,
 }
 
 struct Job {
@@ -246,9 +269,9 @@ struct Latency {
 struct Shared {
     queue: Mutex<Queue>,
     not_empty: Condvar,
-    /// The latest published engine image; swapped whole by the writer
+    /// The latest published engine view; swapped whole by the writer
     /// (leader) or the replication applier (follower).
-    snapshot: Mutex<Arc<EngineState>>,
+    view: Mutex<Arc<EngineView>>,
     latency: Mutex<Latency>,
     shutdown: AtomicBool,
     max_queue: usize,
@@ -276,15 +299,30 @@ impl Shared {
         self.shutdown.load(Ordering::SeqCst)
     }
 
-    fn publish(&self, state: EngineState) {
-        *self.snapshot.lock().unwrap_or_else(|e| e.into_inner()) = Arc::new(state);
+    /// Swaps in `view` for readers. The replaced view is dropped after
+    /// the lock is released, so no reader waits on freeing it.
+    fn publish(&self, view: EngineView) {
+        let view = Arc::new(view);
+        let replaced = std::mem::replace(
+            &mut *self.view.lock().unwrap_or_else(|e| e.into_inner()),
+            view,
+        );
+        drop(replaced);
     }
 
-    fn current(&self) -> Arc<EngineState> {
-        self.snapshot
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .clone()
+    fn current(&self) -> Arc<EngineView> {
+        self.view.lock().unwrap_or_else(|e| e.into_inner()).clone()
+    }
+
+    /// The shutdown report of the last published view.
+    fn report(&self, close_error: Option<String>, failure: Option<String>) -> ShutdownReport {
+        let view = self.current();
+        ShutdownReport {
+            state: EngineState::clone(&view.state()),
+            generation: view.generation(),
+            close_error,
+            failure,
+        }
     }
 
     /// Admission control: enqueue or refuse, atomically against the
@@ -342,7 +380,7 @@ impl Server {
         let shared = Arc::new(Shared {
             queue: Mutex::new(Queue::default()),
             not_empty: Condvar::new(),
-            snapshot: Mutex::new(Arc::new(backend.engine().export_state())),
+            view: Mutex::new(Arc::new(backend.engine().view())),
             latency: Mutex::new(Latency::default()),
             shutdown: AtomicBool::new(false),
             max_queue: config.max_queue.max(1),
@@ -376,7 +414,7 @@ impl Server {
     /// watches [`StatePublisher::is_shutting_down`] to exit with the
     /// server.
     pub fn start_replica(
-        initial: EngineState,
+        initial: EngineView,
         leader_addr: String,
         config: ServerConfig,
     ) -> std::io::Result<(ServerHandle, StatePublisher)> {
@@ -387,7 +425,7 @@ impl Server {
         let shared = Arc::new(Shared {
             queue: Mutex::new(Queue::default()),
             not_empty: Condvar::new(),
-            snapshot: Mutex::new(Arc::new(initial)),
+            view: Mutex::new(Arc::new(initial)),
             latency: Mutex::new(Latency::default()),
             shutdown: AtomicBool::new(false),
             max_queue: config.max_queue.max(1),
@@ -433,17 +471,17 @@ impl Server {
 }
 
 /// A follower server's write half: the replication applier publishes
-/// each newly applied [`EngineState`] (and its health) through this
+/// a view of each newly applied engine (and its health) through this
 /// handle, exactly as the leader's writer thread publishes after each
-/// drain. Reads on the replica always see a complete image.
+/// drain. Reads on the replica always see a complete view.
 pub struct StatePublisher {
     shared: Arc<Shared>,
 }
 
 impl StatePublisher {
-    /// Publish a new engine image for readers.
-    pub fn publish(&self, state: EngineState) {
-        self.shared.publish(state);
+    /// Publish a new engine view for readers.
+    pub fn publish(&self, view: EngineView) {
+        self.shared.publish(view);
     }
 
     /// Publish replication health (served by `repl_status`) and mirror
@@ -487,9 +525,15 @@ impl ServerHandle {
         self.addr
     }
 
-    /// The latest published engine image (what reads are served from).
-    pub fn snapshot(&self) -> Arc<EngineState> {
+    /// The latest published engine view (what reads are served from).
+    pub fn view(&self) -> Arc<EngineView> {
         self.shared.current()
+    }
+
+    /// The flat image of the latest published view, built at most once
+    /// per view: calls at one generation share one image.
+    pub fn snapshot(&self) -> Arc<EngineState> {
+        self.shared.current().state()
     }
 
     /// In-process client: submit a batch through the same admission
@@ -511,9 +555,9 @@ impl ServerHandle {
     }
 
     /// Blocks until the server shuts down (external flag, `shutdown` op,
-    /// or [`ServerHandle::request_shutdown`]), then completes the drain:
-    /// joins the accept loop, every connection, and the writer, and
-    /// returns the final engine state.
+    /// [`ServerHandle::request_shutdown`], or a writer failure), then
+    /// completes the drain: joins the accept loop, every connection, and
+    /// the writer, and returns the final engine state.
     pub fn wait(self) -> ShutdownReport {
         // The accept loop exits only after a shutdown request (it polls
         // the external flag and the internal state).
@@ -526,18 +570,11 @@ impl ServerHandle {
         // replication applier last published (the applier durably owns
         // the store and closes it itself).
         let report = match self.writer {
-            Some(writer) => writer
-                .join()
-                .unwrap_or_else(|_| panic!("serve writer thread panicked")),
-            None => {
-                let state = (*self.shared.current()).clone();
-                let generation = state.generation;
-                ShutdownReport {
-                    state,
-                    generation,
-                    close_error: None,
-                }
-            }
+            Some(writer) => writer.join().unwrap_or_else(|payload| {
+                let failure = format!("writer thread panicked: {}", panic_message(payload));
+                self.shared.report(None, Some(failure))
+            }),
+            None => self.shared.report(None, None),
         };
         // Connection threads see the shutdown flag at their next poll
         // tick (all pending replies were just delivered).
@@ -557,6 +594,7 @@ fn writer_loop(
     shared: &Shared,
     throttle: Option<Duration>,
 ) -> ShutdownReport {
+    let mut published = backend.engine().generation();
     loop {
         let jobs: Vec<Job> = {
             let mut q = shared.queue.lock().unwrap_or_else(|e| e.into_inner());
@@ -580,27 +618,63 @@ fn writer_loop(
         // Coalesced apply: one pass over many queued batches, but each
         // batch keeps its own ingest call (own generation, own WAL
         // record) so reports stay bit-equal to serial execution.
-        for job in jobs {
-            let outcome = backend.ingest(job.rows).map(|report| Acked {
-                generation: backend.engine().generation(),
-                report,
-            });
+        let mut jobs = jobs.into_iter();
+        while let Some(job) = jobs.next() {
+            let outcome = match catch_unwind(AssertUnwindSafe(|| backend.ingest(job.rows))) {
+                Ok(outcome) => outcome.map(|report| Acked {
+                    generation: backend.engine().generation(),
+                    report,
+                }),
+                Err(payload) => {
+                    let failure = format!(
+                        "the writer panicked applying generation {}: {}",
+                        backend.engine().generation(),
+                        panic_message(payload)
+                    );
+                    return writer_failed(shared, job.reply, jobs, failure);
+                }
+            };
             // A dropped receiver (client hung up mid-wait) is fine: the
             // batch is applied and durable regardless.
             let _ = job.reply.send(outcome);
         }
-        shared.publish(backend.engine().export_state());
+        // A drain whose every batch was rejected changed nothing, and
+        // republishing would only make readers rebuild the same image.
+        if backend.engine().generation() != published {
+            published = backend.engine().generation();
+            shared.publish(backend.engine().view());
+        }
     }
     // The loop exits only on an empty, closed queue, so the last drain
     // (or `Server::start`) already published this generation.
-    let state = backend.engine().export_state();
-    let generation = backend.engine().generation();
     let close_error = backend.close();
-    ShutdownReport {
-        state,
-        generation,
-        close_error,
+    shared.report(close_error, None)
+}
+
+/// Contains a writer panic (see the [module docs](self)): answers the
+/// failed job's `reply`, the rest of its drain and every job still
+/// queued with `internal`, and shuts the server down on the last
+/// published view. The caller drops the backend unclosed.
+fn writer_failed(
+    shared: &Shared,
+    reply: mpsc::Sender<Result<Acked, IngestError>>,
+    drain: impl Iterator<Item = Job>,
+    failure: String,
+) -> ShutdownReport {
+    shared.begin_shutdown();
+    let queued: Vec<Job> = {
+        let mut q = shared.queue.lock().unwrap_or_else(|e| e.into_inner());
+        counters::SERVE_QUEUE_DEPTH.set(0);
+        q.jobs.drain(..).collect()
+    };
+    let replies = std::iter::once(reply).chain(drain.chain(queued).map(|job| job.reply));
+    for reply in replies {
+        let _ = reply.send(Err(IngestError {
+            kind: KIND_INTERNAL,
+            message: failure.clone(),
+        }));
     }
+    shared.report(None, Some(failure))
 }
 
 fn accept_loop(
@@ -800,7 +874,7 @@ fn replicate_response(
         Ok(frames) => frames,
         Err(e) => return fail(&e),
     };
-    let leader_generation = shared.current().generation;
+    let leader_generation = shared.current().generation();
     let continues = frames.first().is_some_and(|f| f.generation == from + 1);
     let (snapshot_bytes, frames) = if continues && !need_snapshot {
         (None, frames)
@@ -851,7 +925,7 @@ fn replicate_response(
 
 /// Render `repl_status` for either role.
 fn repl_status_response(shared: &Shared) -> String {
-    let generation = shared.current().generation;
+    let generation = shared.current().generation();
     let mut o = Obj::new();
     o.raw("ok", "true").str("op", "repl_status");
     match &shared.role {
@@ -908,7 +982,7 @@ fn stats_response(shared: &Shared) -> String {
         // Like every other read, stats names the generation of the
         // published image it describes, so clients can correlate
         // counters with a specific engine state.
-        .u64("generation", shared.current().generation)
+        .u64("generation", shared.current().generation())
         .u64("queue_depth", counters::SERVE_QUEUE_DEPTH.get())
         .raw("latency_micros", &lat.finish())
         .raw("process", &global_json(&[("source", "disc-serve")]));
@@ -964,14 +1038,19 @@ mod tests {
             thread::sleep(Duration::from_millis(1));
         }
         let published = handle.snapshot();
+        assert!(
+            Arc::ptr_eq(&published, &handle.snapshot()),
+            "one view built two images"
+        );
         let shared = Arc::clone(&handle.shared);
         handle.request_shutdown();
         let report = handle.wait();
         assert!(
-            Arc::ptr_eq(&published, &shared.current()),
+            Arc::ptr_eq(&published, &shared.current().state()),
             "shutdown replaced the published image"
         );
         assert_eq!(report.state, *published);
         assert_eq!(report.generation, acked.generation);
+        assert_eq!(report.failure, None);
     }
 }

@@ -59,8 +59,8 @@ echo "==> cargo doc (warnings denied)"
 RUSTDOCFLAGS="-D warnings" cargo doc --offline --workspace --no-deps --quiet
 
 # Second configuration: the deterministic failpoints of disc_core::fault
-# compiled in (save panics/delays, persist IO faults, replication-link
-# drops) together with the gated suites that sweep them.
+# compiled in (save panics/delays, ingest panics, persist IO faults,
+# replication-link drops) together with the gated suites that sweep them.
 echo "==> cargo test -q (--cfg disc_fault)"
 RUSTFLAGS="--cfg disc_fault" cargo test -q --offline --workspace
 
@@ -71,6 +71,7 @@ RUSTFLAGS="--cfg disc_fault" cargo test -q --offline -p disc-core --test fault_t
 RUSTFLAGS="--cfg disc_fault" cargo test -q --offline -p disc-persist \
     --test crash_equivalence --test wal_corruption
 RUSTFLAGS="--cfg disc_fault" cargo test -q --offline -p disc-replicate --test link_faults
+RUSTFLAGS="--cfg disc_fault" cargo test -q --offline -p disc-serve --test writer_panic
 
 echo "==> cargo clippy -- -D warnings (--cfg disc_fault)"
 RUSTFLAGS="--cfg disc_fault" cargo clippy --offline --workspace --all-targets -- -D warnings

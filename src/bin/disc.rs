@@ -653,7 +653,7 @@ fn cmd_serve_replica(args: &Args, leader: &str) -> Result<(), CliError> {
     );
 
     let (handle, publisher) = Server::start_replica(
-        follower.state(),
+        follower.store().engine().view(),
         leader.to_string(),
         ServerConfig {
             addr,
@@ -785,6 +785,9 @@ fn cmd_serve(args: &Args) -> Result<(), CliError> {
     // parse the ephemeral port from it.
     println!("listening on {}", handle.addr());
     let report = handle.wait();
+    if let Some(failure) = report.failure {
+        return Err(CliError::Io(format!("serving stopped: {failure}")));
+    }
     println!(
         "shutdown complete: generation {}, {} rows",
         report.generation,
