@@ -73,7 +73,7 @@ pub fn check_search_work(ds: &Dataset, batch: usize, max_ratio: u64) -> SearchWo
         ds.schema().clone(),
         Box::new(config.clone().build_approx().unwrap()),
     );
-    let inliers = |engine: &DiscEngine| (engine.len() - engine.outliers().len()) as u64;
+    let inliers = |engine: &DiscEngine| engine.view().inlier_count() as u64;
     let mut pairs = 0;
     for chunk in ds.rows().chunks(batch) {
         let old = inliers(&engine);

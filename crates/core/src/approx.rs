@@ -55,8 +55,8 @@ pub struct DiscSaver {
     /// Worker count for the batch entry points ([`DiscSaver::save_all`]
     /// and `RSet` construction); `save_one` itself is single-threaded.
     parallelism: Parallelism,
-    /// Execution budget: wall-clock deadline for whole `save_all` runs and
-    /// candidate-evaluation cap per outlier (see [`Budget`]).
+    /// Execution budget: the wall-clock deadline for whole `save_all`
+    /// runs (see [`Budget`]).
     budget: Budget,
 }
 
@@ -123,9 +123,9 @@ impl DiscSaver {
     }
 
     /// Saves one outlier against `r`, returning the near-optimal adjustment
-    /// or `None` when no feasible adjustment exists within κ / the budget.
-    /// Honors the per-outlier candidate cap of [`crate::SaverConfig::budget`]
-    /// but not the deadline (which only applies to `save_all` runs).
+    /// or `None` when no feasible adjustment exists within κ / the node
+    /// budget. The deadline of [`crate::SaverConfig::budget`] does not
+    /// apply (it bounds `save_all` runs only).
     pub fn save_one(&self, r: &RSet, t_o: &[Value]) -> Option<Adjustment> {
         match self.save_one_budgeted(r, t_o, &CancelToken::unlimited()) {
             Ok(result) => result,
@@ -137,8 +137,8 @@ impl DiscSaver {
     /// polls `token` once per node and returns [`Cancelled`] when the
     /// pipeline's deadline expires mid-save (the incumbent is discarded —
     /// an interrupted search has no trustworthy answer). Exhausting the
-    /// deterministic per-outlier candidate cap is *not* a cancellation:
-    /// the search stops refining and returns its incumbent.
+    /// node budget is *not* a cancellation: the search stops refining and
+    /// returns its incumbent.
     pub fn save_one_budgeted(
         &self,
         r: &RSet,
@@ -181,7 +181,7 @@ impl DiscSaver {
             // smallest single-attribute ε-ball among X.
             for x0 in AttrSet::subsets_of_size(m, m - kappa) {
                 search.run_root(x0);
-                if search.exhausted() || search.nodes >= search.budget {
+                if search.cancelled || search.nodes >= search.budget {
                     break;
                 }
             }
@@ -243,12 +243,11 @@ impl DiscSaver {
     ///
     /// It answers `true` wherever that argument does not reach: an
     /// attribute metric other than `AbsoluteDiff`, or a cell of `t_o`
-    /// that is not a finite number; a per-outlier candidate cap is set
-    /// (new candidates advance the work counter that stops the search);
-    /// the lattice `Σ_{k ≥ m−κ} C(m,k)` is larger than the node budget,
-    /// so the budget could bind; or `m − κ ≥ 2` and an added row lies within `ε` of
-    /// `t_o` on some attribute, since it can change which attribute seeds
-    /// a root, and the seed's order breaks cost ties.
+    /// that is not a finite number; the lattice `Σ_{k ≥ m−κ} C(m,k)` is
+    /// larger than the node budget, so the budget could bind; or
+    /// `m − κ ≥ 2` and an added row lies within `ε` of `t_o` on some
+    /// attribute, since it can change which attribute seeds a root, and
+    /// the seed's order breaks cost ties.
     ///
     /// Floating point: the search computes a cost as
     /// `finish(full − X part)`, which for `L^p` can differ from the direct
@@ -273,7 +272,6 @@ impl DiscSaver {
             return true;
         };
         if (0..m).any(|a| !matches!(self.dist.metric(a), Metric::Absolute))
-            || self.budget.max_candidates_per_outlier.is_some()
             || lattice_size(m, kappa) > self.node_budget as u128
         {
             return true;
@@ -427,11 +425,8 @@ struct Search<'a> {
     token: &'a CancelToken,
     /// Set once the token fires: the incumbent is no longer trustworthy.
     cancelled: bool,
-    /// Candidate evaluations charged so far against `work_cap`.
+    /// Candidate evaluations so far ([`SaveEffort::candidates`]).
     work: usize,
-    /// Per-outlier candidate-evaluation cap ([`Budget`]); `usize::MAX`
-    /// when unlimited.
-    work_cap: usize,
     /// Subtrees cut by the Proposition 3 lower bound.
     lb_prunes: u64,
     /// Nodes cut because fewer than η candidates remained.
@@ -468,10 +463,6 @@ impl<'a> Search<'a> {
             token,
             cancelled: false,
             work: 0,
-            work_cap: saver
-                .budget
-                .max_candidates_per_outlier
-                .unwrap_or(usize::MAX),
             lb_prunes: 0,
             eta_prunes: 0,
             ub_updates: 0,
@@ -522,13 +513,6 @@ impl<'a> Search<'a> {
         }
     }
 
-    /// True once the search must stop expanding (cancellation or the
-    /// per-outlier candidate cap). The node budget is checked separately —
-    /// it predates [`Budget`] and bounds memoized nodes, not candidates.
-    fn exhausted(&self) -> bool {
-        self.cancelled || self.work >= self.work_cap
-    }
-
     /// `Δ(t_o[R\X], t[R\X])` for candidate `c` at node `X`. For
     /// `L¹`/`L²`/`L^p` the accumulator decomposes; `L^∞` needs a direct
     /// pass over `R\X`.
@@ -547,7 +531,7 @@ impl<'a> Search<'a> {
 
     /// Seeds and runs one κ-restricted root `X₀`.
     fn run_root(&mut self, x0: AttrSet) {
-        if self.exhausted() || self.visited.contains(&x0) {
+        if self.cancelled || self.visited.contains(&x0) {
             return;
         }
         // Seed candidates from the smallest single-attribute ball among X₀
@@ -577,10 +561,7 @@ impl<'a> Search<'a> {
 
     /// One node of Algorithm 1: bounds, incumbent update, recursion.
     fn recurse(&mut self, x: AttrSet, cands: Vec<Cand>) {
-        // Budget exhaustion keeps the incumbent found so far; the work cap
-        // is checked *before* processing, so at least the root node always
-        // runs and small caps still yield a (suboptimal) answer.
-        if self.exhausted() {
+        if self.cancelled {
             return;
         }
         if self.token.is_cancelled() {
@@ -840,26 +821,6 @@ mod tests {
     }
 
     #[test]
-    fn candidate_cap_still_returns_incumbent_deterministically() {
-        let config = SaverConfig::new(DistanceConstraints::new(0.5, 4), TupleDistance::numeric(2));
-        let base = config.clone().build_approx().unwrap();
-        let capped = config
-            .budget(Budget::unlimited().with_max_candidates(1))
-            .build_approx()
-            .unwrap();
-        let r = base.build_rset(cluster_2d());
-        let t_o = vec![Value::Num(0.3), Value::Num(9.0)];
-        // Cap 1 processes only the root node — still a feasible answer.
-        let adj = capped.save_one(&r, &t_o).unwrap();
-        assert!(r.is_feasible(&adj.values));
-        // And never cheaper than the unrestricted search.
-        let full = base.save_one(&r, &t_o).unwrap();
-        assert!(full.cost <= adj.cost + 1e-9);
-        // Deterministic: same result every time.
-        assert_eq!(capped.save_one(&r, &t_o), Some(adj));
-    }
-
-    #[test]
     fn cancelled_token_interrupts_save() {
         let saver = SaverConfig::new(DistanceConstraints::new(0.5, 4), TupleDistance::numeric(2))
             .build_approx()
@@ -911,14 +872,6 @@ mod tests {
         let far = [50.0, 50.0];
         let added = [(&far[..], 0.0)];
         assert!(!saver.outcome_may_change(&t_o, cost, &added, &[]));
-
-        // A candidate cap: new candidates advance the work counter.
-        let capped = config
-            .clone()
-            .budget(Budget::unlimited().with_max_candidates(1 << 30))
-            .build_approx()
-            .unwrap();
-        assert!(capped.outcome_may_change(&t_o, cost, &added, &[]));
         // A node budget below the lattice (4 nodes for m = 2, κ = m).
         let budgeted = config.clone().node_budget(3).build_approx().unwrap();
         assert!(budgeted.outcome_may_change(&t_o, cost, &added, &[]));
@@ -1151,7 +1104,7 @@ mod tests {
                 let mut ds = disc_data::Dataset::new(disc_data::Schema::numeric(2), all.clone());
                 config.clone().build_approx().unwrap().save_all(&mut ds);
                 assert!(
-                    !engine.is_inlier(6),
+                    !engine.view().is_inlier(6),
                     "{norm:?} {t_o:?}: t_o stays an outlier"
                 );
                 assert_eq!(engine.dataset().rows(), ds.rows(), "{norm:?} {t_o:?}");

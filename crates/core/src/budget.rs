@@ -5,8 +5,9 @@
 //! saver enumerates `O(d^m)` value combinations). Robust-to-noise systems
 //! budget such work and *degrade* rather than fail: a [`Budget`] carried by
 //! `DiscSaver`/`ExactSaver` bounds a whole `save_all` run by a wall-clock
-//! [`Budget::deadline`] and each per-outlier search by
-//! [`Budget::max_candidates_per_outlier`].
+//! [`Budget::deadline`]. Each saver also bounds its own per-outlier
+//! search: Algorithm 1 by its node budget, the exact saver by its
+//! combination limit.
 //!
 //! Enforcement is cooperative. The pipeline materializes the deadline into
 //! a shared [`CancelToken`]; the per-outlier search loops poll it every few
@@ -48,12 +49,6 @@ pub struct Budget {
     /// of `save_all`. On expiry, in-flight saves are cancelled and
     /// untried outliers are reported as skipped.
     pub deadline: Option<Duration>,
-    /// Cap on candidate evaluations per outlier (search *work*, not
-    /// search *results*): the bound-guided search stops refining and
-    /// returns its incumbent, the exact saver stops enumerating. Unlike
-    /// the deadline, exhausting this cap still yields a (possibly
-    /// suboptimal) per-outlier answer and is fully deterministic.
-    pub max_candidates_per_outlier: Option<usize>,
 }
 
 impl Budget {
@@ -67,7 +62,6 @@ impl Budget {
     pub fn auto() -> Self {
         Budget {
             deadline: global_deadline(),
-            max_candidates_per_outlier: None,
         }
     }
 
@@ -77,16 +71,9 @@ impl Budget {
         self
     }
 
-    /// Sets the per-outlier candidate-evaluation cap.
-    pub fn with_max_candidates(mut self, cap: usize) -> Self {
-        assert!(cap >= 1, "candidate cap must be at least 1");
-        self.max_candidates_per_outlier = Some(cap);
-        self
-    }
-
     /// True when no limit is configured.
     pub fn is_unlimited(&self) -> bool {
-        self.deadline.is_none() && self.max_candidates_per_outlier.is_none()
+        self.deadline.is_none()
     }
 
     /// A token enforcing this budget's deadline from now on, shared by
@@ -215,11 +202,8 @@ mod tests {
     #[test]
     fn budget_builders() {
         assert!(Budget::unlimited().is_unlimited());
-        let b = Budget::unlimited()
-            .with_deadline(Duration::from_millis(5))
-            .with_max_candidates(100);
+        let b = Budget::unlimited().with_deadline(Duration::from_millis(5));
         assert!(!b.is_unlimited());
-        assert_eq!(b.max_candidates_per_outlier, Some(100));
         // An expired-at-start deadline yields an already-cancelled token.
         let t = Budget::unlimited().with_deadline(Duration::ZERO).start();
         assert!(t.is_cancelled());

@@ -57,11 +57,14 @@
 //! The engine holds its originals once, in a write-once row store, and
 //! its counts, `δ_η` lists and adjusted rows (the overlay of output rows
 //! that differ from their originals) in copy-on-write chunks; see
-//! [`crate::view`]. [`ShardedEngine::view`] shares all of them with a
-//! read-only [`EngineView`] without copying a row, so a server can
-//! publish after every ingest at the cost of the chunks the next ingest
-//! writes, and [`ShardedEngine::export_state`] builds the flat
-//! [`EngineState`] from such a view.
+//! [`crate::view`]. The row store and the overlay are its only record of
+//! its output: [`ShardedEngine::dataset`] builds the flat output table
+//! from them on the first call after an ingest. [`ShardedEngine::view`]
+//! shares all of them with a read-only [`EngineView`] without copying a
+//! row, so a server can publish after every ingest at the cost of the
+//! chunks the next ingest writes; the view answers every other read of
+//! a live engine, and [`ShardedEngine::export_state`] builds the flat
+//! [`EngineState`] from one.
 //!
 //! The shard fan-outs of steps 1 and 3, step 4 and the save loop run on
 //! the saver's worker threads only for ingests of at least
@@ -70,7 +73,7 @@
 //!
 //! Determinism contract: detection and saving always work on the
 //! *original* ingested values (adjustments live only in the output
-//! dataset), the RSet lists inliers in ascending row order and equals a
+//! overlay), the RSet lists inliers in ascending row order and equals a
 //! from-scratch build over them (`RSet::merge`), every `δ_η` list holds
 //! exactly the η nearest inlier distances (the narrow rule skips only
 //! pairs that cannot tighten a list), and dirty outliers are saved in
@@ -105,7 +108,7 @@ use crate::pipeline::{save_outlier_rows, SaveReport};
 use crate::rset::RSet;
 use crate::saver::Saver;
 use crate::shard::{self, shard_of, EngineShard};
-use crate::view::{Chunks, EngineView, RowStore};
+use crate::view::{output_rows, Chunks, EngineView, RowStore};
 
 /// Smallest ingest, in rows, whose fan-outs run on threads. An ingest
 /// below it runs its shard fan-outs, phase 4 and its save loop on the
@@ -134,13 +137,16 @@ pub struct ShardedEngine {
     /// held once and shared with every view. Detection, `δ_η`
     /// maintenance, and saving always read these.
     original: RowStore,
-    /// The output dataset: original values with the current adjustment
-    /// applied to each saved outlier.
-    current: Dataset,
+    /// The schema of the input and output rows.
+    schema: Schema,
     /// The output rows that differ (bit for bit) from their originals,
-    /// the saved outliers: the overlay a view reads `current` through.
-    /// Written only with `current`, by `set_current`.
+    /// the saved outliers: with `original`, the engine's only record of
+    /// its output. Written only by `set_current`.
     adjusted: Chunks<Option<Arc<[Value]>>>,
+    /// The flat output dataset, built from `original` and `adjusted` by
+    /// the first [`ShardedEngine::dataset`] call after an ingest; every
+    /// ingest drops it.
+    output: OnceLock<Dataset>,
     /// Per-row ε-neighbor count over the whole dataset, self-inclusive —
     /// the quantity detection compares against η.
     counts: Chunks<usize>,
@@ -261,9 +267,10 @@ impl ShardedEngine {
         let eta = saver.constraints().eta;
         let dist = saver.distance().clone();
         ShardedEngine {
-            current: Dataset::new(schema, Vec::new()),
             original: RowStore::default(),
+            schema,
             adjusted: Chunks::with_capacity(1, 0),
+            output: OnceLock::new(),
             counts: Chunks::with_capacity(1, 0),
             nearest: NearestTable::with_capacity(eta, 0),
             shards: (0..shards)
@@ -299,30 +306,21 @@ impl ShardedEngine {
     }
 
     /// The output dataset: ingested rows with the current adjustments
-    /// applied to saved outliers.
+    /// applied to saved outliers. Built from the row store and the
+    /// overlay by the first call after an ingest, and kept until the
+    /// next one.
     pub fn dataset(&self) -> &Dataset {
-        &self.current
-    }
-
-    /// True when `row` currently satisfies the distance constraints.
-    pub fn is_inlier(&self, row: usize) -> bool {
-        self.nearest.is_listed(row)
+        self.output.get_or_init(|| {
+            Dataset::new(
+                self.schema.clone(),
+                output_rows(&self.original, &self.adjusted),
+            )
+        })
     }
 
     /// True when `row`'s count meets the η threshold.
     fn satisfies(&self, row: usize) -> bool {
         self.counts[row] >= self.saver.constraints().eta
-    }
-
-    /// Rows currently classified outliers, ascending.
-    pub fn outliers(&self) -> Vec<usize> {
-        self.nearest.unlisted().collect()
-    }
-
-    /// Outliers whose last save attempt was skipped or failed; they are
-    /// retried automatically on the next ingest.
-    pub fn pending(&self) -> Vec<usize> {
-        self.pending.iter().copied().collect()
     }
 
     /// Number of successful ingests applied since the engine was empty.
@@ -369,6 +367,7 @@ impl ShardedEngine {
     /// values are legal wherever the metric accepts them.
     pub fn ingest(&mut self, batch: Vec<Vec<Value>>) -> Result<SaveReport, Error> {
         self.validate_batch(&batch)?;
+        self.output.take();
         self.generation += 1;
         let t_run = Instant::now();
         let counters_before = Snapshot::take();
@@ -392,9 +391,7 @@ impl ShardedEngine {
         let shards = self.shards.len();
         for row in batch {
             let g = self.original.len();
-            self.current.push(row.clone());
             self.adjusted.push(None);
-            counters::SHARD_ROWS.incr();
             self.shards[shard_of(g, shards)].push(g, row.clone());
             self.original.push(row);
             self.nearest.push(None);
@@ -438,7 +435,7 @@ impl ShardedEngine {
         // rows settling into a class.
         let mut new_inliers: Vec<usize> = Vec::new();
         for &h in &bumped {
-            if !self.is_inlier(h) && self.satisfies(h) {
+            if !self.nearest.is_listed(h) && self.satisfies(h) {
                 new_inliers.push(h);
                 counters::ENGINE_PROMOTIONS.incr();
                 // A promoted row is no longer saved: its adjusted values
@@ -492,7 +489,7 @@ impl ShardedEngine {
             // inliers. A narrow row (see `NARROW_MARGIN`) observes only
             // the new inliers within ε; a wide row observes every new
             // inlier directly. New inliers (promoted and fresh alike)
-            // have no list yet, so `is_inlier` here selects exactly the
+            // have no list yet, so a listed row here is exactly one of the
             // pre-existing ones.
             let dist = self.saver.distance();
             let narrow = eps * (1.0 - NARROW_MARGIN);
@@ -685,22 +682,16 @@ impl ShardedEngine {
     }
 
     /// Sets the output row of `row` to its adjusted `values`, or to its
-    /// original values for `None`: the one writer of both `current` and
-    /// the `adjusted` overlay, which holds exactly the rows whose output
-    /// differs bit for bit from their original.
+    /// original values for `None`: the one writer of the `adjusted`
+    /// overlay, which holds exactly the rows whose output differs bit for
+    /// bit from their original.
     fn set_current(&mut self, row: usize, values: Option<Vec<Value>>) {
-        match values.filter(|values| !bit_equal_row(values, &self.original[row])) {
-            Some(values) => {
-                self.adjusted[row] = Some(Arc::from(values.as_slice()));
-                self.current.set_row(row, values);
-            }
-            // Without an overlay entry the output row is the original
-            // already.
-            None if self.adjusted[row].is_some() => {
-                self.adjusted[row] = None;
-                self.current.set_row(row, self.original[row].to_vec());
-            }
-            None => {}
+        let values = values.filter(|values| !bit_equal_row(values, &self.original[row]));
+        // Without an overlay entry the output row is the original
+        // already; rewriting the empty entry would copy a chunk that a
+        // view may still hold.
+        if values.is_some() || self.adjusted[row].is_some() {
+            self.adjusted[row] = values.map(Arc::from);
         }
     }
 
@@ -713,7 +704,7 @@ impl ShardedEngine {
     /// that r gained `added` and the `δ_η` of `tightened` fell, ascending:
     /// all of them once an inlier holds a non-number, else the ones the
     /// saver cannot prove stable. Each one's current cost comes from its
-    /// original and current rows alone, and the numeric fact from the
+    /// original and output rows alone, and the numeric fact from the
     /// inliers' original rows, so a restored engine, a replica, and a
     /// store reopened at another shard count decide the same.
     fn unstable_outliers(
@@ -746,10 +737,15 @@ impl ShardedEngine {
         let hosts: Vec<(&[f64], f64)> =
             packed.iter().map(|(row, d)| (row.as_slice(), *d)).collect();
         let (added, tightened) = hosts.split_at(added.len());
-        let (saver, rows) = (&*self.saver, self.current.rows());
+        let (saver, adjusted) = (&*self.saver, &self.adjusted);
         let verdicts = parallel_map(&old, workers, |&o| {
-            let (original, current) = (&self.original[o], &rows[o]);
-            let cost = (original != current).then(|| saver.distance().dist(original, current));
+            let original = &self.original[o];
+            // An overlay entry differs bit for bit; a cost needs a row
+            // that differs under `Value`'s `!=`, not in a zero's sign.
+            let cost = adjusted[o]
+                .as_deref()
+                .filter(|current| original != *current)
+                .map(|current| saver.distance().dist(original, current));
             saver.outcome_may_change(original, cost, added, tightened)
         });
         old.into_iter()
@@ -878,7 +874,6 @@ impl ShardedEngine {
         // local ids ascend with the global ones.
         let mut inliers = Vec::new();
         for (i, row) in state.original.iter().enumerate() {
-            counters::SHARD_ROWS.incr();
             engine.shards[shard_of(i, shards)].push(i, row.clone());
             if state.nearest.get(i).is_some() {
                 engine.numeric_inliers &= all_numeric(row);
@@ -887,11 +882,8 @@ impl ShardedEngine {
         }
         for (original, current) in state.original.into_iter().zip(state.current) {
             let adjusted = !bit_equal_row(&current, &original);
-            engine
-                .adjusted
-                .push(adjusted.then(|| Arc::from(current.as_slice())));
+            engine.adjusted.push(adjusted.then(|| Arc::from(current)));
             engine.original.push(original);
-            engine.current.push(current);
         }
         for count in state.counts {
             engine.counts.push(count);
@@ -994,7 +986,7 @@ mod tests {
                 "S={shards}"
             );
             assert_eq!(eng.dataset().rows(), reference.dataset().rows());
-            assert_eq!(eng.outliers(), reference.outliers());
+            assert_eq!(eng.view().outliers(), reference.view().outliers());
             assert_eq!(eng.export_state(), reference.export_state());
         }
     }
@@ -1111,11 +1103,11 @@ mod tests {
         let mut eng = engine(1.0, 3);
         eng.ingest(num(&[[0.0, 0.0], [0.5, 0.0]])).unwrap();
         assert_eq!(eng.counts[0], 2);
-        assert!(!eng.is_inlier(0));
+        assert!(!eng.view().is_inlier(0));
         eng.ingest(num(&[[0.0, 0.5]])).unwrap();
         assert_eq!(eng.counts[0], 3);
-        assert!(eng.is_inlier(0));
-        assert!(eng.is_inlier(2));
+        assert!(eng.view().is_inlier(0));
+        assert!(eng.view().is_inlier(2));
     }
 
     #[test]
@@ -1127,12 +1119,15 @@ mod tests {
         let mut rows = grid_rows();
         rows.push(vec![Value::Num(5.0), Value::Num(5.0)]);
         eng.ingest(rows).unwrap();
-        assert!(!eng.is_inlier(36));
+        assert!(!eng.view().is_inlier(36));
         let adjusted = eng.dataset().row(36).to_vec();
         assert_ne!(adjusted, eng.original[36], "outlier should have been saved");
         eng.ingest(num(&[[5.1, 5.0], [4.9, 5.0], [5.0, 5.1]]))
             .unwrap();
-        assert!(eng.is_inlier(36), "new neighbors promote the old outlier");
+        assert!(
+            eng.view().is_inlier(36),
+            "new neighbors promote the old outlier"
+        );
         assert_eq!(eng.dataset().row(36), &eng.original[36]);
     }
 
@@ -1240,7 +1235,7 @@ mod tests {
 
         assert_eq!(report, ref_report);
         assert_eq!(restored.dataset().rows(), reference.dataset().rows());
-        assert_eq!(restored.outliers(), reference.outliers());
+        assert_eq!(restored.view().outliers(), reference.view().outliers());
         assert_eq!(restored.generation(), reference.generation());
     }
 
@@ -1349,7 +1344,7 @@ mod tests {
         let mut reference = engine(0.5, 4);
         reference.ingest(first).unwrap();
         let mut state = reference.export_state();
-        assert_eq!(reference.outliers(), (2..10).collect::<Vec<_>>());
+        assert_eq!(reference.view().outliers(), (2..10).collect::<Vec<_>>());
         assert_eq!(state.nearest.get(0).map(<[f64]>::len), Some(2));
         state.nearest = state.nearest.iter().collect();
         let report = reference.ingest(second.clone()).unwrap();

@@ -29,8 +29,8 @@ pub struct ExactSaver {
     /// Worker count for the batch entry points ([`ExactSaver::save_all`]
     /// and `RSet` construction); `save_one` itself is single-threaded.
     parallelism: Parallelism,
-    /// Execution budget: wall-clock deadline for whole `save_all` runs and
-    /// candidate-combination cap per outlier (see [`Budget`]).
+    /// Execution budget: the wall-clock deadline for whole `save_all`
+    /// runs (see [`Budget`]).
     budget: Budget,
 }
 
@@ -135,16 +135,16 @@ impl ExactSaver {
     }
 
     /// Finds the optimal adjustment over the candidate domains, or `None`
-    /// when no combination is feasible. Honors the per-outlier candidate
-    /// cap of [`crate::SaverConfig::budget`] but not the deadline (which only
-    /// applies to `save_all` runs).
+    /// when no combination is feasible. The deadline of
+    /// [`crate::SaverConfig::budget`] does not apply (it bounds `save_all`
+    /// runs only).
     ///
     /// # Panics
-    /// Panics if the cross-product size exceeds the combination budget and
-    /// no per-outlier candidate cap is configured — the caller should
-    /// shrink `domain_cap` or the schema (this mirrors the paper's
-    /// observation that Exact is only runnable for small `m`). Inside the
-    /// pipeline this panic is isolated and reported as a failed save.
+    /// Panics if the cross-product size exceeds the combination budget —
+    /// the caller should shrink `domain_cap` or the schema (this mirrors
+    /// the paper's observation that Exact is only runnable for small
+    /// `m`). Inside the pipeline this panic is isolated and reported as a
+    /// failed save.
     pub fn save_one(&self, r: &RSet, t_o: &[Value]) -> Option<Adjustment> {
         match self.save_one_budgeted(r, t_o, &CancelToken::unlimited()) {
             Ok(result) => result,
@@ -155,8 +155,6 @@ impl ExactSaver {
     /// [`ExactSaver::save_one`] under cooperative cancellation: the
     /// enumeration polls `token` every 1024 combinations and returns
     /// [`Cancelled`] when the pipeline's deadline expires mid-save.
-    /// Exhausting the deterministic per-outlier candidate cap instead
-    /// stops the enumeration and returns the incumbent.
     pub fn save_one_budgeted(
         &self,
         r: &RSet,
@@ -204,20 +202,17 @@ impl ExactSaver {
             return Err(Cancelled);
         }
         let domains: Vec<Vec<Value>> = (0..m).map(|a| self.domain(r, a, &t_o[a])).collect();
-        let cap = self.budget.max_candidates_per_outlier.map(|c| c as u64);
-        if cap.is_none() {
-            let combos = domains
-                .iter()
-                .map(|d| d.len() as u64)
-                .try_fold(1u64, u64::checked_mul)
-                .unwrap_or(u64::MAX);
-            assert!(
-                combos <= self.max_combinations,
-                "exact enumeration would visit {combos} combinations (budget {}); \
-                 reduce domain_cap or the number of attributes",
-                self.max_combinations
-            );
-        }
+        let combos = domains
+            .iter()
+            .map(|d| d.len() as u64)
+            .try_fold(1u64, u64::checked_mul)
+            .unwrap_or(u64::MAX);
+        assert!(
+            combos <= self.max_combinations,
+            "exact enumeration would visit {combos} combinations (budget {}); \
+             reduce domain_cap or the number of attributes",
+            self.max_combinations
+        );
         let finish = |best: Option<(Vec<Value>, f64)>| -> Option<Adjustment> {
             let (values, cost) = best?;
             let mut adjusted = AttrSet::empty();
@@ -243,10 +238,6 @@ impl ExactSaver {
         loop {
             if *tried > 0 && tried.is_multiple_of(1024) && token.is_cancelled() {
                 return Err(Cancelled);
-            }
-            if cap.is_some_and(|cap| *tried >= cap) {
-                // Candidate cap exhausted: return the incumbent.
-                return Ok(finish(best));
             }
             *tried += 1;
             let cost = self.dist.dist(t_o, &cand);
@@ -363,31 +354,6 @@ mod tests {
         let r = exact.build_rset(rows);
         let d = exact.domain(&r, 0, &Value::Num(50.0));
         assert_eq!(d.len(), 5); // 4 quantiles + the outlier's own value
-    }
-
-    #[test]
-    fn candidate_cap_degrades_instead_of_panicking() {
-        // Same oversized setup as `budget_overflow_panics`, but with a
-        // per-outlier cap: enumeration is bounded and returns an incumbent
-        // (or a clean None) instead of asserting.
-        let c = DistanceConstraints::new(0.5, 2);
-        let rows: Vec<Vec<Value>> = (0..10)
-            .map(|i| vec![Value::Num(i as f64), Value::Num(i as f64)])
-            .collect();
-        let exact = SaverConfig::new(c, TupleDistance::numeric(2))
-            .domain_cap(None)
-            .max_combinations(4)
-            .budget(Budget::unlimited().with_max_candidates(50))
-            .build_exact()
-            .unwrap();
-        let r = exact.build_rset(rows);
-        let t_o = [Value::Num(0.0), Value::Num(0.0)];
-        let adj = exact.save_one(&r, &t_o);
-        if let Some(adj) = &adj {
-            assert!(r.is_feasible(&adj.values));
-        }
-        // Deterministic under the cap.
-        assert_eq!(exact.save_one(&r, &t_o), adj);
     }
 
     #[test]

@@ -31,9 +31,9 @@
 //!   preprocessing, and every shard fan-out go through it, with results
 //!   bit-identical to the sequential run;
 //! * [`budget`] — execution budgets ([`Budget`]) with cooperative
-//!   cancellation: a wall-clock deadline for whole `save_all` runs and a
-//!   deterministic per-outlier candidate cap, both degrading gracefully
-//!   into [`SaveReport::skipped`] instead of hanging or aborting;
+//!   cancellation: a wall-clock deadline for whole `save_all` runs,
+//!   degrading gracefully into [`SaveReport::skipped`] instead of
+//!   hanging or aborting;
 //! * [`engine`] + [`shard`] — the incremental streaming engine
 //!   ([`ShardedEngine`]), hash-partitioning rows across shards whose
 //!   queries fan out through `parallel_map` (on threads only for ingests
@@ -41,9 +41,10 @@
 //!   results are bit-identical for every shard and worker count;
 //! * [`view`] — the engine's write-once row store and copy-on-write
 //!   tables, and the read-only [`EngineView`] a publish hands out: it
-//!   shares the engine's storage, answers every read of engine state for
-//!   the serve protocol, and builds the flat [`EngineState`] image the
-//!   snapshot codec and equality checks read;
+//!   shares the engine's storage, answers every read of a live engine's
+//!   state, and builds the flat [`EngineState`] image the snapshot codec
+//!   and equality checks read. The row store and the overlay of adjusted
+//!   rows are the engine's only record of its output;
 //! * [`config`] — the [`EngineConfig`] builder gathering every engine
 //!   knob (arity, ε, η, κ, shards), validated
 //!   once, with the durable byte encoding stores persist;

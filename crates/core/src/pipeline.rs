@@ -45,10 +45,8 @@
 //!   results explicit rather than silent.
 
 use std::any::Any;
-use std::collections::HashMap;
 use std::ops::Index;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::OnceLock;
 use std::time::Instant;
 
 use disc_data::Dataset;
@@ -100,7 +98,7 @@ pub struct FailedSave {
 }
 
 /// The outcome of saving every outlier in a dataset.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct SaveReport {
     /// Outliers saved by value adjustment (dirty outliers).
     pub saved: Vec<SavedOutlier>,
@@ -125,24 +123,6 @@ pub struct SaveReport {
     /// process-global counter delta are measurements and are excluded
     /// from `==` (see [`PipelineStats`]).
     pub stats: PipelineStats,
-    /// Row → position-in-`saved` map, built lazily by
-    /// [`SaveReport::adjustment_of`] so repeated lookups over large
-    /// reports are O(1) instead of O(saved).
-    pub(crate) saved_index: OnceLock<HashMap<usize, usize>>,
-}
-
-/// Equality covers the deterministic outcome fields (including the
-/// deterministic half of `stats`); the lazy lookup cache is excluded.
-impl PartialEq for SaveReport {
-    fn eq(&self, other: &Self) -> bool {
-        self.saved == other.saved
-            && self.unsaved == other.unsaved
-            && self.outliers == other.outliers
-            && self.failed == other.failed
-            && self.skipped == other.skipped
-            && self.degraded == other.degraded
-            && self.stats == other.stats
-    }
 }
 
 impl SaveReport {
@@ -160,20 +140,12 @@ impl SaveReport {
         self.saved.iter().map(|s| s.adjustment.cost).sum()
     }
 
-    /// The adjustment applied to a row, if any.
-    ///
-    /// The first call builds a row-indexed map over `saved` (later calls
-    /// are O(1)); mutating `saved` after that is not reflected in
-    /// lookups.
+    /// The adjustment applied to a row, if any (a scan of `saved`).
     pub fn adjustment_of(&self, row: usize) -> Option<&Adjustment> {
-        let index = self.saved_index.get_or_init(|| {
-            self.saved
-                .iter()
-                .enumerate()
-                .map(|(i, s)| (s.row, i))
-                .collect()
-        });
-        index.get(&row).map(|&i| &self.saved[i].adjustment)
+        self.saved
+            .iter()
+            .find(|s| s.row == row)
+            .map(|s| &s.adjustment)
     }
 }
 

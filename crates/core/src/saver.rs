@@ -47,7 +47,7 @@ pub trait Saver: Send + Sync {
     /// Worker count for the batch entry points.
     fn parallelism(&self) -> Parallelism;
 
-    /// The execution budget (deadline + per-outlier candidate cap).
+    /// The execution budget (the deadline of whole `save_all` runs).
     fn budget(&self) -> Budget;
 
     /// Saves one outlier against `r` under cooperative cancellation,
@@ -242,8 +242,8 @@ impl SaverConfig {
         self
     }
 
-    /// Overrides the execution budget (deadline for whole `save_all`
-    /// runs, deterministic per-outlier candidate cap).
+    /// Overrides the execution budget (the deadline for whole
+    /// `save_all` runs).
     pub fn budget(mut self, budget: Budget) -> Self {
         self.budget = budget;
         self

@@ -17,7 +17,6 @@ use std::time::Instant;
 
 use disc_distance::{TupleDistance, Value};
 use disc_index::{DynamicIndex, NeighborIndex};
-use disc_obs::counters;
 use disc_obs::hist::SHARD_FANOUT_MICROS;
 
 use crate::parallel::parallel_map;
@@ -88,9 +87,8 @@ impl EngineShard {
     }
 
     /// This shard's ε-range hits around `query`, as `(global id,
-    /// distance)`; counts the query on `shard.range_queries`.
+    /// distance)`.
     pub(crate) fn range(&self, query: &[Value], eps: f64) -> Vec<(usize, f64)> {
-        counters::SHARD_RANGE_QUERIES.incr();
         let hits = self.index.range(query, eps);
         hits.into_iter()
             .map(|(l, d)| (self.globals[l as usize], d))

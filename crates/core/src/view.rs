@@ -11,9 +11,12 @@
 //! [`EngineView`]; the next ingest copies only the chunks it writes
 //! that the view still holds. A view answers every read of engine
 //! state, and builds the flat [`EngineState`] at most once
-//! ([`EngineView::state`]).
+//! ([`EngineView::state`]). The row store and the overlay of adjusted
+//! rows are the engine's only record of its output; `output_rows`
+//! flattens them for both the image and [`ShardedEngine::dataset`].
 //!
 //! [`ShardedEngine::view`]: crate::ShardedEngine::view
+//! [`ShardedEngine::dataset`]: crate::ShardedEngine::dataset
 
 use std::ops::{Index, IndexMut};
 use std::sync::{Arc, OnceLock};
@@ -171,6 +174,17 @@ impl Index<usize> for RowStore {
     }
 }
 
+/// The output rows: each row of `original`, or its overlay entry in
+/// `adjusted` where it has one. The one builder of a flat output table.
+pub(crate) fn output_rows(
+    original: &RowStore,
+    adjusted: &Chunks<Option<Arc<[Value]>>>,
+) -> Vec<Vec<Value>> {
+    (0..original.len())
+        .map(|row| adjusted[row].as_deref().unwrap_or(&original[row]).to_vec())
+        .collect()
+}
+
 /// A read-only view of a [`ShardedEngine`](crate::ShardedEngine) at one
 /// generation, taken by [`ShardedEngine::view`](crate::ShardedEngine::view)
 /// between ingests. It shares the engine's storage: its rows are the row
@@ -266,12 +280,7 @@ impl EngineView {
         EngineState {
             generation: self.generation,
             original: (0..n).map(|row| self.original[row].to_vec()).collect(),
-            current: (0..n)
-                .map(|row| match &self.adjusted[row] {
-                    Some(adjusted) => adjusted.to_vec(),
-                    None => self.original[row].to_vec(),
-                })
-                .collect(),
+            current: output_rows(&self.original, &self.adjusted),
             counts: self.counts.iter().copied().collect(),
             nearest: self.nearest.clone(),
             pending: self.pending.clone(),

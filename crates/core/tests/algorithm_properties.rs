@@ -165,10 +165,9 @@ proptest! {
 }
 
 /// The streaming engine's stability check as it reads per pair over
-/// `Value`s (for `AbsoluteDiff` metrics, no candidate cap and a node
-/// budget above the lattice): the non-number fallback, the seed-flip
-/// test, then per host the `δ_η`
-/// test, Prop. 3 leaving at the first prefix whose accumulated
+/// `Value`s (for `AbsoluteDiff` metrics and a node budget above the
+/// lattice): the non-number fallback, the seed-flip test, then per host
+/// the `δ_η` test, Prop. 3 leaving at the first prefix whose accumulated
 /// `attr_dist` passes `C + ε`, and the walk over adjusted sets.
 /// `DiscSaver::outcome_may_change` packs everything as `f64` and tests
 /// Prop. 3 once on the full accumulation; it must answer as this does.

@@ -81,12 +81,13 @@ fn run_equivalence(
     }
     // Rows promoted to inliers after being saved were reverted and are
     // no longer saved outliers.
-    streamed_saved.retain(|s| !engine.is_inlier(s.row));
+    let view = engine.view();
+    streamed_saved.retain(|s| !view.is_inlier(s.row));
     streamed_saved.sort_by_key(|s| s.row);
 
     // Same classification...
     prop_assert_eq!(
-        engine.outliers(),
+        engine.view().outliers(),
         batch_report.outliers.clone(),
         "outlier sets diverge"
     );
@@ -138,7 +139,7 @@ fn packed_off_engine_matches_packed_on_batch() {
     for chunk in base.rows().chunks(13) {
         engine.ingest(chunk.to_vec()).unwrap();
     }
-    assert_eq!(engine.outliers(), batch_report.outliers);
+    assert_eq!(engine.view().outliers(), batch_report.outliers);
     assert_eq!(engine.dataset().rows(), batch_ds.rows());
 }
 
@@ -261,7 +262,7 @@ fn prefix_oracle(
             engine.len()
         );
         prop_assert_eq!(
-            engine.outliers(),
+            engine.view().outliers(),
             expected.outliers,
             "outliers: {}",
             context

@@ -3,8 +3,10 @@
 //! into the same row store and copy-on-write tables. The streams mix
 //! promotions (adjusted rows reverting), resaves, pending rows (an
 //! expired budget), `Null` and text cells, and run across several table
-//! chunks; at the end, every held view's flat image must equal, bit for
-//! bit, the image of a fresh engine that replayed the same prefix.
+//! chunks. After every ingest the live engine's derived output dataset
+//! must equal the newest view's output rows, and at the end every held
+//! view's flat image must equal, bit for bit, the image of a fresh
+//! engine that replayed the same prefix.
 
 use std::time::Duration;
 
@@ -66,27 +68,29 @@ fn batches(rows: &[Vec<Value>], seed: u64) -> Vec<Vec<Vec<Value>>> {
     out
 }
 
-/// The savers: `kind` 0 has an unlimited budget; 1 caps each save's
-/// candidates, which makes every old outlier a resave whenever r grows;
-/// 2 starts unlimited and, halfway through the stream, is swapped by
-/// export and restore for one whose deadline has expired, so saves are
-/// skipped and their rows left pending beside the rows saved earlier.
+/// The savers: `kind` 0 has an unlimited budget; 1 has a node budget
+/// below the 7-node lattice (m = 3, κ = 2), which makes every old
+/// outlier a resave whenever r grows; 2 starts unlimited and, halfway
+/// through the stream, is swapped by export and restore for one whose
+/// deadline has expired, so saves are skipped and their rows left
+/// pending beside the rows saved earlier.
 fn saver(kind: usize, expired: bool) -> Box<dyn Saver> {
-    let budget = match (kind, expired) {
-        (1, _) => Budget::unlimited().with_max_candidates(1),
-        (_, true) => Budget::unlimited().with_deadline(Duration::ZERO),
-        _ => Budget::unlimited(),
+    let budget = if expired {
+        Budget::unlimited().with_deadline(Duration::ZERO)
+    } else {
+        Budget::unlimited()
     };
-    let saver = SaverConfig::new(
+    let mut config = SaverConfig::new(
         DistanceConstraints::new(1.0, 3),
         TupleDistance::new(vec![Metric::Absolute; 3], Norm::L1),
     )
     .kappa(2)
     .parallelism(Parallelism(1))
-    .budget(budget)
-    .build_approx()
-    .unwrap();
-    Box::new(saver)
+    .budget(budget);
+    if kind == 1 {
+        config = config.node_budget(6);
+    }
+    Box::new(config.build_approx().unwrap())
 }
 
 /// Ingests `batches[k]`, swapping the saver first where `kind` says.
@@ -110,8 +114,9 @@ fn same_image(a: &EngineState, b: &EngineState) -> bool {
     a == b && bit_equal(&a.original, &b.original) && bit_equal(&a.current, &b.current)
 }
 
-/// Streams the rows, holding the view of every generation, then checks
-/// each against a fresh engine replaying that prefix. Returns the
+/// Streams the rows, holding the view of every generation and checking
+/// the live engine's `dataset()` against the newest one, then checks
+/// each view against a fresh engine replaying that prefix. Returns the
 /// promotions and how many views held an adjusted row and a pending
 /// row, so the caller can check that the streams reach them.
 fn held_views_match_replay(n: usize, seed: u64, shards: usize, kind: usize) -> [u64; 3] {
@@ -123,6 +128,11 @@ fn held_views_match_replay(n: usize, seed: u64, shards: usize, kind: usize) -> [
     for k in 0..batches.len() {
         promoted += step(&mut live, &batches, k, kind);
         views.push(live.view());
+        let newest = views.last().unwrap().state();
+        assert!(
+            bit_equal(live.dataset().rows(), &newest.current),
+            "S={shards}, saver {kind}: dataset() after ingest {k} differs from the view's rows"
+        );
     }
     let mut replay = fresh();
     let (mut adjusted, mut pending) = (0, 0);
@@ -136,7 +146,7 @@ fn held_views_match_replay(n: usize, seed: u64, shards: usize, kind: usize) -> [
             "S={shards}, saver {kind}: the view of generation {k} differs from a replay"
         );
         assert_eq!(view.generation(), k as u64);
-        assert_eq!(view.outlier_count(), replay.outliers().len());
+        assert_eq!(view.outlier_count(), replay.view().outliers().len());
         adjusted += u64::from(!bit_equal(&held.current, &held.original));
         pending += u64::from(!view.pending().is_empty());
     }

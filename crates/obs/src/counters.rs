@@ -197,12 +197,6 @@ declare_counters! {
     /// a published view still held them. Zero while no view is held;
     /// with one held between ingests, the chunks each ingest writes.
     ENGINE_CHUNKS_COPIED => "engine.chunks_copied",
-    /// Rows distributed to engine shards (one per row per lifetime of a
-    /// sharded engine, counting restores as well as ingests).
-    SHARD_ROWS => "shard.rows",
-    /// Per-shard ε-range sub-queries issued by the sharded engine's
-    /// fan-out (each logical query touches every shard once).
-    SHARD_RANGE_QUERIES => "shard.range_queries",
     /// Write-ahead-log records appended (one per durable ingest).
     WAL_APPENDS => "persist.wal.appends",
     /// Bytes written to the write-ahead log (headers + payloads).

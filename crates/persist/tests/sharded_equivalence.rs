@@ -110,7 +110,7 @@ proptest! {
                 batch_ds.rows(),
                 "single-shard stream diverges from batch"
             );
-            prop_assert_eq!(&single.outliers(), &batch_report.outliers);
+            prop_assert_eq!(&single.view().outliers(), &batch_report.outliers);
 
             for shards in [2usize, 7] {
                 let (sharded, reports) = stream(&chunks, shards, workers);

@@ -499,13 +499,13 @@ fn cmd_stream(args: &Args) -> Result<(), CliError> {
             engine
         }
     };
-    let outliers = engine.outliers();
-    let pending = engine.pending();
+    let view = engine.view();
+    let pending = view.pending();
     println!(
         "stream done: {} rows across {} shards, {} current outliers, {} pending retries",
         engine.len(),
         engine.shards(),
-        outliers.len(),
+        view.outlier_count(),
         pending.len()
     );
     if let Some(out) = args.get("out") {
@@ -541,12 +541,13 @@ fn cmd_recover(args: &Args) -> Result<(), CliError> {
         None => println!("log was clean (no torn tail)"),
     }
     let engine = store.engine();
+    let view = engine.view();
     println!(
         "engine at generation {}: {} rows, {} current outliers, {} pending retries",
         report.generation,
         engine.len(),
-        engine.outliers().len(),
-        engine.pending().len()
+        view.outlier_count(),
+        view.pending().len()
     );
     if let Some(out) = args.get("out") {
         csv::write_file(engine.dataset(), out).map_err(|e| CliError::Io(e.to_string()))?;
